@@ -277,6 +277,8 @@ def times_cmd(click_ctx, left, right):
 @click.pass_context
 def tderiv(click_ctx, expr, direction, order):
     """Total derivative of a word sum (cyclic or open).  Supports @FILE."""
+    if order < 0:
+        raise PreconditionError(f"--order must be nonnegative, got {order}")
     settings = _settings(click_ctx)
     ctx = settings.context()
     em = Emitter(settings)
@@ -588,6 +590,8 @@ def selftest(click_ctx, only):
             chosen = sorted({int(part) for part in only.split(",") if part.strip()})
         except ValueError as exc:
             raise ParseError(f"--suites expects numbers like 1,3,9: {only!r}") from exc
+        if not chosen:
+            raise ParseError(f"--suites names no suite: {only!r}")
         bad = [n for n in chosen if not 1 <= n <= len(SUITES)]
         if bad:
             raise ParseError(f"no such suite: {bad[0]} (valid: 1..{len(SUITES)})")

@@ -100,16 +100,41 @@ def total_derivative(ctx: JetContext, f: FormalSum, direction: int = 1) -> Forma
     return out
 
 
-def d_power(ctx: JetContext, f: FormalSum, orders, negate: bool = False) -> FormalSum:
-    """Iterated total derivative D^orders; with negate=True apply (-D)^orders."""
-    orders = tuple(orders)
-    total = sum(orders)
+def d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
+    """Iterated total derivative D^orders."""
     for direction, count in enumerate(orders, start=1):
         for _ in range(count):
             f = total_derivative(ctx, f, direction)
-    if negate and total % 2:
-        f = -f
     return f
+
+
+def minus_d_series(
+    ctx: JetContext, parts: dict[tuple[int, ...], FormalSum]
+) -> FormalSum:
+    """The sum over multi-indices s of (-D)^s parts[s], for open sums, in
+    Horner form.
+
+    Along one direction, P_0 - D(P_1 - D(P_2 - ...)) differentiates each
+    accumulated partial sum once instead of each part k times; the signs are
+    put on the odd parts up front, as P_0 + D(-P_1 + D(P_2 + ...)).
+    Directions are folded from the last one down: after direction d the keys
+    keep only their first d - 1 slots.
+    """
+    for d in range(ctx.directions, 0, -1):
+        by_prefix: dict[tuple[int, ...], dict[int, FormalSum]] = {}
+        for orders, part in parts.items():
+            by_prefix.setdefault(orders[: d - 1], {})[orders[d - 1]] = part
+        parts = {}
+        for prefix, by_count in by_prefix.items():
+            acc = FormalSum(cyclic=False)
+            for k in range(max(by_count), -1, -1):
+                part = by_count.get(k)
+                if part is not None:
+                    acc = acc + (-part if k % 2 else part)
+                if k:
+                    acc = total_derivative(ctx, acc, d)
+            parts[prefix] = acc
+    return parts.get((), FormalSum(cyclic=False))
 
 
 def partial_jet(ctx: JetContext, f: FormalSum, target: Letter) -> FormalSum:
@@ -222,9 +247,10 @@ def evolutionary_apply(
                 if value is None:
                     value = d_power(ctx, comp, letter.orders)
                     memo[key] = value
-                sign = -1 if section.parity and prefix_odd % 2 else 1
+                flip = section.parity and prefix_odd % 2
                 for vw, vc in value.terms.items():
-                    out.add_word(w[:i] + vw + w[i + 1:], (c * vc) * sign)
+                    cv = c * vc
+                    out.add_word(w[:i] + vw + w[i + 1:], -cv if flip else cv)
             if letter.odd:
                 prefix_odd += 1
     return out

@@ -15,7 +15,7 @@ from .words import (
     odd_count,
     word_key,
 )
-from .jets import JetContext, d_power
+from .jets import JetContext, d_power, minus_d_series
 
 # Field index 0 is reserved for the argument-slot marker used internally by
 # the adjoint; real letters are 1-based.
@@ -197,22 +197,23 @@ class DifferentialOperator:
         """The operator adjoint with respect to the closed pairing: each term
         coeff * L * D^s(p) * R  transposes to the expansion of
         p -> (-D)^s (coeff * R * p * L), with a sign transporting the graded
-        side words past the pairing."""
+        side words past the pairing.  The carriers  coeff * R * slot * L  are
+        grouped by s across terms and expanded in Horner form."""
         ctx = self.ctx
-        out = DifferentialOperator(ctx)
+        slot = _slot(ctx.zero_orders())
+        carriers: dict[tuple[int, ...], FormalSum] = {}
         for (left, orders, right), c in self.terms.items():
             k_left = odd_count(left)
             k_total = k_left + odd_count(right)
-            sign = -1 if k_left % 2 and (k_total - 1) % 2 else 1
-            carrier = FormalSum.single(
-                False, right + (_slot(ctx.zero_orders()),) + left, c * sign
+            flip = k_left % 2 and (k_total - 1) % 2
+            part = carriers.setdefault(orders, FormalSum(cyclic=False))
+            part.add_word(right + (slot,) + left, -c if flip else c)
+        out = DifferentialOperator(ctx)
+        for w, wc in minus_d_series(ctx, carriers).terms.items():
+            pos = next(
+                i for i, l in enumerate(w) if l.index == SLOT_INDEX and not l.odd
             )
-            expanded = d_power(ctx, carrier, orders, negate=True)
-            for w, wc in expanded.terms.items():
-                pos = next(
-                    i for i, l in enumerate(w) if l.index == SLOT_INDEX and not l.odd
-                )
-                out.add_term(w[:pos], w[pos].orders, w[pos + 1:], wc)
+            out.add_term(w[:pos], w[pos].orders, w[pos + 1:], wc)
         return out
 
     def is_skew(self) -> bool:

@@ -180,6 +180,10 @@ def is_hamiltonian(
     verdict is backed, when possible, by an explicit functional triple whose
     Jacobi defect is nontrivial.
     """
+    if witness_budget < 0:
+        raise PreconditionError(
+            f"witness budget must be nonnegative, got {witness_budget}"
+        )
     _require_skew(op)
     defect = master_defect(ctx, op)
     if is_trivial(ctx, defect.density):
@@ -306,6 +310,8 @@ def substitution_harness(
     """Run one shipped identity on freshly drawn arguments and report each
     trial.  Identities are residuals that must be trivial (or zero) whatever
     the substitution, so any failing trial is a counterexample."""
+    if trials < 1:
+        raise PreconditionError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     if op is None:
         op = _default_harness_operator(ctx)

@@ -10,8 +10,8 @@ from .words import FormalSum, Word, close, concat, odd_count, pass_sign
 from .jets import (
     GeneratingSection,
     JetContext,
-    d_power,
     evolutionary_apply,
+    minus_d_series,
 )
 from .operators import DifferentialOperator, linearization
 
@@ -26,15 +26,16 @@ def euler_derivative(
     """Variational derivative of a cyclic sum along one letter family.
 
     For each occurrence of the family, cut the circle there and apply (-D) to
-    the multi-index of the removed letter.  `side` chooses on which side of
-    the density the variation is collected; the two differ, per word, by a
-    sign on odd families only.
+    the multi-index of the removed letter.  The cut words are grouped by that
+    multi-index first, so the powers of (-D) are applied in Horner form.
+    `side` chooses on which side of the density the variation is collected;
+    the two differ, per word, by a sign on odd families only.
     """
     if not f.cyclic:
         raise PreconditionError("euler_derivative expects a cyclic sum")
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    out = FormalSum(cyclic=False)
+    cuts: dict[tuple[int, ...], FormalSum] = {}
     for w, c in f.terms.items():
         total_odd = odd_count(w)
         word_sign = 1
@@ -43,13 +44,10 @@ def euler_derivative(
         sign = 1
         for i, letter in enumerate(w):
             if letter.odd == odd_kind and letter.index == index:
-                opened = FormalSum.single(
-                    False, w[i + 1:] + w[:i], c * (sign * word_sign)
-                )
-                for w2, c2 in d_power(ctx, opened, letter.orders, negate=True).terms.items():
-                    out.add_word(w2, c2)
+                part = cuts.setdefault(letter.orders, FormalSum(cyclic=False))
+                part.add_word(w[i + 1:] + w[:i], c if sign == word_sign else -c)
             sign *= pass_sign(letter, total_odd)
-    return out
+    return minus_d_series(ctx, cuts)
 
 
 def is_trivial(ctx: JetContext, f: FormalSum) -> bool:

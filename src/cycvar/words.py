@@ -10,6 +10,7 @@ at normalization time, so every later operation works on plain tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, NamedTuple
 
 
@@ -101,6 +102,8 @@ class Coefficient:
 
     Monomials are exponent tuples with one slot per base direction; they
     commute with everything, so they can be kept apart from the words.
+    Only a freshly built instance is ever written to; once returned it is
+    treated as immutable, so sums may share one Coefficient object.
     """
 
     __slots__ = ("terms",)
@@ -113,7 +116,8 @@ class Coefficient:
                 self._accumulate(tuple(mono), Fraction(value))
 
     def _accumulate(self, mono: tuple[int, ...], value: Fraction) -> None:
-        acc = self.terms.get(mono, 0) + value
+        acc = self.terms.get(mono)
+        acc = value if acc is None else acc + value
         if acc:
             self.terms[mono] = acc
         else:
@@ -139,14 +143,21 @@ class Coefficient:
     def __hash__(self):
         raise TypeError("Coefficient is not hashable")
 
+    @classmethod
+    def _wrap(cls, terms: dict[tuple[int, ...], Fraction]) -> "Coefficient":
+        """Adopt a dict of nonzero Fraction values without re-checking it."""
+        out = cls()
+        out.terms = terms
+        return out
+
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        out = Coefficient(self.terms)
+        out = Coefficient._wrap(dict(self.terms))
         for mono, value in other.terms.items():
             out._accumulate(mono, value)
         return out
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient({m: -v for m, v in self.terms.items()})
+        return Coefficient._wrap({m: -v for m, v in self.terms.items()})
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self + (-other)
@@ -156,13 +167,12 @@ class Coefficient:
             out = Coefficient()
             for m1, v1 in self.terms.items():
                 for m2, v2 in other.terms.items():
-                    mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                    out._accumulate(mono, v1 * v2)
+                    out._accumulate(tuple(map(add, m1, m2)), v1 * v2)
             return out
-        value = Fraction(other)
+        value = other if isinstance(other, (int, Fraction)) else Fraction(other)
         if not value:
             return Coefficient()
-        return Coefficient({m: v * value for m, v in self.terms.items()})
+        return Coefficient._wrap({m: v * value for m, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -199,7 +209,8 @@ class FormalSum:
     The cyclic flavor keeps every key in canonical rotation (signs folded into
     the coefficients); the open flavor keeps keys verbatim.  Instances are
     built with `add_word` and treated as immutable afterwards; the arithmetic
-    operators return fresh sums.
+    operators return fresh sums, which may share their operands' Coefficient
+    objects.
     """
 
     __slots__ = ("cyclic", "terms")
@@ -254,16 +265,21 @@ class FormalSum:
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if self.cyclic != other.cyclic:
             raise ValueError("cannot mix cyclic and open sums")
+        # Coefficients are never mutated once returned, so both operands'
+        # coefficient objects are shared, not copied.
         out = FormalSum(self.cyclic)
-        out.terms = {w: Coefficient(c.terms) for w, c in self.terms.items()}
+        out.terms = terms = dict(self.terms)
         for w, c in other.terms.items():
             # keys of a like-flavored sum are already canonical
-            acc = out.terms.get(w)
-            acc = Coefficient(c.terms) if acc is None else acc + c
+            acc = terms.get(w)
+            if acc is None:
+                terms[w] = c
+                continue
+            acc = acc + c
             if acc:
-                out.terms[w] = acc
+                terms[w] = acc
             else:
-                out.terms.pop(w, None)
+                del terms[w]
         return out
 
     def __neg__(self) -> "FormalSum":

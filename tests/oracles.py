@@ -5,16 +5,28 @@ package code: the rotation sign comes from a block-transposition count
 rather than letter-by-letter transport, substitution is assembled directly
 on words rather than through operator terms, and bivector evaluation goes
 through the pairing formula rather than through contraction of the density.
+The Euler derivative and the adjoint are expanded one letter occurrence (one
+operator term) at a time, each with its own power of (-D), rather than
+grouped in Horner form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from cycvar.words import Coefficient, FormalSum, close, concat, word_key
+from cycvar.words import (
+    Coefficient,
+    FormalSum,
+    Letter,
+    close,
+    concat,
+    odd_count,
+    pass_sign,
+    word_key,
+)
 from cycvar.jets import JetContext, d_power
 from cycvar.variational import Covector, coupling
-from cycvar.operators import DifferentialOperator
+from cycvar.operators import SLOT_INDEX, DifferentialOperator
 
 
 def brute_normalize(letters):
@@ -100,4 +112,45 @@ def exhaustive_words(alphabet, max_len: int):
     for _ in range(max_len):
         layer = [w + (l,) for w in layer for l in alphabet]
         out.extend(layer)
+    return out
+
+
+def minus_d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
+    """(-D)^orders applied to one sum."""
+    f = d_power(ctx, f, orders)
+    return -f if sum(orders) % 2 else f
+
+
+def reference_euler_derivative(
+    ctx: JetContext, f: FormalSum, odd_kind: bool, index: int = 1, side: str = "left"
+) -> FormalSum:
+    """Variational derivative by cutting at each occurrence of the family and
+    applying (-D) to that occurrence's multi-index on its own."""
+    out = FormalSum(cyclic=False)
+    for w, c in f.terms.items():
+        total_odd = odd_count(w)
+        word_sign = -1 if side == "right" and odd_kind and (total_odd - 1) % 2 else 1
+        sign = 1
+        for i, letter in enumerate(w):
+            if letter.odd == odd_kind and letter.index == index:
+                opened = FormalSum.single(False, w[i + 1:] + w[:i], c * (sign * word_sign))
+                for w2, c2 in minus_d_power(ctx, opened, letter.orders).terms.items():
+                    out.add_word(w2, c2)
+            sign *= pass_sign(letter, total_odd)
+    return out
+
+
+def reference_adjoint(op: DifferentialOperator) -> DifferentialOperator:
+    """Adjoint by expanding (-D)^s (coeff * R * slot * L) for each term on its
+    own."""
+    ctx = op.ctx
+    out = DifferentialOperator(ctx)
+    for (left, orders, right), c in op.terms.items():
+        k_left = odd_count(left)
+        sign = -1 if k_left % 2 and (k_left + odd_count(right) - 1) % 2 else 1
+        slot = Letter(False, SLOT_INDEX, ctx.zero_orders())
+        carrier = FormalSum.single(False, right + (slot,) + left, c * sign)
+        for w, wc in minus_d_power(ctx, carrier, orders).terms.items():
+            pos = next(i for i, l in enumerate(w) if l.index == SLOT_INDEX and not l.odd)
+            out.add_term(w[:pos], w[pos].orders, w[pos + 1:], wc)
     return out

@@ -160,6 +160,37 @@ class TestHarnessAndSelftest:
         assert "no such suite" in err
 
 
+class TestRejectedInputs:
+    """Inputs that used to be accepted silently exit with a one-line error."""
+
+    def test_tderiv_negative_order(self):
+        rc, out, err = run_cli("tderiv", "--order", "-3", "cyc(a*a)")
+        assert rc == 2 and out == ""
+        assert err.strip() == "error: --order must be nonnegative, got -3"
+
+    def test_tderiv_zero_order_is_identity(self):
+        rc, out, _ = run_cli("tderiv", "--order", "0", "cyc(a*a)")
+        assert rc == 0 and out.strip() == "cyc(a*a)"
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_subst_check_needs_a_trial(self, trials):
+        rc, out, err = run_cli("subst-check", "zero", "--trials", trials)
+        assert rc == 2 and "result: pass" not in out
+        assert err.strip() == f"error: need at least one trial, got {trials}"
+
+    def test_selftest_empty_suite_list(self):
+        rc, out, err = run_cli("selftest", "--suites", ",")
+        assert rc == 1 and "suites passed" not in out
+        assert err.strip() == "error: --suites names no suite: ','"
+
+    def test_negative_witness_budget(self):
+        rc, out, err = run_cli(
+            "is-hamiltonian", "--witness-budget", "-1", "op(a*D + D*R(a))"
+        )
+        assert rc == 2 and out == ""
+        assert err.strip() == "error: witness budget must be nonnegative, got -1"
+
+
 class TestPlumbing:
     def test_parse_error_exit_code(self):
         rc, _, err = run_cli("normalize", "cyc(a*")

@@ -10,6 +10,7 @@ from cycvar.jets import (
     evolutionary_apply,
     graded_commutator,
     make_section,
+    minus_d_series,
     partial_jet,
     total_derivative,
     zero_section,
@@ -74,8 +75,26 @@ class TestTotalDerivative:
 
     def test_d_power_and_negation(self):
         assert d_power(CTX, opn([A]), (2,)) == opn([AXX])
-        assert d_power(CTX, opn([A]), (1,), negate=True) == opn([AX], -1)
-        assert d_power(CTX, opn([A]), (2,), negate=True) == opn([AXX])
+        assert minus_d_series(CTX, {(1,): opn([A])}) == opn([AX], -1)
+        assert minus_d_series(CTX, {(2,): opn([A])}) == opn([AXX])
+
+    def test_minus_d_series_matches_separate_powers(self):
+        ctx = JetContext(fields=1, directions=2)
+        a = ctx.letter(False, 1)
+        b = ctx.letter(True, 1, (0, 1))
+        x2 = ctx.x_power(2, 1)
+        parts = {
+            (0, 0): FormalSum.single(False, (a, b), ctx.one()),
+            (1, 0): FormalSum.single(False, (b,), x2),
+            (2, 1): FormalSum.single(False, (a, a), ctx.const(3)),
+            (0, 3): FormalSum.single(False, (b, a), x2),
+        }
+        want = FormalSum(cyclic=False)
+        for orders, part in parts.items():
+            term = d_power(ctx, part, orders)
+            want = want + (-term if sum(orders) % 2 else term)
+        assert minus_d_series(ctx, parts) == want
+        assert minus_d_series(ctx, {}) == FormalSum(cyclic=False)
 
 
 class TestPartialJet:

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from cycvar import corpus
 from cycvar.errors import PreconditionError
 from cycvar.words import Coefficient, FormalSum, close, concat
 from cycvar.jets import JetContext
 from cycvar.operators import DifferentialOperator, from_derivative, linearization
 from cycvar.variational import is_trivial
 
-from oracles import substitute_occurrences
+from oracles import reference_adjoint, substitute_occurrences
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -125,6 +126,39 @@ class TestAdjoint:
         lhs = close(concat(p, D.apply(q)))
         rhs = close(concat(q, D.adjoint().apply(p)))
         assert is_trivial(CTX, lhs - rhs)
+
+
+class TestAdjointReference:
+    """The grouped Horner expansion agrees exactly with expanding each term's
+    (-D)^s on its own."""
+
+    @staticmethod
+    def graded_operator(rng, ctx, terms):
+        """Operator whose side words carry odd letters, so that both parities
+        of each side word occur."""
+        out = DifferentialOperator(ctx)
+        for _ in range(terms):
+            sigma = [0] * ctx.directions
+            for _ in range(rng.randint(0, 3)):
+                sigma[rng.randrange(ctx.directions)] += 1
+            sides = []
+            for _ in range(2):
+                length = rng.randint(0, 2)
+                sides.append(corpus.open_word(rng, ctx, length, rng.randint(0, length), 1))
+            out.add_term(sides[0], tuple(sigma), sides[1], corpus.coefficient(rng, ctx))
+        return out
+
+    @pytest.mark.parametrize("fields", [1, 2, 3])
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_matches_per_term_expansion(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(1000 * fields + directions)
+        for _ in range(20):
+            for op in (
+                corpus.operator(rng, ctx, terms=3),
+                self.graded_operator(rng, ctx, terms=3),
+            ):
+                assert op.adjoint() == reference_adjoint(op)
 
 
 class TestLinearization:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cycvar import corpus
 from cycvar.errors import PreconditionError
 from cycvar.words import Coefficient, FormalSum, close, concat
 from cycvar.jets import JetContext, evolutionary_apply, make_section, total_derivative
@@ -16,6 +17,8 @@ from cycvar.variational import (
     is_trivial,
     lift_covector_velocity,
 )
+
+from oracles import reference_euler_derivative
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -71,6 +74,29 @@ class TestEuler:
             df = total_derivative(CTX, f)
             for odd_kind in (False, True):
                 assert euler_derivative(CTX, df, odd_kind).is_zero()
+
+
+class TestEulerReference:
+    """Grouping the cut words by multi-index and expanding in Horner form
+    agrees exactly with one (-D)^s expansion per letter occurrence."""
+
+    @pytest.mark.parametrize("fields", [1, 2, 3])
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_matches_per_occurrence_expansion(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(100 * fields + directions)
+        checked = 0
+        for _ in range(13):
+            for odd_degree in range(4):
+                f = corpus.cyclic_density(rng, ctx, odd_degree, words=3, max_order=3)
+                for odd_kind in (False, True):
+                    for index in range(1, fields + 1):
+                        for side in ("left", "right"):
+                            got = euler_derivative(ctx, f, odd_kind, index, side)
+                            want = reference_euler_derivative(ctx, f, odd_kind, index, side)
+                            assert got == want
+                            checked += bool(want)
+        assert checked
 
 
 class TestTriviality:

@@ -153,3 +153,84 @@ class TestTimes:
             + single([c, A, d, AX]).scale(quarter)
         )
         assert out == expect
+
+
+X = Coefficient.monomial((1,), 1)
+
+
+def _sum_operands():
+    """Two cyclic sums sharing words, so that adding them both merges and
+    cancels coefficients."""
+    f = single([A, AX], 2) + FormalSum.single(True, (A, A, A), X + CTX.const(3))
+    g = single([A, AX], -2) + FormalSum.single(True, (A, A, A), X) + single([B, BX, A])
+    return f, g
+
+
+class TestNoAliasing:
+    """Results may share Coefficient objects with their operands, so neither
+    computing a result nor writing to it through `add_word` may change an
+    operand."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f, g: f + g,
+            lambda f, g: f - g,
+            lambda f, g: g + f,
+            lambda f, g: -f,
+            lambda f, g: f.scale(3),
+            lambda f, g: f.scale(X),
+        ],
+        ids=["add", "sub", "add-swapped", "neg", "scale-int", "scale-coefficient"],
+    )
+    def test_sum_arithmetic(self, op):
+        f, g = _sum_operands()
+        before = (repr(f), repr(g))
+        out = op(f, g)
+        assert (repr(f), repr(g)) == before
+        for w, c in list(f.terms.items()) + list(g.terms.items()):
+            out.add_word(w, c)
+            out.add_word(w, c.diff(1) + c)
+        assert (repr(f), repr(g)) == before
+
+    def test_add_word(self):
+        f, g = _sum_operands()
+        h = f + g
+        c = X + CTX.const(1)
+        before = (repr(f), repr(g), repr(h), repr(c))
+        target = FormalSum(cyclic=True)
+        for w in h.terms:
+            target.add_word(w, c)
+        shared = target + FormalSum(cyclic=True)
+        shared_before = repr(shared)
+        for w, hc in h.terms.items():
+            target.add_word(w, hc)
+            target.add_word(w, -c)
+        assert (repr(f), repr(g), repr(h), repr(c)) == before
+        assert repr(shared) == shared_before
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda c, d: c + d,
+            lambda c, d: c - d,
+            lambda c, d: -c,
+            lambda c, d: c * d,
+            lambda c, d: c * Fraction(-2, 3),
+            lambda c, d: 3 * c,
+            lambda c, d: c.diff(1),
+        ],
+        ids=["add", "sub", "neg", "mul", "mul-scalar", "rmul-scalar", "diff"],
+    )
+    def test_coefficient_arithmetic(self, op):
+        c = Coefficient({(0,): 2, (2,): Fraction(1, 2)})
+        d = Coefficient({(0,): -2, (1,): 5})
+        before = (repr(c), repr(d))
+        out = op(c, d)
+        assert (repr(c), repr(d)) == before
+        out_before = repr(out)
+        target = FormalSum.single(False, (A,), out)
+        target.add_word((A,), c)
+        target.add_word((A,), d)
+        target.add_word((A,), -out)
+        assert (repr(c), repr(d), repr(out)) == before + (out_before,)
