@@ -440,7 +440,10 @@ def _retuple(kind: str, comps: tuple[FormalSum, ...]) -> Value:
 
 
 def parse_value(text: str, ctx: JetContext) -> Value:
-    return Parser(text, ctx).parse_input()
+    try:
+        return Parser(text, ctx).parse_input()
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None
 
 
 def parse_cyclic(text: str, ctx: JetContext) -> FormalSum:

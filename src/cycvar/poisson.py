@@ -212,7 +212,6 @@ def is_hamiltonian(
 class TrialReport:
     index: int
     passed: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)

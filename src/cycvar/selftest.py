@@ -486,7 +486,3 @@ SUITES = (
     suite_substitution,
     suite_adjoint_laws,
 )
-
-
-def run_all(seed: int = 0) -> list[SuiteResult]:
-    return [suite(seed) for suite in SUITES]

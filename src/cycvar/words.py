@@ -81,22 +81,6 @@ def normalize(letters: Word) -> tuple[Word | None, int]:
     return best, signs.pop()
 
 
-def cut_after(letters: Word, position: int) -> tuple[Word, int]:
-    """Open a cyclic word by deleting the letter at `position`.
-
-    The open word reads from the following letter around to the preceding one.
-    The sign is the cost of first rotating the deleted letter up to the marked
-    point.
-    """
-    if not 0 <= position < len(letters):
-        raise IndexError(f"cut position {position} outside word of length {len(letters)}")
-    total_odd = odd_count(letters)
-    sign = 1
-    for l in letters[:position]:
-        sign *= pass_sign(l, total_odd)
-    return letters[position + 1:] + letters[:position], sign
-
-
 class Coefficient:
     """Polynomial in the base coordinates with rational coefficients.
 

@@ -190,6 +190,43 @@ class TestRejectedInputs:
         assert rc == 2 and out == ""
         assert err.strip() == "error: witness budget must be nonnegative, got -1"
 
+    @pytest.mark.parametrize(
+        "key, value, wanted",
+        [
+            ("m", "two", "an integer"),
+            ("n", None, "an integer"),
+            ("max_order", True, "an integer"),
+            ("seed", 1.5, "an integer"),
+            ("output", 1, "a string"),
+        ],
+    )
+    def test_config_value_types(self, tmp_path, key, value, wanted):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc, out, err = run_cli("--config", str(cfg), "normalize", "cyc(a)")
+        assert rc == 2 and out == ""
+        assert err == f"error: config {cfg}: {key} must be {wanted}, got {json.dumps(value)}\n"
+
+    def test_config_null_max_order_means_no_cap(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_order": None}))
+        rc, out, _ = run_cli("--config", str(cfg), "normalize", "cyc(a_{x,5})")
+        assert rc == 0 and out.strip() == "cyc(a_{x,5})"
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(" * 5000 + "a" + ")" * 5000,
+            "op(" + "(" * 5000 + "D" + ")" * 5001,
+            "cyc(" * 5000 + "a" + ")" * 5000,
+        ],
+        ids=["parentheses", "operator", "cyc"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, expr):
+        rc, out, err = run_cli("normalize", expr)
+        assert rc == 1 and out == ""
+        assert err == "error: expression nests too deeply\n"
+
 
 class TestPlumbing:
     def test_parse_error_exit_code(self):

@@ -11,7 +11,6 @@ from cycvar.words import (
     Letter,
     close,
     concat,
-    cut_after,
     normalize,
     pass_sign,
     times,
@@ -107,16 +106,6 @@ class TestFormalSum:
 
 
 class TestCut:
-    def test_cut_even_front(self):
-        word, sign = cut_after((A, B, BX), 0)
-        assert word == (B, BX) and sign == 1
-
-    def test_cut_transports_odd_prefix(self):
-        # rotating (B, A, BX) so the last letter leads moves two letters,
-        # one odd, past one remaining odd letter
-        word, sign = cut_after((B, A, BX), 2)
-        assert word == (B, A) and sign == -1
-
     def test_pass_sign_table(self):
         assert pass_sign(A, 3) == 1
         assert pass_sign(B, 3) == 1
