@@ -4,6 +4,7 @@ and the substitution harness for structural identities."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -41,6 +42,30 @@ def hamiltonian_section(
     return tuple(op.apply(comp) for comp in p.components)
 
 
+def _section(
+    ctx: JetContext, op: DifferentialOperator, f: Functional
+) -> tuple[Covector, tuple[FormalSum, ...]]:
+    """Covector of a functional and its operator image."""
+    p = covector_of(ctx, f)
+    return p, hamiltonian_section(ctx, op, p)
+
+
+def _bracket(ctx: JetContext, p: Covector, image) -> Functional:
+    """Unchecked bracket core: couple the variations of the first functional
+    with the operator image of the variations of the second."""
+    return Functional(ctx, coupling(ctx, p, image))
+
+
+def _jacobi(ctx: JetContext, images, inner) -> Functional:
+    """Cyclic sum of {{h_a, h_b}, h_c} over (a, b, c) = (0, 1, 2), (1, 2, 0),
+    (2, 0, 1), from the operator images of h_0, h_1, h_2 and `inner(a, b)`,
+    the covector of {h_a, h_b}.  Unchecked."""
+    total = FormalSum(cyclic=True)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        total = total + _bracket(ctx, inner(a, b), images[c]).density
+    return Functional(ctx, total)
+
+
 def poisson_bracket(
     ctx: JetContext, op: DifferentialOperator, f: Functional, g: Functional
 ) -> Functional:
@@ -49,8 +74,7 @@ def poisson_bracket(
     _require_skew(op)
     p = covector_of(ctx, f)
     q = covector_of(ctx, g)
-    density = coupling(ctx, p, hamiltonian_section(ctx, op, q))
-    return Functional(ctx, density)
+    return _bracket(ctx, p, hamiltonian_section(ctx, op, q))
 
 
 def jacobi_defect(
@@ -63,11 +87,17 @@ def jacobi_defect(
     """Cyclic sum of nested brackets; trivial exactly when the bracket
     satisfies the Jacobi identity on these arguments."""
     _require_skew(op)
-    total = FormalSum(cyclic=True)
-    for a, b, c in ((h1, h2, h3), (h2, h3, h1), (h3, h1, h2)):
-        inner = poisson_bracket(ctx, op, a, b)
-        total = total + poisson_bracket(ctx, op, inner, c).density
-    return Functional(ctx, total)
+    return _jacobi_defect(ctx, op, (h1, h2, h3))
+
+
+def _jacobi_defect(ctx: JetContext, op: DifferentialOperator, hs) -> Functional:
+    """Unchecked `jacobi_defect` on a triple of functionals."""
+    sections = [_section(ctx, op, h) for h in hs]
+    return _jacobi(
+        ctx,
+        [v for _, v in sections],
+        lambda a, b: covector_of(ctx, _bracket(ctx, sections[a][0], sections[b][1])),
+    )
 
 
 def jacobi_defect_expanded(
@@ -184,25 +214,37 @@ def is_hamiltonian(
         raise PreconditionError(
             f"witness budget must be nonnegative, got {witness_budget}"
         )
-    _require_skew(op)
     defect = master_defect(ctx, op)
     if is_trivial(ctx, defect.density):
         return HamiltonianCertificate(True, defect.density)
     witness = None
     witness_defect = None
     if find_witness:
-        pool = _witness_pool(ctx)
-        tried = 0
-        for triple in itertools.combinations_with_replacement(pool, 3):
-            if tried >= witness_budget:
-                break
-            tried += 1
-            jd = jacobi_defect(ctx, op, *triple)
-            if not jd.is_trivial():
-                witness = triple
-                witness_defect = jd.density
-                break
+        witness, witness_defect = _witness_search(ctx, op, witness_budget)
     return HamiltonianCertificate(False, defect.density, witness, witness_defect)
+
+
+def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
+    """First of at most `budget` triples of `_witness_pool` functionals, in
+    `combinations_with_replacement` order, whose Jacobi defect is nontrivial,
+    with that defect; (None, None) if there is none.  Each pool member's
+    covector and image, and each ordered inner bracket's covector, is
+    computed once.  Unchecked."""
+    pool = _witness_pool(ctx)
+    section = functools.cache(lambda i: _section(ctx, op, pool[i]))
+    inner_covector = functools.cache(
+        lambda i, j: covector_of(ctx, _bracket(ctx, section(i)[0], section(j)[1]))
+    )
+    triples = itertools.combinations_with_replacement(range(len(pool)), 3)
+    for triple in itertools.islice(triples, budget):
+        jd = _jacobi(
+            ctx,
+            [section(i)[1] for i in triple],
+            lambda a, b: inner_covector(triple[a], triple[b]),
+        )
+        if not jd.is_trivial():
+            return tuple(pool[i] for i in triple), jd.density
+    return None, None
 
 
 # -- substitution harness -------------------------------------------------
@@ -311,9 +353,17 @@ def substitution_harness(
     the substitution, so any failing trial is a counterexample."""
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
+    if identity not in IDENTITY_NAMES:
+        raise PreconditionError(
+            f"unknown identity {identity!r}; known: {', '.join(IDENTITY_NAMES)}"
+        )
     rng = random.Random(seed)
     if op is None:
         op = _default_harness_operator(ctx)
+    if identity in ("jacobi-flow", "bivector-alternation"):
+        _require_skew(op)
+    adj = op.adjoint() if identity == "adjoint-pairing" else None
+    pv = multivector_from_operator(ctx, op) if identity == "bivector-alternation" else None
     reports = []
     for i in range(trials):
         if identity == "zero":
@@ -338,22 +388,18 @@ def substitution_harness(
             p = random_covector(rng, ctx, covector_class)
             q = random_covector(rng, ctx, covector_class)
             lhs = coupling(ctx, p, hamiltonian_section(ctx, op, q))
-            adj = op.adjoint()
             rhs = coupling(
                 ctx, q, tuple(adj.apply(c) for c in p.components)
             )
             residual = lhs - rhs
             passed = is_trivial(ctx, residual)
         elif identity == "jacobi-flow":
-            _require_skew(op)
             hs = tuple(
                 random_functional(rng, ctx, covector_class) for _ in range(3)
             )
-            residual = jacobi_defect(ctx, op, *hs).density
+            residual = _jacobi_defect(ctx, op, hs).density
             passed = is_trivial(ctx, residual)
-        elif identity == "bivector-alternation":
-            _require_skew(op)
-            pv = multivector_from_operator(ctx, op)
+        else:  # bivector-alternation
             p = random_covector(rng, ctx, covector_class)
             q = random_covector(rng, ctx, covector_class)
             residual = (
@@ -361,9 +407,5 @@ def substitution_harness(
                 + evaluate(ctx, pv, (q, p)).density
             )
             passed = is_trivial(ctx, residual)
-        else:
-            raise PreconditionError(
-                f"unknown identity {identity!r}; known: {', '.join(IDENTITY_NAMES)}"
-            )
         reports.append(TrialReport(i, passed))
     return HarnessResult(identity, covector_class, tuple(reports))

@@ -69,16 +69,27 @@ def normalize(letters: Word) -> tuple[Word | None, int]:
 
     Returns (canonical letters, sign) with sign in {+1, -1}, or (None, 0) when
     the word coincides with one of its own rotations up to a sign flip and is
-    therefore zero.
+    therefore zero.  The canonical rotation is the least under `word_key`;
+    rotations all have one length, so their lists of letter keys, each key
+    computed once, order them the same way.
     """
     if not letters:
         return (), 1
-    rots = signed_rotations(letters)
-    best = min((w for w, _ in rots), key=word_key)
-    signs = {s for w, s in rots if w == best}
+    n = len(letters)
+    keys = [letter_key(l) for l in letters] * 2
+    total_odd = odd_count(letters)
+    best = None
+    sign = 1
+    for r in range(n):
+        rotated = keys[r:r + n]
+        if best is None or rotated < best:
+            best, start, signs = rotated, r, {sign}
+        elif rotated == best:
+            signs.add(sign)
+        sign *= pass_sign(letters[r], total_odd)
     if len(signs) == 2:
         return None, 0
-    return best, signs.pop()
+    return letters[start:] + letters[:start], signs.pop()
 
 
 class Coefficient:

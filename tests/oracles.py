@@ -7,11 +7,13 @@ on words rather than through operator terms, and bivector evaluation goes
 through the pairing formula rather than through contraction of the density.
 The Euler derivative and the adjoint are expanded one letter occurrence (one
 operator term) at a time, each with its own power of (-D), rather than
-grouped in Horner form.
+grouped in Horner form.  The witness search is the plain loop over the public
+`jacobi_defect`, with nothing reused between triples.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from cycvar.words import (
@@ -27,6 +29,7 @@ from cycvar.words import (
 from cycvar.jets import JetContext, d_power
 from cycvar.variational import Covector, coupling
 from cycvar.operators import SLOT_INDEX, DifferentialOperator
+from cycvar.poisson import jacobi_defect
 
 
 def brute_normalize(letters):
@@ -154,3 +157,16 @@ def reference_adjoint(op: DifferentialOperator) -> DifferentialOperator:
             pos = next(i for i, l in enumerate(w) if l.index == SLOT_INDEX and not l.odd)
             out.add_term(w[:pos], w[pos].orders, w[pos + 1:], wc)
     return out
+
+
+def reference_witness_search(ctx: JetContext, op: DifferentialOperator, pool, budget: int):
+    """The witness search as a plain loop: the first of at most `budget`
+    triples from `pool`, in `combinations_with_replacement` order, whose
+    public `jacobi_defect` is nontrivial, with that defect; else (None, None)."""
+    for tried, triple in enumerate(itertools.combinations_with_replacement(pool, 3)):
+        if tried >= budget:
+            break
+        jd = jacobi_defect(ctx, op, *triple)
+        if not jd.is_trivial():
+            return triple, jd.density
+    return None, None

@@ -3,9 +3,11 @@ decision procedure, and the substitution harness."""
 
 import pytest
 
+import cycvar.poisson as P
 from cycvar.errors import PreconditionError
 from cycvar.words import Coefficient, FormalSum
 from cycvar.jets import JetContext
+from cycvar.lang import parse_operator
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import Covector, Functional, covector_of, is_trivial
 from cycvar.poisson import (
@@ -22,6 +24,8 @@ from cycvar.poisson import (
 )
 
 import random
+
+from oracles import reference_witness_search
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -47,6 +51,7 @@ SHIFT_OP = (
     + from_derivative(CTX).compose_right(opn([A]))
 )
 FAMILY = (D_OP, D3_OP, D_OP + D3_OP, XD_DX)
+NON_SKEW = DifferentialOperator.identity(CTX).compose_left(opn([A])).compose_derivative(1)
 
 
 def functional(letters, value=1):
@@ -141,16 +146,83 @@ class TestIsHamiltonian:
 
     def test_requires_skew(self):
         with pytest.raises(PreconditionError):
-            is_hamiltonian(
-                CTX,
-                DifferentialOperator.identity(CTX).compose_left(opn([A])).compose_derivative(1),
-            )
+            is_hamiltonian(CTX, NON_SKEW)
 
     def test_summary_strings(self):
         good = is_hamiltonian(CTX, D_OP)
         bad = is_hamiltonian(CTX, SHIFT_OP)
         assert "hamiltonian" in good.summary()
         assert "not hamiltonian" in bad.summary()
+
+
+class TestWitnessSearch:
+    """The search reuses covectors, images and inner brackets; it must pick
+    the same triple, with the same defect, as the plain loop over the public
+    `jacobi_defect` in `oracles.reference_witness_search`."""
+
+    CASES = [
+        (1, "op(a*D + D*R(a))"),
+        (1, "op(a*a*D + D*R(a*a))"),
+        (1, "op(a_x*D + D*R(a_x))"),
+        (1, "op(D^3)"),
+        (2, "op(a1*D + D*R(a1))"),
+        (2, "op(a2*D + D*R(a2))"),
+    ]
+
+    @pytest.mark.parametrize("fields,text", CASES)
+    def test_matches_reference_loop(self, monkeypatch, fields, text):
+        ctx = JetContext(fields=fields, directions=1)
+        op = parse_operator(text, ctx)
+        pool = P._witness_pool(ctx)
+        monkeypatch.setattr(P, "_witness_pool", lambda _ctx: pool)
+        hamiltonian = is_trivial(ctx, master_defect(ctx, op).density)
+        _, found = reference_witness_search(ctx, op, pool, 400)
+        budgets = {0, 1, 3, 200}
+        if found is not None:
+            # the boundary: the last budget without the witness and the first with it
+            at = next(
+                n for n in range(400)
+                if reference_witness_search(ctx, op, pool, n + 1)[0] is not None
+            )
+            budgets |= {at, at + 1}
+            assert 3 < at < 200
+        for budget in sorted(budgets):
+            cert = is_hamiltonian(ctx, op, witness_budget=budget)
+            assert cert.hamiltonian == hamiltonian
+            witness, defect = (
+                (None, None) if hamiltonian
+                else reference_witness_search(ctx, op, pool, budget)
+            )
+            if witness is None:
+                assert cert.witness is None and cert.witness_defect is None
+                continue
+            assert all(got is want for got, want in zip(cert.witness, witness))
+            assert cert.witness_defect == defect
+            assert list(cert.witness_defect.terms) == list(defect.terms)
+
+
+class TestSkewCheckedAtEveryEntry:
+    """The internals skip the check, so every public entry must make it
+    (`poisson_bracket` and `is_hamiltonian` are covered above)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: jacobi_defect(CTX, NON_SKEW, *(functional([A]),) * 3),
+            lambda: jacobi_defect_expanded(CTX, NON_SKEW, (covector_of(CTX, cyc([A, A])),) * 3),
+            lambda: master_defect(CTX, NON_SKEW),
+            lambda: involutivity_witness(CTX, NON_SKEW, *(covector_of(CTX, cyc([A, A])),) * 2),
+            lambda: substitution_harness(CTX, "jacobi-flow", 2, seed=0, op=NON_SKEW),
+            lambda: substitution_harness(CTX, "bivector-alternation", 2, seed=0, op=NON_SKEW),
+        ],
+        ids=[
+            "jacobi_defect", "jacobi_defect_expanded", "master_defect",
+            "involutivity_witness", "harness-jacobi-flow", "harness-bivector-alternation",
+        ],
+    )
+    def test_non_skew_rejected(self, call):
+        with pytest.raises(PreconditionError, match="not skew-adjoint"):
+            call()
 
 
 class TestInvolutivityWitness:

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycvar.words import (
     Coefficient,
@@ -84,6 +85,29 @@ class TestNormalize:
         alphabet = (A, B, BX)
         for w in itertools.product(alphabet, repeat=5):
             assert normalize(w) == brute_normalize(w), w
+
+
+CTX22 = JetContext(fields=2, directions=2)
+LETTERS22 = st.sampled_from(
+    [
+        CTX22.letter(odd, j, orders)
+        for odd in (False, True)
+        for j in (1, 2)
+        for orders in ((0, 0), (1, 0), (0, 1))
+    ]
+)
+# Words as long as the rotation products `times` builds, and periodic words
+# w * k, whose repeated rotations carry one sign or two (and so vanish).
+LONG_WORDS = st.lists(LETTERS22, max_size=16).map(tuple) | st.lists(
+    LETTERS22, min_size=1, max_size=8
+).flatmap(lambda w: st.integers(2, 16 // len(w)).map(lambda k: tuple(w) * k))
+
+
+class TestNormalizeLongWords:
+    @settings(max_examples=400, deadline=None)
+    @given(LONG_WORDS)
+    def test_matches_brute_normalizer(self, w):
+        assert normalize(w) == brute_normalize(w)
 
 
 class TestFormalSum:
