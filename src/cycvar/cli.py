@@ -468,7 +468,8 @@ def schouten(session, first, second):
     ctx = session.ctx
     xi = normalize_multivector(ctx, parse_cyclic(_expand_one(first), ctx))
     eta = normalize_multivector(ctx, parse_cyclic(_expand_one(second), ctx))
-    out = schouten_bracket(ctx, xi, eta)
+    bracket = schouten_bracket(ctx, xi, eta)
+    out = normalize_multivector(ctx, bracket.density, bracket.degree)
     session.emit("sum", out.density, ctx, [("degree", out.degree)])
 
 

@@ -26,6 +26,7 @@ from .schouten import (
     Multivector,
     evaluate,
     multivector_from_operator,
+    normalize_multivector,
     schouten_bracket,
 )
 
@@ -133,11 +134,13 @@ def _permutation_sign(perm) -> int:
 
 
 def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
-    """Bracket of the operator's degree-2 density with itself; its class
-    vanishes exactly when the operator's bracket satisfies Jacobi."""
+    """Bracket of the operator's degree-2 density with itself, in standard
+    form; its class vanishes exactly when the operator's bracket satisfies
+    Jacobi."""
     _require_skew(op)
     pv = multivector_from_operator(ctx, op)
-    return schouten_bracket(ctx, pv, pv)
+    defect = schouten_bracket(ctx, pv, pv)
+    return normalize_multivector(ctx, defect.density, defect.degree)
 
 
 def involutivity_witness(
@@ -290,25 +293,29 @@ def _random_even_word(rng: random.Random, ctx: JetContext, max_len=2, max_order=
     return tuple(letters)
 
 
+def _require_covector_class(covector_class: str) -> None:
+    if covector_class not in ("x", "jet"):
+        raise PreconditionError(
+            f"unknown covector class {covector_class!r} (use 'x' or 'jet')"
+        )
+
+
 def random_covector(
     rng: random.Random, ctx: JetContext, covector_class: str
 ) -> Covector:
     """Draw a covector: `x` components are pure base-coordinate profiles,
     `jet` components carry position letters too."""
+    _require_covector_class(covector_class)
     comps = []
     for _ in range(ctx.fields):
         comp = FormalSum(cyclic=False)
         if covector_class == "x":
             comp.add_word((), _random_x_poly(rng, ctx))
-        elif covector_class == "jet":
+        else:
             for _ in range(rng.randint(1, 2)):
                 comp.add_word(
                     _random_even_word(rng, ctx), _random_x_poly(rng, ctx)
                 )
-        else:
-            raise PreconditionError(
-                f"unknown covector class {covector_class!r} (use 'x' or 'jet')"
-            )
         comps.append(comp)
     return Covector(tuple(comps))
 
@@ -318,6 +325,7 @@ def random_functional(
 ) -> Functional:
     """Draw a functional whose variations fall in the requested class:
     linear with an x-profile for `x`, a short polynomial density for `jet`."""
+    _require_covector_class(covector_class)
     density = FormalSum(cyclic=True)
     if covector_class == "x":
         for j in range(1, ctx.fields + 1):
@@ -357,6 +365,7 @@ def substitution_harness(
         raise PreconditionError(
             f"unknown identity {identity!r}; known: {', '.join(IDENTITY_NAMES)}"
         )
+    _require_covector_class(covector_class)
     rng = random.Random(seed)
     if op is None:
         op = _default_harness_operator(ctx)

@@ -8,7 +8,8 @@ through the pairing formula rather than through contraction of the density.
 The Euler derivative and the adjoint are expanded one letter occurrence (one
 operator term) at a time, each with its own power of (-D), rather than
 grouped in Horner form.  The witness search is the plain loop over the public
-`jacobi_defect`, with nothing reused between triples.
+`jacobi_defect`, with nothing reused between triples.  The eager Schouten
+bracket puts every result, intermediate ones included, in standard form.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from cycvar.words import (
     pass_sign,
     word_key,
 )
-from cycvar.jets import JetContext, d_power
-from cycvar.variational import Covector, coupling
+from cycvar.jets import JetContext, d_power, evolutionary_apply, graded_commutator
+from cycvar.variational import Covector, coupling, is_trivial
 from cycvar.operators import SLOT_INDEX, DifferentialOperator
 from cycvar.poisson import jacobi_defect
+from cycvar.schouten import Multivector, normalize_multivector, q_field
 
 
 def brute_normalize(letters):
@@ -170,3 +172,33 @@ def reference_witness_search(ctx: JetContext, op: DifferentialOperator, pool, bu
         if not jd.is_trivial():
             return triple, jd.density
     return None, None
+
+
+def eager_schouten_bracket(ctx: JetContext, xi: Multivector, eta: Multivector) -> Multivector:
+    """The bracket renormalized on return: the field of the first argument
+    acts on the density of the second, then the standard form is taken."""
+    density = evolutionary_apply(ctx, q_field(ctx, xi), eta.density)
+    return normalize_multivector(ctx, density, degree=max(xi.degree + eta.degree - 1, 0))
+
+
+def eager_check_skew(ctx: JetContext, xi: Multivector, eta: Multivector) -> bool:
+    lhs = eager_schouten_bracket(ctx, xi, eta).density
+    rhs = eager_schouten_bracket(ctx, eta, xi).density
+    sign = -1 if ((xi.degree - 1) * (eta.degree - 1)) % 2 else 1
+    return is_trivial(ctx, lhs + rhs.scale(sign))
+
+
+def eager_check_jacobi(
+    ctx: JetContext, xi: Multivector, eta: Multivector, omega: Multivector
+) -> bool:
+    bracket = eager_schouten_bracket
+    sign = -1 if ((xi.degree - 1) * (eta.degree - 1)) % 2 else 1
+    lhs = bracket(ctx, xi, bracket(ctx, eta, omega)).density
+    mid = bracket(ctx, bracket(ctx, xi, eta), omega).density
+    rhs = bracket(ctx, eta, bracket(ctx, xi, omega)).density
+    return is_trivial(ctx, lhs - mid - rhs.scale(sign))
+
+
+def eager_check_field_morphism(ctx: JetContext, xi: Multivector, eta: Multivector) -> bool:
+    commutator = graded_commutator(ctx, q_field(ctx, xi), q_field(ctx, eta))
+    return q_field(ctx, eager_schouten_bracket(ctx, xi, eta)) == commutator

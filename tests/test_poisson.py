@@ -251,6 +251,17 @@ class TestHarness:
         with pytest.raises(PreconditionError):
             substitution_harness(CTX, "nonsense", 1, seed=0)
 
+    @pytest.mark.parametrize("identity", IDENTITY_NAMES)
+    def test_unknown_covector_class_rejected(self, identity):
+        with pytest.raises(PreconditionError, match="covector class"):
+            substitution_harness(CTX, identity, 2, seed=0, covector_class="bogus")
+
+    def test_unknown_class_rejected_by_generators(self):
+        with pytest.raises(PreconditionError, match="covector class"):
+            P.random_functional(random.Random(0), CTX, "bogus")
+        with pytest.raises(PreconditionError, match="covector class"):
+            random_covector(random.Random(0), CTX, "bogus")
+
     def test_covector_draws_are_seed_deterministic(self):
         a = random_covector(random.Random(4), CTX, "jet")
         b = random_covector(random.Random(4), CTX, "jet")

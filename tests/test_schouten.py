@@ -1,16 +1,19 @@
 """Multivectors, the graded bracket, and evaluation on covectors."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from cycvar.errors import PreconditionError
+from cycvar import corpus
+from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import Coefficient, FormalSum
 from cycvar.jets import JetContext
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import Covector, is_trivial
 from cycvar.schouten import (
+    Multivector,
     check_field_morphism,
     check_jacobi,
     check_skew,
@@ -23,7 +26,13 @@ from cycvar.schouten import (
     schouten_by_variations,
 )
 
-from oracles import pairing_bivector_value
+from oracles import (
+    eager_check_field_morphism,
+    eager_check_jacobi,
+    eager_check_skew,
+    eager_schouten_bracket,
+    pairing_bivector_value,
+)
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -94,6 +103,84 @@ class TestQField:
         assert s.parity == 1
         assert s.even[0].is_zero()
         assert s.odd[0] == opn([A], 2)
+
+
+class TestQFieldCache:
+    def test_same_object_same_section(self):
+        mv = multivector_from_operator(CTX, SHIFT_OP)
+        assert q_field(CTX, mv) is q_field(CTX, mv)
+
+    def test_cached_equals_fresh(self):
+        mv = multivector_from_operator(CTX, SHIFT_OP)
+        cached = q_field(CTX, mv)
+        twin = Multivector(CTX, mv.degree, mv.density)
+        assert twin is not mv
+        assert q_field(CTX, twin) == cached
+
+    def test_other_context_recomputes(self):
+        mv = functional_multivector(CTX, cyc([A, AXX]))
+        assert q_field(CTX, mv).odd[0] == opn([AXX], 2)
+        with pytest.raises(BoundExceeded):
+            q_field(JetContext(fields=1, directions=1, max_order=1), mv)
+        assert q_field(CTX, mv).odd[0] == opn([AXX], 2)
+
+    def test_equality_and_repr_ignore_cache(self):
+        mv = multivector_from_operator(CTX, SHIFT_OP)
+        twin = Multivector(CTX, mv.degree, mv.density, mv.section, mv.operator)
+        before = repr(mv)
+        q_field(CTX, mv)
+        assert mv == twin
+        assert repr(mv) == before == repr(twin)
+
+
+def _pool(fields, seed, words):
+    """Twelve seeded multivectors, three of each degree 0-3, and their context."""
+    ctx = JetContext(fields=fields, directions=1)
+    rng = random.Random(seed)
+    pool = [
+        corpus.multivector(rng, ctx, degree % 4, words=words, max_len=3, max_order=2)
+        for degree in range(12)
+    ]
+    return ctx, rng, pool
+
+
+class TestLazyBracketAgainstEager:
+    """The bracket leaves its result as `evolutionary_apply` produced it; its
+    standard form and every identity verdict must match the bracket that
+    renormalizes every result (`oracles.eager_schouten_bracket`)."""
+
+    @pytest.mark.parametrize("fields, pairs", [(1, 24), (2, 12)])
+    def test_standard_form_and_pair_verdicts(self, fields, pairs):
+        ctx, rng, pool = _pool(fields, 500 + fields, words=2)
+        for _ in range(pairs):
+            xi, eta = rng.choice(pool), rng.choice(pool)
+            lazy = schouten_bracket(ctx, xi, eta)
+            eager = eager_schouten_bracket(ctx, xi, eta)
+            assert lazy.degree == eager.degree
+            assert normalize_multivector(ctx, lazy.density, lazy.degree) == eager
+            assert check_skew(ctx, xi, eta) == eager_check_skew(ctx, xi, eta)
+            assert check_field_morphism(ctx, xi, eta) == eager_check_field_morphism(ctx, xi, eta)
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    def test_jacobi_verdicts(self, fields):
+        ctx, rng, pool = _pool(fields, 600 + fields, words=1)
+        for _ in range(8):
+            xi, eta, omega = (rng.choice(pool) for _ in range(3))
+            assert check_jacobi(ctx, xi, eta, omega) == eager_check_jacobi(ctx, xi, eta, omega)
+
+    def test_nested_bracket_class(self):
+        ctx, rng, pool = _pool(1, 77, words=1)
+        for _ in range(20):
+            xi, eta, omega = (rng.choice(pool) for _ in range(3))
+            lazy = schouten_bracket(ctx, xi, schouten_bracket(ctx, eta, omega))
+            eager = eager_schouten_bracket(ctx, xi, eager_schouten_bracket(ctx, eta, omega))
+            assert lazy.degree == eager.degree
+            if lazy.degree:
+                standard = normalize_multivector(ctx, lazy.density, lazy.degree)
+                assert standard.density == eager.density
+            else:
+                # degree 0 has no standard form, so compare classes
+                assert is_trivial(ctx, lazy.density - eager.density)
 
 
 class TestSchoutenBracket:
