@@ -144,8 +144,3 @@ def operator(
         right = open_word(rng, ctx, rng.randint(0, max_word), 0, max_order)
         out.add_term(left, tuple(sigma), right, coefficient(rng, ctx))
     return out
-
-
-def skew_operator(rng, ctx: JetContext, **kwargs) -> DifferentialOperator:
-    base = operator(rng, ctx, **kwargs)
-    return base - base.adjoint()

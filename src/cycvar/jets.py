@@ -130,7 +130,7 @@ def minus_d_series(
             for k in range(max(by_count), -1, -1):
                 part = by_count.get(k)
                 if part is not None:
-                    acc = acc + (-part if k % 2 else part)
+                    acc._accumulate(part, negate=k % 2 == 1)
                 if k:
                     acc = total_derivative(ctx, acc, d)
             parts[prefix] = acc
@@ -261,13 +261,13 @@ def graded_commutator(
 ) -> GeneratingSection:
     """Commutator of two evolutionary fields, as a section:
     [X, Y] = X(Y) - (-1)^{|X||Y|} Y(X), componentwise."""
-    sign = -1 if x.parity and y.parity else 1
-    even = tuple(
-        evolutionary_apply(ctx, x, cy) - evolutionary_apply(ctx, y, cx).scale(sign)
-        for cx, cy in zip(x.even, y.even)
-    )
-    odd = tuple(
-        evolutionary_apply(ctx, x, cy) - evolutionary_apply(ctx, y, cx).scale(sign)
-        for cx, cy in zip(x.odd, y.odd)
-    )
+    both_odd = x.parity and y.parity
+
+    def component(cx: FormalSum, cy: FormalSum) -> FormalSum:
+        forward = evolutionary_apply(ctx, x, cy)
+        backward = evolutionary_apply(ctx, y, cx)
+        return forward + backward if both_odd else forward - backward
+
+    even = tuple(component(cx, cy) for cx, cy in zip(x.even, y.even))
+    odd = tuple(component(cx, cy) for cx, cy in zip(x.odd, y.odd))
     return GeneratingSection(even, odd, (x.parity + y.parity) % 2)

@@ -63,7 +63,7 @@ def _jacobi(ctx: JetContext, images, inner) -> Functional:
     the covector of {h_a, h_b}.  Unchecked."""
     total = FormalSum(cyclic=True)
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        total = total + _bracket(ctx, inner(a, b), images[c]).density
+        total._accumulate(_bracket(ctx, inner(a, b), images[c]).density)
     return Functional(ctx, total)
 
 
@@ -119,7 +119,7 @@ def jacobi_defect_expanded(
             Fraction(1, 2)
         )
         flow = make_section(ctx, even=hamiltonian_section(ctx, op, p3), parity=0)
-        total = total + evolutionary_apply(ctx, flow, half).scale(sign)
+        total._accumulate(evolutionary_apply(ctx, flow, half), negate=sign < 0)
     return total
 
 

@@ -55,7 +55,10 @@ def normalize_multivector(
 ) -> Multivector:
     """Re-present a homogeneous density in the standard form with one bare
     odd letter out front, scaling by the degree; extract the section (degree
-    1) or the one-slot operator (degree 2, single field pair) on the way."""
+    1) or the one-slot operator (degree 2, single field pair) on the way.
+    A zero density and a nonzero total divergence get the same standard
+    form: an empty density with zero section components or an empty
+    operator."""
     if not density.cyclic:
         raise PreconditionError("a multivector density must be cyclic")
     degrees = density.odd_degrees()
@@ -71,13 +74,8 @@ def normalize_multivector(
     elif degree is None:
         degree = 0
 
-    if degree == 0 or density.is_zero():
-        section = None
-        if degree == 1:
-            section = tuple(
-                FormalSum(cyclic=False) for _ in range(ctx.fields)
-            )
-        return Multivector(ctx, degree, density, section=section)
+    if degree == 0:
+        return Multivector(ctx, degree, density)
 
     variations = [
         euler_derivative(ctx, density, odd_kind=True, index=j)
@@ -162,10 +160,10 @@ def schouten_by_variations(
     for j in range(1, ctx.fields + 1):
         da_xi = euler_derivative(ctx, xi.density, odd_kind=False, index=j)
         db_eta = euler_derivative(ctx, eta.density, odd_kind=True, index=j)
-        out = out + close(concat(da_xi, db_eta))
+        out._accumulate(close(concat(da_xi, db_eta)))
         db_xi = euler_derivative(ctx, xi.density, odd_kind=True, index=j, side="right")
         da_eta = euler_derivative(ctx, eta.density, odd_kind=False, index=j)
-        out = out - close(concat(db_xi, da_eta))
+        out._accumulate(close(concat(db_xi, da_eta)), negate=True)
     return out
 
 
@@ -195,19 +193,19 @@ def check_skew(ctx: JetContext, xi: Multivector, eta: Multivector) -> bool:
     """Graded antisymmetry of the bracket, up to total divergences."""
     lhs = schouten_bracket(ctx, xi, eta).density
     rhs = schouten_bracket(ctx, eta, xi).density
-    sign = -1 if ((xi.degree - 1) * (eta.degree - 1)) % 2 else 1
-    return is_trivial(ctx, lhs + rhs.scale(sign))
+    odd = ((xi.degree - 1) * (eta.degree - 1)) % 2
+    return is_trivial(ctx, lhs - rhs if odd else lhs + rhs)
 
 
 def check_jacobi(
     ctx: JetContext, xi: Multivector, eta: Multivector, omega: Multivector
 ) -> bool:
     """Graded Jacobi identity of the bracket, up to total divergences."""
-    sign = -1 if ((xi.degree - 1) * (eta.degree - 1)) % 2 else 1
+    odd = ((xi.degree - 1) * (eta.degree - 1)) % 2
     lhs = schouten_bracket(ctx, xi, schouten_bracket(ctx, eta, omega)).density
     mid = schouten_bracket(ctx, schouten_bracket(ctx, xi, eta), omega).density
     rhs = schouten_bracket(ctx, eta, schouten_bracket(ctx, xi, omega)).density
-    return is_trivial(ctx, lhs - mid - rhs.scale(sign))
+    return is_trivial(ctx, lhs - mid + rhs if odd else lhs - mid - rhs)
 
 
 def check_field_morphism(

@@ -89,7 +89,7 @@ def coupling(ctx: JetContext, p, values) -> FormalSum:
         raise PreconditionError(f"coupling needs {ctx.fields} components per side")
     out = FormalSum(cyclic=True)
     for pc, vc in zip(p_components, values):
-        out = out + close(concat(pc, vc))
+        out._accumulate(close(concat(pc, vc)))
     return out
 
 

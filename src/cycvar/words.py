@@ -92,11 +92,22 @@ def normalize(letters: Word) -> tuple[Word | None, int]:
     return letters[start:] + letters[:start], signs.pop()
 
 
+def _lean(value: int | Fraction) -> int | Fraction:
+    """An exact rational with denominator 1 as a plain int, whose arithmetic
+    is much cheaper; any other value unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 class Coefficient:
     """Polynomial in the base coordinates with rational coefficients.
 
     Monomials are exponent tuples with one slot per base direction; they
     commute with everything, so they can be kept apart from the words.
+    A value is stored as an int when it is a whole number and as a Fraction
+    otherwise: every sum, product or conversion that builds a value passes
+    it through `_lean` (negation keeps a value lean).
     Only a freshly built instance is ever written to; once returned it is
     treated as immutable, so sums may share one Coefficient object.
     """
@@ -104,15 +115,15 @@ class Coefficient:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for mono, value in items:
-                self._accumulate(tuple(mono), Fraction(value))
+                self._accumulate(tuple(mono), _lean(Fraction(value)))
 
-    def _accumulate(self, mono: tuple[int, ...], value: Fraction) -> None:
+    def _accumulate(self, mono: tuple[int, ...], value: int | Fraction) -> None:
         acc = self.terms.get(mono)
-        acc = value if acc is None else acc + value
+        acc = value if acc is None else _lean(acc + value)
         if acc:
             self.terms[mono] = acc
         else:
@@ -120,11 +131,11 @@ class Coefficient:
 
     @classmethod
     def constant(cls, value, directions: int) -> "Coefficient":
-        return cls({(0,) * directions: Fraction(value)})
+        return cls({(0,) * directions: value})
 
     @classmethod
     def monomial(cls, exponents, value=1) -> "Coefficient":
-        return cls({tuple(exponents): Fraction(value)})
+        return cls({tuple(exponents): value})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,8 +150,8 @@ class Coefficient:
         raise TypeError("Coefficient is not hashable")
 
     @classmethod
-    def _wrap(cls, terms: dict[tuple[int, ...], Fraction]) -> "Coefficient":
-        """Adopt a dict of nonzero Fraction values without re-checking it."""
+    def _wrap(cls, terms: dict[tuple[int, ...], int | Fraction]) -> "Coefficient":
+        """Adopt a dict of nonzero values, already lean, without re-checking it."""
         out = cls()
         out.terms = terms
         return out
@@ -155,19 +166,22 @@ class Coefficient:
         return Coefficient._wrap({m: -v for m, v in self.terms.items()})
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return self + (-other)
+        out = Coefficient._wrap(dict(self.terms))
+        for mono, value in other.terms.items():
+            out._accumulate(mono, -value)
+        return out
 
     def __mul__(self, other) -> "Coefficient":
         if isinstance(other, Coefficient):
             out = Coefficient()
             for m1, v1 in self.terms.items():
                 for m2, v2 in other.terms.items():
-                    out._accumulate(tuple(map(add, m1, m2)), v1 * v2)
+                    out._accumulate(tuple(map(add, m1, m2)), _lean(v1 * v2))
             return out
-        value = other if isinstance(other, (int, Fraction)) else Fraction(other)
+        value = _lean(other if isinstance(other, (int, Fraction)) else Fraction(other))
         if not value:
             return Coefficient()
-        return Coefficient._wrap({m: v * value for m, v in self.terms.items()})
+        return Coefficient._wrap({m: _lean(v * value) for m, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -178,20 +192,21 @@ class Coefficient:
         for mono, value in self.terms.items():
             e = mono[d]
             if e:
-                out._accumulate(mono[:d] + (e - 1,) + mono[d + 1:], value * e)
+                out._accumulate(mono[:d] + (e - 1,) + mono[d + 1:], _lean(value * e))
         return out
 
     def constant_value(self) -> Fraction | None:
-        """The value of a constant polynomial, or None if x-dependent."""
+        """The value of a constant polynomial, as a Fraction, or None if
+        x-dependent."""
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1:
             mono, value = next(iter(self.terms.items()))
             if not any(mono):
-                return value
+                return Fraction(value)
         return None
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __repr__(self):
@@ -258,24 +273,9 @@ class FormalSum:
         raise TypeError("FormalSum is not hashable")
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        if self.cyclic != other.cyclic:
-            raise ValueError("cannot mix cyclic and open sums")
-        # Coefficients are never mutated once returned, so both operands'
-        # coefficient objects are shared, not copied.
         out = FormalSum(self.cyclic)
-        out.terms = terms = dict(self.terms)
-        for w, c in other.terms.items():
-            # keys of a like-flavored sum are already canonical
-            acc = terms.get(w)
-            if acc is None:
-                terms[w] = c
-                continue
-            acc = acc + c
-            if acc:
-                terms[w] = acc
-            else:
-                del terms[w]
-        return out
+        out.terms = dict(self.terms)
+        return out._accumulate(other)
 
     def __neg__(self) -> "FormalSum":
         out = FormalSum(self.cyclic)
@@ -283,7 +283,31 @@ class FormalSum:
         return out
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
+        out = FormalSum(self.cyclic)
+        out.terms = dict(self.terms)
+        return out._accumulate(other, negate=True)
+
+    def _accumulate(self, other: "FormalSum", negate: bool = False) -> "FormalSum":
+        """Add `other`, or subtract it if `negate`, into this sum in place and
+        return this sum.  Only for a sum that nothing else holds yet; `other`
+        is left as it was."""
+        if self.cyclic != other.cyclic:
+            raise ValueError("cannot mix cyclic and open sums")
+        # Coefficients are never mutated once returned, so the coefficient
+        # objects of `other` are shared, not copied.
+        terms = self.terms
+        for w, c in other.terms.items():
+            # keys of a like-flavored sum are already canonical
+            acc = terms.get(w)
+            if acc is None:
+                terms[w] = -c if negate else c
+                continue
+            acc = acc - c if negate else acc + c
+            if acc:
+                terms[w] = acc
+            else:
+                del terms[w]
+        return self
 
     def scale(self, factor) -> "FormalSum":
         """Multiply by a Coefficient, Fraction, or int."""

@@ -10,6 +10,8 @@ operator term) at a time, each with its own power of (-D), rather than
 grouped in Horner form.  The witness search is the plain loop over the public
 `jacobi_defect`, with nothing reused between triples.  The eager Schouten
 bracket puts every result, intermediate ones included, in standard form.
+Coefficient arithmetic is redone on plain dicts whose values are all
+Fractions, whole numbers included.
 """
 
 from __future__ import annotations
@@ -118,6 +120,51 @@ def exhaustive_words(alphabet, max_len: int):
         layer = [w + (l,) for w in layer for l in alphabet]
         out.extend(layer)
     return out
+
+
+def _fraction_collect(pairs) -> dict[tuple[int, ...], Fraction]:
+    """Sum (monomial, value) pairs in Fractions only, dropping zeros."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for mono, value in pairs:
+        out[mono] = out.get(mono, Fraction(0)) + Fraction(value)
+    return {m: v for m, v in out.items() if v}
+
+
+def fraction_terms(c: Coefficient) -> dict[tuple[int, ...], Fraction]:
+    """A coefficient's terms with every value as a Fraction."""
+    return _fraction_collect(c.terms.items())
+
+
+def fraction_add(c: Coefficient, d: Coefficient, sign: int = 1) -> dict:
+    """Terms of c + sign * d, in Fractions only."""
+    return _fraction_collect(
+        [(m, Fraction(v)) for m, v in c.terms.items()]
+        + [(m, sign * Fraction(v)) for m, v in d.terms.items()]
+    )
+
+
+def fraction_product(c: Coefficient, d: Coefficient) -> dict:
+    """Terms of c * d, in Fractions only."""
+    return _fraction_collect(
+        (tuple(a + b for a, b in zip(m1, m2)), Fraction(v1) * Fraction(v2))
+        for m1, v1 in c.terms.items()
+        for m2, v2 in d.terms.items()
+    )
+
+
+def fraction_scale(c: Coefficient, k) -> dict:
+    """Terms of k * c for a rational k, in Fractions only."""
+    return _fraction_collect((m, Fraction(v) * Fraction(k)) for m, v in c.terms.items())
+
+
+def fraction_diff(c: Coefficient, direction: int) -> dict:
+    """Terms of the derivative along a 1-based direction, in Fractions only."""
+    d = direction - 1
+    return _fraction_collect(
+        (m[:d] + (m[d] - 1,) + m[d + 1:], Fraction(v) * m[d])
+        for m, v in c.terms.items()
+        if m[d]
+    )
 
 
 def minus_d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:

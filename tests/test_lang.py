@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycvar import corpus
 from cycvar.errors import ParseError
@@ -239,6 +240,28 @@ class TestRoundTrips:
         for _ in range(12):
             op = corpus.operator(rng, CTX22, terms=2)
             assert parse_operator(operator_text(op, CTX22), CTX22) == op
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.sampled_from(["cyclic", "open", "operator", "covector"]),
+    )
+    def test_print_then_parse_gives_back_corpus_values(self, seed, shape, kind):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(seed)
+        if kind == "cyclic":
+            v = corpus.cyclic_density(rng, ctx, rng.randint(0, 3), words=3)
+            assert parse_cyclic(sum_text(v, ctx), ctx) == v
+        elif kind == "open":
+            v = corpus.open_sum(rng, ctx, words=3, max_x_degree=2)
+            assert parse_open(sum_text(v, ctx), ctx) == v
+        elif kind == "operator":
+            v = corpus.operator(rng, ctx, terms=rng.randint(1, 3))
+            assert parse_operator(operator_text(v, ctx), ctx) == v
+        else:
+            v = corpus.covector(rng, ctx, jet_dependent=rng.random() < 0.5)
+            assert parse_covector(covector_text(v, ctx), ctx) == v
 
     def test_zero_forms(self):
         zero_open = FormalSum(cyclic=False)

@@ -9,7 +9,7 @@ import pytest
 from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import Coefficient, FormalSum
-from cycvar.jets import JetContext
+from cycvar.jets import JetContext, total_derivative
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import Covector, is_trivial
 from cycvar.schouten import (
@@ -81,6 +81,19 @@ class TestNormalizeMultivector:
         assert mv.density == FormalSum.single(True, (B, BX), CTX.const(Fraction(1, 2)))
         assert mv.degree == 2
         assert mv.operator is not None
+
+    def test_total_divergence_has_the_zero_standard_form(self):
+        """A nonzero total divergence is the zero class, so its standard form
+        equals that of the zero density: degree 2 with an empty operator,
+        degree 1 with zero section components."""
+        for degree, letters in ((2, [A, B, BX]), (1, [A, AX, B])):
+            divergence = total_derivative(CTX, cyc(letters))
+            assert divergence
+            zero = normalize_multivector(CTX, FormalSum(cyclic=True), degree)
+            assert normalize_multivector(CTX, divergence, degree) == zero
+            assert zero.density.is_zero()
+        two = normalize_multivector(CTX, FormalSum(cyclic=True), 2)
+        assert two.operator == DifferentialOperator(CTX)
 
 
 class TestQField:
@@ -176,8 +189,8 @@ class TestLazyBracketAgainstEager:
             eager = eager_schouten_bracket(ctx, xi, eager_schouten_bracket(ctx, eta, omega))
             assert lazy.degree == eager.degree
             if lazy.degree:
-                standard = normalize_multivector(ctx, lazy.density, lazy.degree)
-                assert standard.density == eager.density
+                # whole standard forms: density, section and operator
+                assert normalize_multivector(ctx, lazy.density, lazy.degree) == eager
             else:
                 # degree 0 has no standard form, so compare classes
                 assert is_trivial(ctx, lazy.density - eager.density)

@@ -1,6 +1,7 @@
 """Words, coefficients, signed cyclic normalization, and the closed product."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,23 @@ from cycvar.words import (
     times,
     word_key,
 )
-from cycvar.jets import JetContext
+from cycvar import corpus
+from cycvar.jets import JetContext, minus_d_series
+from cycvar.lang import parse_cyclic, parse_operator
+from cycvar.poisson import jacobi_defect, jacobi_defect_expanded
+from cycvar.schouten import schouten_by_variations
+from cycvar.variational import Functional, coupling
 
-from oracles import brute_close, brute_normalize, exhaustive_words
+from oracles import (
+    brute_close,
+    brute_normalize,
+    exhaustive_words,
+    fraction_add,
+    fraction_diff,
+    fraction_product,
+    fraction_scale,
+    fraction_terms,
+)
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -51,6 +66,71 @@ class TestCoefficient:
         assert Coefficient.constant(Fraction(-2, 3), 1).constant_value() == Fraction(-2, 3)
         assert Coefficient.monomial((1,), 1).constant_value() is None
         assert Coefficient().constant_value() == 0
+
+
+SHAPES = st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)])
+# Whole Fractions (4/2) must come back as ints; 3/2 * 2/3 and 1/2 + 1/2 are
+# whole too.
+SCALARS = st.sampled_from(
+    [0, 1, -1, 3, Fraction(4, 2), Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)]
+)
+
+
+def assert_lean(c: Coefficient) -> None:
+    """Every stored value is a nonzero int when whole, else a Fraction."""
+    for value in c.terms.values():
+        assert value
+        whole = Fraction(value).denominator == 1
+        assert type(value) is (int if whole else Fraction), (c, value)
+
+
+class TestLeanValues:
+    """Coefficient values are ints exactly when their denominator is 1, and
+    every operation agrees with arithmetic done in Fractions only."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SHAPES, SCALARS)
+    def test_arithmetic_matches_fraction_reference(self, seed, shape, k):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(seed)
+        c = corpus.coefficient(rng, ctx, max_x_degree=2)
+        d = corpus.coefficient(rng, ctx, max_x_degree=2)
+        cases = [
+            (c, fraction_terms(c)),
+            (Coefficient(list(c.terms.items()) + list(d.terms.items())), fraction_add(c, d)),
+            (c + d, fraction_add(c, d)),
+            (c - d, fraction_add(c, d, -1)),
+            (c - c, {}),
+            (-c, fraction_scale(c, -1)),
+            (c * d, fraction_product(c, d)),
+            (c * k, fraction_scale(c, k)),
+            (k * c, fraction_scale(c, k)),
+            (c * Coefficient.constant(k, ctx.directions), fraction_scale(c, k)),
+        ]
+        cases += [
+            (c.diff(direction), fraction_diff(c, direction))
+            for direction in range(1, ctx.directions + 1)
+        ]
+        for got, want in cases:
+            assert_lean(got)
+            assert got.terms == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SHAPES, SCALARS)
+    def test_constant_value_is_a_fraction(self, seed, shape, k):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        c = corpus.coefficient(random.Random(seed), ctx, max_x_degree=0)
+        for constant in (c, ctx.const(k), c * k):
+            value = constant.constant_value()
+            assert type(value) is Fraction
+            assert value == sum(map(Fraction, constant.terms.values()), Fraction(0))
+
+    def test_whole_fractions_are_stored_as_ints(self):
+        c = Coefficient({(0,): Fraction(6, 3), (1,): Fraction(1, 2)})
+        assert c.terms == {(0,): 2, (1,): Fraction(1, 2)}
+        assert type(c.terms[(0,)]) is int
+        assert type((c * 2).terms[(1,)]) is int
+        assert repr(c) == "Coefficient({(0,): 2, (1,): Fraction(1, 2)})"
 
 
 class TestNormalize:
@@ -221,6 +301,69 @@ class TestNoAliasing:
             target.add_word(w, -c)
         assert (repr(f), repr(g), repr(h), repr(c)) == before
         assert repr(shared) == shared_before
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            "minus_d_series",
+            "minus_d_series-order-zero",
+            "coupling",
+            "jacobi_defect",
+            "jacobi_defect_expanded",
+            "schouten_by_variations",
+        ],
+    )
+    def test_accumulation_loops(self, loop):
+        """The loops that add into a sum in place start from a fresh sum:
+        their operands keep their repr through the call and through later
+        writes to the result."""
+        rng = random.Random(31)
+        ctx = JetContext(fields=2, directions=2) if loop.startswith("minus") else CTX
+        if loop.startswith("minus"):
+            # overlapping words, so that the running sum merges and cancels
+            base = corpus.open_sum(rng, ctx, words=3)
+            # alone, the order-zero part is the whole series, and the result
+            # must still be a fresh sum
+            operands = {(0, 0): base}
+            if loop == "minus_d_series":
+                operands[(1, 0)] = base + corpus.open_sum(rng, ctx)
+                operands[(0, 1)] = -base
+                operands[(2, 1)] = base
+            call = lambda: minus_d_series(ctx, operands)
+        elif loop == "coupling":
+            operands = (
+                corpus.covector(rng, ctx),
+                tuple(corpus.open_sum(rng, ctx) for _ in range(ctx.fields)),
+            )
+            call = lambda: coupling(ctx, *operands)
+        elif loop == "jacobi_defect":
+            # a skew operator and a triple on which its bracket breaks Jacobi
+            operands = (parse_operator("op(a*D + D*R(a))", ctx),) + tuple(
+                Functional(ctx, parse_cyclic(text, ctx))
+                for text in ("cyc(a*a)", "cyc(a*a*a)", "cyc(a*a_xx)")
+            )
+            call = lambda: jacobi_defect(ctx, *operands).density
+        elif loop == "jacobi_defect_expanded":
+            operands = (
+                parse_operator("op(a*D + D*R(a))", ctx),
+                tuple(corpus.covector(rng, ctx) for _ in range(3)),
+            )
+            call = lambda: jacobi_defect_expanded(ctx, *operands)
+        else:
+            operands = (
+                corpus.multivector(rng, ctx, 2, words=2, max_len=3),
+                corpus.multivector(rng, ctx, 1, words=2, max_len=3),
+            )
+            call = lambda: schouten_by_variations(ctx, *operands)
+        before = repr(operands)
+        out = call()
+        assert out
+        assert repr(operands) == before
+        again = repr(out)
+        for w, c in list(out.terms.items()):
+            out.add_word(w, c.diff(1) + c)
+        assert repr(operands) == before
+        assert repr(call()) == again
 
     @pytest.mark.parametrize(
         "op",
