@@ -32,9 +32,8 @@ from .jets import (
     make_section,
     partial_jet,
     total_derivative,
-    zero_section,
 )
-from .operators import DifferentialOperator, from_derivative, linearization
+from .operators import DifferentialOperator, from_derivative
 from .variational import (
     Covector,
     Functional,
@@ -42,7 +41,6 @@ from .variational import (
     covector_of,
     euler_derivative,
     is_trivial,
-    lift_covector_velocity,
 )
 from .schouten import (
     Multivector,
@@ -50,7 +48,6 @@ from .schouten import (
     check_jacobi,
     check_skew,
     evaluate,
-    functional_multivector,
     multivector_from_operator,
     normalize_multivector,
     q_field,

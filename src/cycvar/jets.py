@@ -4,14 +4,12 @@ of evolutionary fields on word sums."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BoundExceeded, PreconditionError
 from .words import (
     Coefficient,
     FormalSum,
     Letter,
-    Word,
     odd_count,
     pass_sign,
 )
@@ -220,10 +218,6 @@ def make_section(
     elif parity is None:
         raise PreconditionError("parity of a zero section must be given")
     return GeneratingSection(even, odd, parity % 2)
-
-
-def zero_section(ctx: JetContext, parity: int) -> GeneratingSection:
-    return make_section(ctx, parity=parity)
 
 
 def evolutionary_apply(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .words import Coefficient, FormalSum, Letter, close, word_key
-from .jets import GeneratingSection, JetContext
+from .words import Coefficient, FormalSum, Letter, close
+from .jets import JetContext
 from .operators import DifferentialOperator, from_derivative
 from .variational import Covector
 

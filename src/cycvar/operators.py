@@ -3,15 +3,12 @@ argument slot, their composition building blocks, and the graded adjoint."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import PreconditionError
 from .words import (
     Coefficient,
     FormalSum,
     Letter,
     Word,
-    letter_key,
     odd_count,
     word_key,
 )
@@ -117,18 +114,6 @@ class DifferentialOperator:
                 out.add_word(left + w + right, c * pc)
         return out
 
-    def mirror_apply(self, p: FormalSum) -> FormalSum:
-        """Apply with the side words swapped:  coeff * right * D^s(p) * left.
-        This is the action transported to the other side of a pairing."""
-        if p.cyclic:
-            raise PreconditionError("operators act on open sums")
-        out = FormalSum(cyclic=False)
-        for (left, orders, right), c in self.terms.items():
-            dp = d_power(self.ctx, p, orders)
-            for w, pc in dp.terms.items():
-                out.add_word(right + w + left, c * pc)
-        return out
-
     # -- composition building blocks ------------------------------------
 
     def compose_derivative(self, direction: int = 1) -> "DifferentialOperator":
@@ -228,20 +213,4 @@ def from_derivative(ctx: JetContext, direction: int = 1, power: int = 1) -> Diff
     out = DifferentialOperator.identity(ctx)
     for _ in range(power):
         out = out.compose_derivative(direction)
-    return out
-
-
-def linearization(
-    ctx: JetContext, values: FormalSum, odd_slot: bool, index: int = 1
-) -> DifferentialOperator:
-    """Linearization of an open-word sum along one letter family: the operator
-    whose action substitutes its argument (suitably differentiated) for each
-    occurrence of the family, in place."""
-    if values.cyclic:
-        raise PreconditionError("linearization expects an open sum")
-    out = DifferentialOperator(ctx)
-    for w, c in values.terms.items():
-        for i, letter in enumerate(w):
-            if letter.odd == odd_slot and letter.index == index:
-                out.add_term(w[:i], letter.orders, w[i + 1:], c)
     return out

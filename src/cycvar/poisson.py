@@ -10,10 +10,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import corpus
 from .errors import PreconditionError
 from .words import FormalSum, close, concat
 from .jets import JetContext, evolutionary_apply, make_section, total_derivative
-from .operators import DifferentialOperator
+from .operators import DifferentialOperator, from_derivative
 from .variational import (
     Covector,
     Functional,
@@ -270,79 +271,11 @@ class HarnessResult:
         return all(r.passed for r in self.reports)
 
 
-def _random_x_poly(rng: random.Random, ctx: JetContext):
-    from .words import Coefficient
-
-    out = Coefficient()
-    for _ in range(rng.randint(1, 2)):
-        exps = [0] * ctx.directions
-        exps[rng.randrange(ctx.directions)] = rng.randint(0, 2)
-        value = rng.choice([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)])
-        out = out + Coefficient.monomial(exps, value)
-    return out
-
-
-def _random_even_word(rng: random.Random, ctx: JetContext, max_len=2, max_order=2):
-    length = rng.randint(1, max_len)
-    letters = []
-    for _ in range(length):
-        index = rng.randint(1, ctx.fields)
-        orders = [0] * ctx.directions
-        orders[rng.randrange(ctx.directions)] = rng.randint(0, max_order)
-        letters.append(ctx.letter(False, index, tuple(orders)))
-    return tuple(letters)
-
-
 def _require_covector_class(covector_class: str) -> None:
     if covector_class not in ("x", "jet"):
         raise PreconditionError(
             f"unknown covector class {covector_class!r} (use 'x' or 'jet')"
         )
-
-
-def random_covector(
-    rng: random.Random, ctx: JetContext, covector_class: str
-) -> Covector:
-    """Draw a covector: `x` components are pure base-coordinate profiles,
-    `jet` components carry position letters too."""
-    _require_covector_class(covector_class)
-    comps = []
-    for _ in range(ctx.fields):
-        comp = FormalSum(cyclic=False)
-        if covector_class == "x":
-            comp.add_word((), _random_x_poly(rng, ctx))
-        else:
-            for _ in range(rng.randint(1, 2)):
-                comp.add_word(
-                    _random_even_word(rng, ctx), _random_x_poly(rng, ctx)
-                )
-        comps.append(comp)
-    return Covector(tuple(comps))
-
-
-def random_functional(
-    rng: random.Random, ctx: JetContext, covector_class: str
-) -> Functional:
-    """Draw a functional whose variations fall in the requested class:
-    linear with an x-profile for `x`, a short polynomial density for `jet`."""
-    _require_covector_class(covector_class)
-    density = FormalSum(cyclic=True)
-    if covector_class == "x":
-        for j in range(1, ctx.fields + 1):
-            density.add_word((ctx.letter(False, j),), _random_x_poly(rng, ctx))
-    else:
-        for _ in range(rng.randint(1, 2)):
-            density.add_word(
-                _random_even_word(rng, ctx, max_len=3, max_order=2),
-                _random_x_poly(rng, ctx),
-            )
-    return Functional(ctx, density)
-
-
-def _default_harness_operator(ctx: JetContext) -> DifferentialOperator:
-    from .operators import from_derivative
-
-    return from_derivative(ctx, 1, 1)
 
 
 IDENTITY_NAMES = ("zero", "adjoint-pairing", "jacobi-flow", "bivector-alternation")
@@ -367,8 +300,12 @@ def substitution_harness(
         )
     _require_covector_class(covector_class)
     rng = random.Random(seed)
+    jet = covector_class == "jet"
+    # A density of single letters has pure-x variations, so the functionals
+    # drawn for the `x` class have covectors in that class too.
+    functional_len = 3 if jet else 1
     if op is None:
-        op = _default_harness_operator(ctx)
+        op = from_derivative(ctx, 1, 1)
     if identity in ("jacobi-flow", "bivector-alternation"):
         _require_skew(op)
     adj = op.adjoint() if identity == "adjoint-pairing" else None
@@ -377,14 +314,14 @@ def substitution_harness(
     for i in range(trials):
         if identity == "zero":
             # Variational derivatives annihilate total divergences, exactly.
-            even_density = random_functional(rng, ctx, covector_class).density
-            p = random_covector(rng, ctx, covector_class)
+            even_density = corpus.functional(rng, ctx, max_len=functional_len).density
+            p = corpus.covector(rng, ctx, jet_dependent=jet)
             odd_density = FormalSum(cyclic=True)
             for j, comp in enumerate(p.components, start=1):
                 carrier = FormalSum.single(
                     False, (ctx.letter(True, j),), ctx.one()
                 )
-                odd_density = odd_density + close(concat(carrier, comp))
+                odd_density._accumulate(close(concat(carrier, comp)))
             passed = True
             for density in (even_density, odd_density):
                 for direction in range(1, ctx.directions + 1):
@@ -394,8 +331,8 @@ def substitution_harness(
                             if not euler_derivative(ctx, exact, odd_kind, j).is_zero():
                                 passed = False
         elif identity == "adjoint-pairing":
-            p = random_covector(rng, ctx, covector_class)
-            q = random_covector(rng, ctx, covector_class)
+            p = corpus.covector(rng, ctx, jet_dependent=jet)
+            q = corpus.covector(rng, ctx, jet_dependent=jet)
             lhs = coupling(ctx, p, hamiltonian_section(ctx, op, q))
             rhs = coupling(
                 ctx, q, tuple(adj.apply(c) for c in p.components)
@@ -404,13 +341,13 @@ def substitution_harness(
             passed = is_trivial(ctx, residual)
         elif identity == "jacobi-flow":
             hs = tuple(
-                random_functional(rng, ctx, covector_class) for _ in range(3)
+                corpus.functional(rng, ctx, max_len=functional_len) for _ in range(3)
             )
             residual = _jacobi_defect(ctx, op, hs).density
             passed = is_trivial(ctx, residual)
         else:  # bivector-alternation
-            p = random_covector(rng, ctx, covector_class)
-            q = random_covector(rng, ctx, covector_class)
+            p = corpus.covector(rng, ctx, jet_dependent=jet)
+            q = corpus.covector(rng, ctx, jet_dependent=jet)
             residual = (
                 evaluate(ctx, pv, (p, q)).density
                 + evaluate(ctx, pv, (q, p)).density

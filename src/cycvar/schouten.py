@@ -17,13 +17,7 @@ from .jets import (
     make_section,
 )
 from .operators import DifferentialOperator
-from .variational import (
-    Covector,
-    Functional,
-    coupling,
-    euler_derivative,
-    is_trivial,
-)
+from .variational import Covector, Functional, euler_derivative, is_trivial
 
 
 @dataclass(frozen=True)
@@ -109,12 +103,6 @@ def multivector_from_operator(
         for w, c in paired.terms.items():
             density.add_word(w, c * Fraction(1, 2))
     return normalize_multivector(ctx, density, degree=2)
-
-
-def functional_multivector(ctx: JetContext, f) -> Multivector:
-    """Degree-0 multivector wrapping a functional (or plain density)."""
-    density = f.density if isinstance(f, Functional) else f
-    return normalize_multivector(ctx, density, degree=0)
 
 
 def q_field(ctx: JetContext, mv: Multivector) -> GeneratingSection:

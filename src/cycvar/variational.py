@@ -6,14 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .words import FormalSum, Word, close, concat, odd_count, pass_sign
-from .jets import (
-    GeneratingSection,
-    JetContext,
-    evolutionary_apply,
-    minus_d_series,
-)
-from .operators import DifferentialOperator, linearization
+from .words import FormalSum, close, concat, odd_count, pass_sign
+from .jets import JetContext, minus_d_series
 
 
 def euler_derivative(
@@ -106,9 +100,6 @@ class Functional:
         if self.density.odd_degrees() - {0}:
             raise PreconditionError("a functional density must be even-kind only")
 
-    def equivalent(self, other: "Functional") -> bool:
-        return is_trivial(self.ctx, self.density - other.density)
-
     def is_trivial(self) -> bool:
         return is_trivial(self.ctx, self.density)
 
@@ -123,21 +114,3 @@ def covector_of(ctx: JetContext, f) -> Covector:
             for j in range(1, ctx.fields + 1)
         )
     )
-
-
-def lift_covector_velocity(
-    ctx: JetContext, p: Covector, flow: GeneratingSection
-) -> Covector:
-    """Velocity induced on a covector by an evolutionary flow of the position
-    fields: move the components along the flow and add the transported action
-    of the adjoint linearization of the flow's components."""
-    if flow.parity % 2:
-        raise PreconditionError("covector transport needs an even flow")
-    out = []
-    for j in range(1, ctx.fields + 1):
-        comp = evolutionary_apply(ctx, flow, p.components[j - 1])
-        for i in range(1, ctx.fields + 1):
-            ell = linearization(ctx, flow.even[i - 1], odd_slot=False, index=j)
-            comp = comp + ell.adjoint().mirror_apply(p.components[i - 1])
-        out.append(comp)
-    return Covector(tuple(out))

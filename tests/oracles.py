@@ -81,26 +81,6 @@ def brute_close(ctx: JetContext, f: FormalSum) -> FormalSum:
     return out
 
 
-def substitute_occurrences(
-    ctx: JetContext,
-    values: FormalSum,
-    odd_slot: bool,
-    index: int,
-    argument: FormalSum,
-) -> FormalSum:
-    """Replace, one occurrence at a time, each letter of one family by the
-    correspondingly differentiated argument, and sum.  This is the action the
-    one-family linearization operator must reproduce."""
-    out = FormalSum(cyclic=False)
-    for w, c in values.terms.items():
-        for i, letter in enumerate(w):
-            if letter.odd == odd_slot and letter.index == index:
-                shifted = d_power(ctx, argument, letter.orders)
-                for u, uc in shifted.terms.items():
-                    out.add_word(w[:i] + u + w[i + 1 :], c * uc)
-    return out
-
-
 def pairing_bivector_value(
     ctx: JetContext, op: DifferentialOperator, p: Covector, q: Covector
 ) -> FormalSum:

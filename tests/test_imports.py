@@ -1,0 +1,72 @@
+"""Every module-level import in the library modules is used by that module.
+
+`__init__.py` is exempt: its imports are the package's public exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cycvar"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each module-level import, with its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, including those inside quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(
+                    n.id
+                    for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                )
+    return used
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"words.py", "poisson.py", "corpus.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    )
+    assert not unused, f"{path.name}: unused imports {', '.join(unused)}"
+
+
+def test_detects_unused_import():
+    tree = ast.parse(
+        "import os\nfrom .words import FormalSum, Word\n"
+        "def f(x: 'FormalSum') -> None:\n    return None\n"
+    )
+    unused = set(_imported_names(tree)) - _used_names(tree)
+    assert unused == {"os", "Word"}

@@ -13,7 +13,6 @@ from cycvar.jets import (
     minus_d_series,
     partial_jet,
     total_derivative,
-    zero_section,
 )
 
 CTX = JetContext(fields=1, directions=1)
@@ -129,7 +128,10 @@ class TestSections:
     def test_zero_section_needs_parity(self):
         with pytest.raises(PreconditionError):
             make_section(CTX)
-        assert zero_section(CTX, 1).parity == 1
+        assert make_section(CTX, parity=1).parity == 1
+
+    def test_odd_only_section_is_odd(self):
+        assert make_section(CTX, odd=[opn([A])]).parity == 1
 
     def test_declared_parity_checked(self):
         with pytest.raises(PreconditionError):

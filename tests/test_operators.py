@@ -1,4 +1,4 @@
-"""One-slot operators: action, composition, adjoints, linearization."""
+"""One-slot operators: action, composition, adjoints."""
 
 import random
 
@@ -8,10 +8,10 @@ from cycvar import corpus
 from cycvar.errors import PreconditionError
 from cycvar.words import Coefficient, FormalSum, close, concat
 from cycvar.jets import JetContext
-from cycvar.operators import DifferentialOperator, from_derivative, linearization
+from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import is_trivial
 
-from oracles import reference_adjoint, substitute_occurrences
+from oracles import reference_adjoint
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -46,11 +46,9 @@ class TestAction:
         assert d_then_a.apply(p) == opn([A, BX])
         assert a_then_d.apply(p) == opn([AX, B]) + opn([A, BX])
 
-    def test_mirror_apply_swaps_sides(self):
+    def test_apply_keeps_side_words_in_place(self):
         op = word_op([A]).compose_right(opn([AX]))
-        p = opn([B])
-        assert op.apply(p) == opn([A, B, AX])
-        assert op.mirror_apply(p) == opn([AX, B, A])
+        assert op.apply(opn([B])) == opn([A, B, AX])
 
     def test_rejects_cyclic_argument(self):
         with pytest.raises(PreconditionError):
@@ -159,25 +157,3 @@ class TestAdjointReference:
                 self.graded_operator(rng, ctx, terms=3),
             ):
                 assert op.adjoint() == reference_adjoint(op)
-
-
-class TestLinearization:
-    def test_terms_of_short_word(self):
-        values = opn([A, AX])
-        lin = linearization(CTX, values, odd_slot=False)
-        out = lin.apply(opn([B]))
-        assert out == opn([B, AX]) + opn([A, BX])
-
-    def test_matches_direct_substitution(self):
-        rng = random.Random(5)
-        letters = [A, AX, B, BX]
-        for _ in range(20):
-            w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-            values = opn(w)
-            arg = opn([rng.choice(letters)]) + opn(
-                [rng.choice(letters), rng.choice(letters)]
-            )
-            for odd_slot in (False, True):
-                lin = linearization(CTX, values, odd_slot)
-                expect = substitute_occurrences(CTX, values, odd_slot, 1, arg)
-                assert lin.apply(arg) == expect

@@ -4,6 +4,7 @@ decision procedure, and the substitution harness."""
 import pytest
 
 import cycvar.poisson as P
+from cycvar import corpus
 from cycvar.errors import PreconditionError
 from cycvar.words import Coefficient, FormalSum
 from cycvar.jets import JetContext
@@ -19,7 +20,6 @@ from cycvar.poisson import (
     jacobi_defect_expanded,
     master_defect,
     poisson_bracket,
-    random_covector,
     substitution_harness,
 )
 
@@ -230,8 +230,8 @@ class TestInvolutivityWitness:
         rng = random.Random(9)
         for op in (D_OP, XD_DX):
             for _ in range(4):
-                p1 = random_covector(rng, CTX, "jet")
-                p2 = random_covector(rng, CTX, "jet")
+                p1 = corpus.covector(rng, CTX, jet_dependent=True)
+                p2 = corpus.covector(rng, CTX, jet_dependent=True)
                 comps = involutivity_witness(CTX, op, p1, p2)
                 assert all(c.is_zero() for c in comps)
 
@@ -256,13 +256,67 @@ class TestHarness:
         with pytest.raises(PreconditionError, match="covector class"):
             substitution_harness(CTX, identity, 2, seed=0, covector_class="bogus")
 
-    def test_unknown_class_rejected_by_generators(self):
-        with pytest.raises(PreconditionError, match="covector class"):
-            P.random_functional(random.Random(0), CTX, "bogus")
-        with pytest.raises(PreconditionError, match="covector class"):
-            random_covector(random.Random(0), CTX, "bogus")
-
     def test_covector_draws_are_seed_deterministic(self):
-        a = random_covector(random.Random(4), CTX, "jet")
-        b = random_covector(random.Random(4), CTX, "jet")
+        a = corpus.covector(random.Random(4), CTX, jet_dependent=True)
+        b = corpus.covector(random.Random(4), CTX, jet_dependent=True)
         assert a.components == b.components
+
+
+class TestHarnessDraws:
+    """The harness draws its arguments through `corpus`, and the covector
+    class decides what the draws may depend on: `x` covectors (and the
+    variations of `x` functionals) are pure base-coordinate profiles, `jet`
+    ones carry position letters."""
+
+    CONTEXTS = [CTX, JetContext(fields=2, directions=2)]
+
+    @staticmethod
+    def spy_on_corpus(monkeypatch):
+        drawn = []
+
+        def spy(draw):
+            def recorded(*args, **kwargs):
+                value = draw(*args, **kwargs)
+                drawn.append(value)
+                return value
+
+            return recorded
+
+        monkeypatch.setattr(corpus, "covector", spy(corpus.covector))
+        monkeypatch.setattr(corpus, "functional", spy(corpus.functional))
+        return drawn
+
+    @staticmethod
+    def covector_words(ctx, drawn):
+        words = set()
+        for value in drawn:
+            p = covector_of(ctx, value) if isinstance(value, Functional) else value
+            for comp in p.components:
+                words.update(comp.terms)
+        return words
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
+    @pytest.mark.parametrize("identity", IDENTITY_NAMES)
+    def test_x_class_draws_pure_x_covectors(self, monkeypatch, identity, ctx):
+        drawn = self.spy_on_corpus(monkeypatch)
+        substitution_harness(ctx, identity, 3, seed=5, covector_class="x")
+        assert drawn
+        assert self.covector_words(ctx, drawn) <= {()}
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
+    @pytest.mark.parametrize("identity", IDENTITY_NAMES)
+    def test_jet_class_draws_position_letters(self, monkeypatch, identity, ctx):
+        drawn = self.spy_on_corpus(monkeypatch)
+        substitution_harness(ctx, identity, 3, seed=5, covector_class="jet")
+        assert any(self.covector_words(ctx, drawn))
+
+    @pytest.mark.parametrize("covector_class", ["x", "jet"])
+    @pytest.mark.parametrize("identity", IDENTITY_NAMES)
+    def test_same_seed_same_draws_and_reports(self, monkeypatch, identity, covector_class):
+        drawn = self.spy_on_corpus(monkeypatch)
+        first = substitution_harness(CTX, identity, 3, seed=8, covector_class=covector_class)
+        first_drawn = list(drawn)
+        drawn.clear()
+        second = substitution_harness(CTX, identity, 3, seed=8, covector_class=covector_class)
+        assert first == second
+        assert first_drawn == drawn

@@ -18,7 +18,6 @@ from cycvar.schouten import (
     check_jacobi,
     check_skew,
     evaluate,
-    functional_multivector,
     multivector_from_operator,
     normalize_multivector,
     q_field,
@@ -111,7 +110,7 @@ class TestQField:
         assert s.even[0] == expect
 
     def test_functional_field(self):
-        mv = functional_multivector(CTX, cyc([A, A]))
+        mv = normalize_multivector(CTX, cyc([A, A]), 0)
         s = q_field(CTX, mv)
         assert s.parity == 1
         assert s.even[0].is_zero()
@@ -131,7 +130,7 @@ class TestQFieldCache:
         assert q_field(CTX, twin) == cached
 
     def test_other_context_recomputes(self):
-        mv = functional_multivector(CTX, cyc([A, AXX]))
+        mv = normalize_multivector(CTX, cyc([A, AXX]), 0)
         assert q_field(CTX, mv).odd[0] == opn([AXX], 2)
         with pytest.raises(BoundExceeded):
             q_field(JetContext(fields=1, directions=1, max_order=1), mv)
@@ -198,23 +197,23 @@ class TestLazyBracketAgainstEager:
 
 class TestSchoutenBracket:
     def test_two_functionals_vanish(self):
-        f = functional_multivector(CTX, cyc([A, A]))
-        g = functional_multivector(CTX, cyc([A, A, A]))
+        f = normalize_multivector(CTX, cyc([A, A]), 0)
+        g = normalize_multivector(CTX, cyc([A, A, A]), 0)
         out = schouten_bracket(CTX, f, g)
         assert out.degree == 0
         assert is_trivial(CTX, out.density)
 
     def test_derivative_bivector_on_cube(self):
         p = multivector_from_operator(CTX, D_OP)
-        h = functional_multivector(CTX, cyc([A, A, A]))
+        h = normalize_multivector(CTX, cyc([A, A, A]), 0)
         out = schouten_bracket(CTX, p, h)
         assert out.degree == 1
         assert is_trivial(CTX, out.density - cyc([A, A, BX], 3))
 
     def test_routes_agree(self):
         pairs = [
-            (multivector_from_operator(CTX, D_OP), functional_multivector(CTX, cyc([A, A, A]))),
-            (multivector_from_operator(CTX, SHIFT_OP), functional_multivector(CTX, cyc([A, A]))),
+            (multivector_from_operator(CTX, D_OP), normalize_multivector(CTX, cyc([A, A, A]), 0)),
+            (multivector_from_operator(CTX, SHIFT_OP), normalize_multivector(CTX, cyc([A, A]), 0)),
             (
                 multivector_from_operator(CTX, D_OP),
                 multivector_from_operator(CTX, SHIFT_OP),
@@ -227,18 +226,18 @@ class TestSchoutenBracket:
 
     def test_graded_symmetry_instance(self):
         xi = multivector_from_operator(CTX, D_OP)
-        eta = functional_multivector(CTX, cyc([A, AXX]))
+        eta = normalize_multivector(CTX, cyc([A, AXX]), 0)
         assert check_skew(CTX, xi, eta)
 
     def test_jacobi_instance(self):
         xi = multivector_from_operator(CTX, D_OP)
-        eta = functional_multivector(CTX, cyc([A, A]))
-        zeta = functional_multivector(CTX, cyc([A, A, A]))
+        eta = normalize_multivector(CTX, cyc([A, A]), 0)
+        zeta = normalize_multivector(CTX, cyc([A, A, A]), 0)
         assert check_jacobi(CTX, xi, eta, zeta)
 
     def test_field_morphism_instance(self):
         xi = multivector_from_operator(CTX, D_OP)
-        eta = functional_multivector(CTX, cyc([A, A, A]))
+        eta = normalize_multivector(CTX, cyc([A, A, A]), 0)
         assert check_field_morphism(CTX, xi, eta)
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from cycvar import corpus
 from cycvar.errors import PreconditionError
-from cycvar.words import Coefficient, FormalSum, close, concat
-from cycvar.jets import JetContext, evolutionary_apply, make_section, total_derivative
+from cycvar.words import FormalSum
+from cycvar.jets import JetContext, total_derivative
 from cycvar.variational import (
     Covector,
     Functional,
@@ -15,7 +15,6 @@ from cycvar.variational import (
     covector_of,
     euler_derivative,
     is_trivial,
-    lift_covector_velocity,
 )
 
 from oracles import reference_euler_derivative
@@ -138,44 +137,8 @@ class TestFunctional:
     def test_equivalence_mod_exact(self):
         f = Functional(CTX, cyc([A, A]) + cyc([A, AX]))
         g = Functional(CTX, cyc([A, A]))
-        assert f.equivalent(g)
-        assert not f.equivalent(Functional(CTX, cyc([A, A, A])))
+        assert is_trivial(CTX, f.density - g.density)
+        assert not is_trivial(CTX, f.density - cyc([A, A, A]))
 
     def test_exact_density_is_trivial_functional(self):
         assert Functional(CTX, cyc([A, AX], 5)).is_trivial()
-
-
-class TestLiftCovectorVelocity:
-    def test_agrees_with_variation_of_transported_density(self):
-        # moving the variation inside the flow must match transporting the
-        # covector: delta(X f) = X(delta f) + (linearization of X)^T delta f
-        flows = [
-            make_section(CTX, even=[opn([AX])]),
-            make_section(CTX, even=[opn([A, A])]),
-            make_section(CTX, even=[FormalSum.single(False, (AX,), CTX.x_power(1, 1))]),
-        ]
-        densities = [
-            cyc([A, A, A]),
-            cyc([A, AXX]),
-            FormalSum.single(True, (A, A), CTX.x_power(1, 1)),
-        ]
-        probes = [
-            opn([]),
-            opn([A]),
-            opn([AX]),
-            opn([A, A]),
-            FormalSum.single(False, (A,), CTX.x_power(1, 1)),
-        ]
-        for x in flows:
-            for f in densities:
-                direct = covector_of(CTX, evolutionary_apply(CTX, x, f))
-                lifted = lift_covector_velocity(CTX, covector_of(CTX, f), x)
-                for d_comp, l_comp in zip(direct.components, lifted.components):
-                    diff = d_comp - l_comp
-                    for probe in probes:
-                        assert is_trivial(CTX, close(concat(diff, probe)))
-
-    def test_requires_even_flow(self):
-        q = make_section(CTX, odd=[opn([A])])
-        with pytest.raises(PreconditionError):
-            lift_covector_velocity(CTX, Covector((opn([A]),)), q)
