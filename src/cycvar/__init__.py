@@ -19,6 +19,7 @@ from .words import (
     FormalSum,
     Letter,
     close,
+    close_concat,
     concat,
     normalize,
     times,

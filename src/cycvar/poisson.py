@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import corpus
 from .errors import PreconditionError
-from .words import FormalSum, close, concat
+from .words import FormalSum, close_concat
 from .jets import JetContext, evolutionary_apply, make_section, total_derivative
 from .operators import DifferentialOperator, from_derivative
 from .variational import (
@@ -210,7 +210,9 @@ def is_hamiltonian(
 ) -> HamiltonianCertificate:
     """Decide whether a skew operator induces a bracket satisfying Jacobi.
 
-    The verdict comes from the triviality of the master defect; a negative
+    The verdict comes from the triviality of the master defect, read off its
+    standard form: a degree-3 standard form is empty exactly when the
+    density is a total divergence (see `normalize_multivector`).  A negative
     verdict is backed, when possible, by an explicit functional triple whose
     Jacobi defect is nontrivial.
     """
@@ -219,7 +221,7 @@ def is_hamiltonian(
             f"witness budget must be nonnegative, got {witness_budget}"
         )
     defect = master_defect(ctx, op)
-    if is_trivial(ctx, defect.density):
+    if defect.is_zero():
         return HamiltonianCertificate(True, defect.density)
     witness = None
     witness_defect = None
@@ -232,12 +234,17 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     """First of at most `budget` triples of `_witness_pool` functionals, in
     `combinations_with_replacement` order, whose Jacobi defect is nontrivial,
     with that defect; (None, None) if there is none.  Each pool member's
-    covector and image, and each ordered inner bracket's covector, is
-    computed once.  Unchecked."""
+    covector and image, and each inner bracket's covector, is computed once.
+    The covector of {h_j, h_i} for i < j is taken as minus that of
+    {h_i, h_j}: for a skew operator the two brackets add up to a total
+    divergence, which every variational derivative maps to exactly zero.
+    Unchecked."""
     pool = _witness_pool(ctx)
     section = functools.cache(lambda i: _section(ctx, op, pool[i]))
     inner_covector = functools.cache(
         lambda i, j: covector_of(ctx, _bracket(ctx, section(i)[0], section(j)[1]))
+        if i <= j
+        else -inner_covector(j, i)
     )
     triples = itertools.combinations_with_replacement(range(len(pool)), 3)
     for triple in itertools.islice(triples, budget):
@@ -321,7 +328,7 @@ def substitution_harness(
                 carrier = FormalSum.single(
                     False, (ctx.letter(True, j),), ctx.one()
                 )
-                odd_density._accumulate(close(concat(carrier, comp)))
+                odd_density._accumulate(close_concat(carrier, comp))
             passed = True
             for density in (even_density, odd_density):
                 for direction in range(1, ctx.directions + 1):

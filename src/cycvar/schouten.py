@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .words import FormalSum, close, concat
+from .words import FormalSum, close_concat
 from .jets import (
     GeneratingSection,
     JetContext,
@@ -52,7 +52,12 @@ def normalize_multivector(
     1) or the one-slot operator (degree 2, single field pair) on the way.
     A zero density and a nonzero total divergence get the same standard
     form: an empty density with zero section components or an empty
-    operator."""
+    operator.
+
+    For degree >= 1 the standard form is empty exactly when the density is
+    a total divergence: it is built from the odd variations alone, and it
+    differs from the density (times the degree) by a total divergence, so it
+    has the same variations along every family."""
     if not density.cyclic:
         raise PreconditionError("a multivector density must be cyclic")
     degrees = density.odd_degrees()
@@ -78,8 +83,8 @@ def normalize_multivector(
     rebuilt = FormalSum(cyclic=True)
     for j, var in enumerate(variations, start=1):
         slot_word = FormalSum.single(False, (ctx.letter(True, j),), ctx.one())
-        for w, c in close(concat(slot_word, var)).terms.items():
-            rebuilt.add_word(w, c * Fraction(1, degree))
+        rebuilt._accumulate(close_concat(slot_word, var))
+    rebuilt = rebuilt.scale(Fraction(1, degree))
 
     section = tuple(variations) if degree == 1 else None
     operator = None
@@ -99,10 +104,8 @@ def multivector_from_operator(
     density = FormalSum(cyclic=True)
     for j in range(1, ctx.fields + 1):
         b_j = FormalSum.single(False, (ctx.letter(True, j),), ctx.one())
-        paired = close(concat(b_j, op.apply(b_j)))
-        for w, c in paired.terms.items():
-            density.add_word(w, c * Fraction(1, 2))
-    return normalize_multivector(ctx, density, degree=2)
+        density._accumulate(close_concat(b_j, op.apply(b_j)))
+    return normalize_multivector(ctx, density.scale(Fraction(1, 2)), degree=2)
 
 
 def q_field(ctx: JetContext, mv: Multivector) -> GeneratingSection:
@@ -148,10 +151,10 @@ def schouten_by_variations(
     for j in range(1, ctx.fields + 1):
         da_xi = euler_derivative(ctx, xi.density, odd_kind=False, index=j)
         db_eta = euler_derivative(ctx, eta.density, odd_kind=True, index=j)
-        out._accumulate(close(concat(da_xi, db_eta)))
+        out._accumulate(close_concat(da_xi, db_eta))
         db_xi = euler_derivative(ctx, xi.density, odd_kind=True, index=j, side="right")
         da_eta = euler_derivative(ctx, eta.density, odd_kind=False, index=j)
-        out._accumulate(close(concat(db_xi, da_eta)), negate=True)
+        out._accumulate(close_concat(db_xi, da_eta), negate=True)
     return out
 
 

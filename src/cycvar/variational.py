@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .words import FormalSum, close, concat, odd_count, pass_sign
+from .words import FormalSum, close_concat, odd_count, pass_sign
 from .jets import JetContext, minus_d_series
 
 
@@ -83,7 +83,7 @@ def coupling(ctx: JetContext, p, values) -> FormalSum:
         raise PreconditionError(f"coupling needs {ctx.fields} components per side")
     out = FormalSum(cyclic=True)
     for pc, vc in zip(p_components, values):
-        out._accumulate(close(concat(pc, vc)))
+        out._accumulate(close_concat(pc, vc))
     return out
 
 

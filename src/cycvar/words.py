@@ -354,6 +354,18 @@ def concat(f: FormalSum, g: FormalSum) -> FormalSum:
     return out
 
 
+def close_concat(f: FormalSum, g: FormalSum) -> FormalSum:
+    """`close(concat(f, g))` in one pass: each concatenation goes straight
+    into the cyclic sum, with no intermediate open sum."""
+    if f.cyclic or g.cyclic:
+        raise ValueError("close_concat expects open sums")
+    out = FormalSum(cyclic=True)
+    for w1, c1 in f.terms.items():
+        for w2, c2 in g.terms.items():
+            out.add_word(w1 + w2, c1 * c2)
+    return out
+
+
 def times(f: FormalSum, g: FormalSum) -> FormalSum:
     """Product of cyclic sums: the average of the concatenations of all
     rotation pairs.  An empty word acts as a plain scalar factor."""

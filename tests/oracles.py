@@ -23,8 +23,6 @@ from cycvar.words import (
     Coefficient,
     FormalSum,
     Letter,
-    close,
-    concat,
     odd_count,
     pass_sign,
     word_key,

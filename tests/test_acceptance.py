@@ -9,7 +9,7 @@ import itertools
 import subprocess
 import sys
 
-from cycvar.words import FormalSum, close, concat, normalize
+from cycvar.words import FormalSum, normalize
 from cycvar.jets import JetContext
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import Covector, is_trivial

@@ -1,4 +1,5 @@
-"""Every module-level import in the library modules is used by that module.
+"""Every module-level import in the library modules and in the test modules
+is used by that module.
 
 `__init__.py` is exempt: its imports are the package's public exports."""
 
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cycvar"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cycvar"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    TESTS.glob("*.py")
+)
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -48,7 +52,9 @@ def _used_names(tree: ast.Module) -> set[str]:
 
 
 def test_modules_found():
-    assert {p.name for p in MODULES} >= {"words.py", "poisson.py", "corpus.py"}
+    names = {p.name for p in MODULES}
+    assert names >= {"words.py", "poisson.py", "corpus.py", "oracles.py", "test_imports.py"}
+    assert len(names) == len(MODULES)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

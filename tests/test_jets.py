@@ -3,7 +3,7 @@
 import pytest
 
 from cycvar.errors import BoundExceeded, PreconditionError
-from cycvar.words import Coefficient, FormalSum
+from cycvar.words import FormalSum
 from cycvar.jets import (
     JetContext,
     d_power,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cycvar import corpus
 from cycvar.errors import ParseError
-from cycvar.words import Coefficient, FormalSum, close
+from cycvar.words import FormalSum, close
 from cycvar.jets import JetContext
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.lang import (

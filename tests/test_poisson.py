@@ -1,6 +1,8 @@
 """Functional brackets, the Jacobi defect on two routes, the Hamiltonian
 decision procedure, and the substitution harness."""
 
+import itertools
+
 import pytest
 
 import cycvar.poisson as P
@@ -10,10 +12,11 @@ from cycvar.words import Coefficient, FormalSum
 from cycvar.jets import JetContext
 from cycvar.lang import parse_operator
 from cycvar.operators import DifferentialOperator, from_derivative
-from cycvar.variational import Covector, Functional, covector_of, is_trivial
+from cycvar.selftest import hamiltonian_family
+from cycvar.schouten import multivector_from_operator, schouten_bracket
+from cycvar.variational import Functional, covector_of, is_trivial
 from cycvar.poisson import (
     IDENTITY_NAMES,
-    HamiltonianCertificate,
     involutivity_witness,
     is_hamiltonian,
     jacobi_defect,
@@ -199,6 +202,75 @@ class TestWitnessSearch:
             assert all(got is want for got, want in zip(cert.witness, witness))
             assert cert.witness_defect == defect
             assert list(cert.witness_defect.terms) == list(defect.terms)
+
+
+def _corpus_skew_parts(ctx, seed, count):
+    """Nonzero skew parts P - P* of `count` one-term `corpus.operator` draws
+    with side words of at most one letter."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(count):
+        p = corpus.operator(rng, ctx, terms=1, max_word=1)
+        ops.append(p - p.adjoint())
+    return [op for op in ops if op]
+
+
+class TestMasterDefectVerdict:
+    """`is_hamiltonian` reads its verdict off the master defect's standard
+    form: empty or not.  That must agree with `is_trivial` of the standard
+    form and of the raw bracket density it was built from."""
+
+    @staticmethod
+    def verdicts(ctx, op):
+        pv = multivector_from_operator(ctx, op)
+        raw = schouten_bracket(ctx, pv, pv).density
+        defect = master_defect(ctx, op)
+        return defect.is_zero(), is_trivial(ctx, defect.density), is_trivial(ctx, raw)
+
+    def test_named_operators(self):
+        ctx = JetContext()
+        cases = [(ctx, op) for op in hamiltonian_family(ctx).values()]
+        for fields, text in TestWitnessSearch.CASES:
+            case_ctx = JetContext(fields=fields, directions=1)
+            cases.append((case_ctx, parse_operator(text, case_ctx)))
+        found = []
+        for case_ctx, op in cases:
+            verdict = self.verdicts(case_ctx, op)
+            assert len(set(verdict)) == 1
+            assert is_hamiltonian(case_ctx, op, find_witness=False).hamiltonian == verdict[0]
+            found.append(verdict[0])
+        assert set(found) == {True, False}
+
+    @pytest.mark.parametrize("fields,seed", [(1, 801), (2, 802)])
+    def test_corpus_skew_parts(self, fields, seed):
+        ctx = JetContext(fields=fields, directions=1)
+        ops = _corpus_skew_parts(ctx, seed, 40)
+        assert len(ops) >= 30
+        found = [self.verdicts(ctx, op) for op in ops]
+        assert all(len(set(verdict)) == 1 for verdict in found)
+        assert {verdict[0] for verdict in found} == {True, False}
+
+
+class TestInnerCovectorAntisymmetry:
+    """The witness search takes the covector of {h_j, h_i} as minus that of
+    {h_i, h_j}.  For a skew operator the two brackets add up to a total
+    divergence, so this holds exactly, not only up to one."""
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    def test_exact_on_pool(self, fields):
+        ctx = JetContext(fields=fields, directions=1)
+        ops = [parse_operator(text, ctx) for f, text in TestWitnessSearch.CASES if f == fields]
+        ops += _corpus_skew_parts(ctx, 810 + fields, 4)
+        pool = P._witness_pool(ctx)
+        nonzero = 0
+        for op in ops:
+            sections = [P._section(ctx, op, h) for h in pool]
+            for i, j in itertools.combinations(range(len(pool)), 2):
+                ij = covector_of(ctx, P._bracket(ctx, sections[i][0], sections[j][1]))
+                ji = covector_of(ctx, P._bracket(ctx, sections[j][0], sections[i][1]))
+                assert ji == -ij
+                nonzero += any(ij.components)
+        assert nonzero
 
 
 class TestSkewCheckedAtEveryEntry:

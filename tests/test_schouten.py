@@ -8,7 +8,7 @@ import pytest
 
 from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
-from cycvar.words import Coefficient, FormalSum
+from cycvar.words import FormalSum
 from cycvar.jets import JetContext, total_derivative
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import Covector, is_trivial

@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from cycvar.words import (
     Coefficient,
     FormalSum,
-    Letter,
     close,
+    close_concat,
     concat,
     normalize,
     pass_sign,
     times,
-    word_key,
 )
 from cycvar import corpus
 from cycvar.jets import JetContext, minus_d_series
@@ -207,6 +206,55 @@ class TestFormalSum:
         g = FormalSum.single(False, (BX, A), CTX.x_power(1, 1))
         h = concat(f, g)
         assert close(h) == brute_close(CTX, h)
+
+
+def _graded_open_sum(rng, ctx, odd):
+    """Open sum of up to three words, each with an odd (1) or even (0 or 2)
+    count of odd letters."""
+    out = FormalSum(cyclic=False)
+    for _ in range(rng.randint(1, 3)):
+        odd_letters = 1 if odd else rng.choice((0, 2))
+        length = rng.randint(max(odd_letters, 1), 3)
+        out.add_word(
+            corpus.open_word(rng, ctx, length, odd_letters), corpus.coefficient(rng, ctx)
+        )
+    return out
+
+
+class TestCloseConcat:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_close_of_concat(self, seed, shape, f_odd, g_odd, cancel):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(seed)
+        f = _graded_open_sum(rng, ctx, f_odd)
+        g = _graded_open_sum(rng, ctx, g_odd)
+        if cancel:
+            # c*(u + v) and d*(v - s*u), with s the sign that rotates u*v
+            # into v*u, have cancelling closed products u*v and v*u
+            u = corpus.open_word(rng, ctx, rng.randint(1, 2), int(f_odd))
+            v = corpus.open_word(rng, ctx, rng.randint(1, 2), int(g_odd))
+            s = -1 if f_odd and g_odd else 1
+            c, d = corpus.coefficient(rng, ctx), corpus.coefficient(rng, ctx)
+            pf, pg = FormalSum(cyclic=False), FormalSum(cyclic=False)
+            pf.add_word(u, c)
+            pf.add_word(v, c)
+            pg.add_word(v, d)
+            pg.add_word(u, d * -s)
+            assert normalize(u + v)[0] not in close_concat(pf, pg).terms
+            f, g = f + pf, g + pg
+        assert close_concat(f, g) == close(concat(f, g))
+        assert close_concat(g, f) == close(concat(g, f))
+
+    def test_rejects_cyclic_arguments(self):
+        with pytest.raises(ValueError):
+            close_concat(single([A]), single([A], cyclic=False))
 
 
 class TestCut:
