@@ -62,6 +62,8 @@ CASES = [
     ["normalize", "sec(a*a)"],
     ["--m", "2", "--n", "2", "normalize", "cov(a1_{x^2,1}; x2*b1*b2)"],
     ["--m", "2", "--n", "2", "normalize", "sec(a2*a1; b1_{x^2,2})"],
+    # orders (1,0) and (0,2): total order and multi-index order disagree
+    ["--n", "2", "normalize", "cyc(b*a_{x^2,2}*a_{x^1,1}) + 2*cyc(a_{x^1,1}*a_{x^2,2})"],
     ["normalize", "@batch.txt"],
     ["normalize", "@bad.txt"],
     ["normalize", "@empty.txt"],
@@ -76,6 +78,7 @@ CASES = [
     ["times", "cyc(a)", "cyc(a)"],
     ["times", "cyc(b*b_x)", "cyc(b)"],
     ["times", "@sums.txt", "cyc(a)"],
+    ["--n", "2", "times", "cyc(a_{x^2,2}*b)", "cyc(a_{x^1,1}*b*a)"],
     ["tderiv", "--order", "2", "cyc(a*a)"],
     ["tderiv", "--order", "0", "cyc(a*a)"],
     ["tderiv", "3*x"],
