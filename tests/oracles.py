@@ -25,7 +25,6 @@ from cycvar.words import (
     Letter,
     odd_count,
     pass_sign,
-    word_key,
 )
 from cycvar.jets import JetContext, d_power, evolutionary_apply, graded_commutator
 from cycvar.variational import Covector, coupling, is_trivial
@@ -34,25 +33,31 @@ from cycvar.poisson import jacobi_defect
 from cycvar.schouten import Multivector, normalize_multivector, q_field
 
 
-def brute_normalize(letters):
-    """Canonical representative of a signed necklace by exhaustive rotation.
-
-    The sign of the rotation by r is computed as one block move: the r
-    leading letters hop over the n-r trailing ones, and only odd letters
-    interact, so the sign is (-1)^(moved_odd * remaining_odd).
+def block_rotations(letters):
+    """Every rotation of a word with its sign, each sign computed as one
+    block move: the r leading letters hop over the n-r trailing ones, and
+    only odd letters interact, so the sign is (-1)^(moved_odd * remaining_odd).
     """
-    letters = tuple(letters)
-    n = len(letters)
-    if n == 0:
-        return (), 1
     total_odd = sum(1 for l in letters if l.odd)
-    seen: dict[tuple, dict[tuple, set[int]]] = {}
-    candidates = {}
-    for r in range(n):
-        rotated = letters[r:] + letters[:r]
+    out = []
+    for r in range(len(letters)):
         moved_odd = sum(1 for l in letters[:r] if l.odd)
         sign = -1 if (moved_odd * (total_odd - moved_odd)) % 2 else 1
-        key = word_key(rotated)
+        out.append((letters[r:] + letters[:r], sign))
+    return out
+
+
+def brute_normalize(letters):
+    """Canonical representative of a signed necklace by exhaustive rotation:
+    the least rotation by length, then letterwise by parity, field index,
+    total derivative order and multi-index, with its `block_rotations` sign.
+    """
+    letters = tuple(letters)
+    if not letters:
+        return (), 1
+    candidates = {}
+    for rotated, sign in block_rotations(letters):
+        key = (len(rotated), tuple((l.odd, l.index, sum(l.orders), l.orders) for l in rotated))
         entry = candidates.setdefault(key, (rotated, set()))
         entry[1].add(sign)
     best_key = min(candidates)
@@ -77,6 +82,23 @@ def brute_close(ctx: JetContext, f: FormalSum) -> FormalSum:
         else:
             out.terms.pop(word, None)
     return out
+
+
+def reference_times(ctx: JetContext, f: FormalSum, g: FormalSum) -> FormalSum:
+    """The averaged product of cyclic sums by brute force: every rotation
+    pair of every word pair, weighted by 1/(n1*n2) and both `block_rotations`
+    signs, closed through `brute_normalize`.  An empty word counts as one
+    rotation of itself, so it acts as a scalar factor."""
+    products = FormalSum(cyclic=False)
+    for w1, c1 in f.terms.items():
+        for w2, c2 in g.terms.items():
+            rots1 = block_rotations(w1) or [((), 1)]
+            rots2 = block_rotations(w2) or [((), 1)]
+            weight = Fraction(1, len(rots1) * len(rots2))
+            for r1, s1 in rots1:
+                for r2, s2 in rots2:
+                    products.add_word(r1 + r2, c1 * c2 * (weight * s1 * s2))
+    return brute_close(ctx, products)
 
 
 def pairing_bivector_value(

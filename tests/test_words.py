@@ -33,6 +33,7 @@ from oracles import (
     fraction_product,
     fraction_scale,
     fraction_terms,
+    reference_times,
 )
 
 CTX = JetContext(fields=1, directions=1)
@@ -172,7 +173,9 @@ LETTERS22 = st.sampled_from(
         CTX22.letter(odd, j, orders)
         for odd in (False, True)
         for j in (1, 2)
-        for orders in ((0, 0), (1, 0), (0, 1))
+        # (1, 0) against (0, 2) or (2, 0) against (0, 1): total order and
+        # multi-index order disagree
+        for orders in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))
     ]
 )
 # Words as long as the rotation products `times` builds, and periodic words
@@ -294,6 +297,30 @@ class TestTimes:
             + single([c, A, d, AX]).scale(quarter)
         )
         assert out == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_reference_product(self, seed, shape, f_scalar, g_scalar):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(seed)
+        f, g = (_times_operand(rng, ctx, scalar) for scalar in (f_scalar, g_scalar))
+        assert times(f, g) == reference_times(ctx, f, g)
+
+
+def _times_operand(rng, ctx, scalar):
+    """Cyclic sum of words with one or two odd counts among 0, 1 and 2 and
+    x-dependent coefficients, plus an empty-word term if `scalar`."""
+    out = FormalSum(cyclic=True)
+    for odd in rng.sample((0, 1, 2), rng.randint(1, 2)):
+        out = out + corpus.cyclic_density(rng, ctx, odd, words=rng.randint(1, 2), max_len=3)
+    if scalar:
+        out.add_word((), corpus.coefficient(rng, ctx))
+    return out
 
 
 X = Coefficient.monomial((1,), 1)
