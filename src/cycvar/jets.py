@@ -47,11 +47,12 @@ class JetContext:
         orders = tuple(orders)
         if len(orders) != self.directions or any(o < 0 for o in orders):
             raise PreconditionError(f"bad derivative multi-index {orders}")
-        if self.max_order is not None and sum(orders) > self.max_order:
+        order = sum(orders)
+        if self.max_order is not None and order > self.max_order:
             raise BoundExceeded(
-                f"derivative order {sum(orders)} exceeds cap {self.max_order}"
+                f"derivative order {order} exceeds cap {self.max_order}"
             )
-        return Letter(odd, index, orders)
+        return Letter(odd, index, order, orders)
 
     def check_direction(self, direction: int) -> None:
         if not 1 <= direction <= self.directions:
@@ -63,11 +64,12 @@ class JetContext:
         """The letter with one more derivative along a 1-based direction."""
         d = direction - 1
         orders = letter.orders[:d] + (letter.orders[d] + 1,) + letter.orders[d + 1:]
-        if self.max_order is not None and sum(orders) > self.max_order:
+        order = letter.order + 1
+        if self.max_order is not None and order > self.max_order:
             raise BoundExceeded(
-                f"derivative order {sum(orders)} exceeds cap {self.max_order}"
+                f"derivative order {order} exceeds cap {self.max_order}"
             )
-        return Letter(letter.odd, letter.index, orders)
+        return Letter(letter.odd, letter.index, order, orders)
 
     # -- coefficients ----------------------------------------------------
 

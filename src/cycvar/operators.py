@@ -20,7 +20,8 @@ SLOT_INDEX = 0
 
 
 def _slot(orders) -> Letter:
-    return Letter(False, SLOT_INDEX, tuple(orders))
+    orders = tuple(orders)
+    return Letter(False, SLOT_INDEX, sum(orders), orders)
 
 
 class DifferentialOperator:

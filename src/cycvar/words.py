@@ -15,29 +15,26 @@ from typing import Iterable, NamedTuple
 
 
 class Letter(NamedTuple):
-    """A single jet symbol."""
+    """A single jet symbol.
+
+    The fields are in sort order: even before odd, then field index, then
+    total derivative count, then the multi-index.  So letters, and words of
+    one length, compare as plain tuples.  `order` is `sum(orders)`, stored
+    once when the letter is built (through `JetContext.letter` or
+    `JetContext.shift`)."""
 
     odd: bool
     index: int
+    order: int
     orders: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return sum(self.orders)
 
 
 Word = tuple[Letter, ...]
 
 
-def letter_key(letter: Letter) -> tuple:
-    """Total order on letters: even before odd, then field index, then total
-    derivative count, then the multi-index itself."""
-    return (letter.odd, letter.index, letter.order, letter.orders)
-
-
 def word_key(letters: Word) -> tuple:
     """Total order on words: by length, then letterwise."""
-    return (len(letters), tuple(letter_key(l) for l in letters))
+    return (len(letters), letters)
 
 
 def odd_count(letters: Iterable[Letter]) -> int:
@@ -70,26 +67,29 @@ def normalize(letters: Word) -> tuple[Word | None, int]:
     Returns (canonical letters, sign) with sign in {+1, -1}, or (None, 0) when
     the word coincides with one of its own rotations up to a sign flip and is
     therefore zero.  The canonical rotation is the least under `word_key`;
-    rotations all have one length, so their lists of letter keys, each key
-    computed once, order them the same way.
+    rotations all have one length, so they compare as plain slices.
     """
     if not letters:
         return (), 1
     n = len(letters)
-    keys = [letter_key(l) for l in letters] * 2
-    total_odd = odd_count(letters)
-    best = None
+    doubled = letters + letters
+    # an odd letter crossing the marked point flips the sign exactly when the
+    # word has an even count of odd letters (`pass_sign`)
+    flip = not odd_count(letters) % 2
+    best, best_sign, vanish = letters, 1, False
     sign = 1
-    for r in range(n):
-        rotated = keys[r:r + n]
-        if best is None or rotated < best:
-            best, start, signs = rotated, r, {sign}
-        elif rotated == best:
-            signs.add(sign)
-        sign *= pass_sign(letters[r], total_odd)
-    if len(signs) == 2:
+    for r in range(1, n):
+        if flip and letters[r - 1].odd:
+            sign = -sign
+        rotated = doubled[r:r + n]
+        if rotated <= best:
+            if rotated < best:
+                best, best_sign, vanish = rotated, sign, False
+            elif sign != best_sign:
+                vanish = True
+    if vanish:
         return None, 0
-    return letters[start:] + letters[:start], signs.pop()
+    return best, best_sign
 
 
 def _lean(value: int | Fraction) -> int | Fraction:
@@ -372,14 +372,17 @@ def times(f: FormalSum, g: FormalSum) -> FormalSum:
     if not (f.cyclic and g.cyclic):
         raise ValueError("times expects cyclic sums")
     out = FormalSum(cyclic=True)
+    g_terms = [(w2, c2, signed_rotations(w2)) for w2, c2 in g.terms.items()]
     for w1, c1 in f.terms.items():
-        for w2, c2 in g.terms.items():
-            c = c1 * c2
+        rots1 = signed_rotations(w1)
+        for w2, c2, rots2 in g_terms:
             if not w1 or not w2:
-                out.add_word(w1 + w2, c)
+                out.add_word(w1 + w2, c1 * c2)
                 continue
-            weight = Fraction(1, len(w1) * len(w2))
-            for r1, s1 in signed_rotations(w1):
-                for r2, s2 in signed_rotations(w2):
-                    out.add_word(r1 + r2, c * (weight * s1 * s2))
+            # the scaled product changes only by the sign s1 * s2
+            c = c1 * c2 * Fraction(1, len(w1) * len(w2))
+            minus_c = -c
+            for r1, s1 in rots1:
+                for r2, s2 in rots2:
+                    out.add_word(r1 + r2, c if s1 == s2 else minus_c)
     return out

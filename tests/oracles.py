@@ -200,7 +200,7 @@ def reference_adjoint(op: DifferentialOperator) -> DifferentialOperator:
     for (left, orders, right), c in op.terms.items():
         k_left = odd_count(left)
         sign = -1 if k_left % 2 and (k_left + odd_count(right) - 1) % 2 else 1
-        slot = Letter(False, SLOT_INDEX, ctx.zero_orders())
+        slot = Letter(False, SLOT_INDEX, 0, ctx.zero_orders())
         carrier = FormalSum.single(False, right + (slot,) + left, c * sign)
         for w, wc in minus_d_power(ctx, carrier, orders).terms.items():
             pos = next(i for i, l in enumerate(w) if l.index == SLOT_INDEX and not l.odd)

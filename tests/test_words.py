@@ -19,7 +19,8 @@ from cycvar.words import (
 )
 from cycvar import corpus
 from cycvar.jets import JetContext, minus_d_series
-from cycvar.lang import parse_cyclic, parse_operator
+from cycvar.lang import letter_text, parse_cyclic, parse_open, parse_operator
+from cycvar.operators import _slot
 from cycvar.poisson import jacobi_defect, jacobi_defect_expanded
 from cycvar.schouten import schouten_by_variations
 from cycvar.variational import Functional, coupling
@@ -131,6 +132,26 @@ class TestLeanValues:
         assert type(c.terms[(0,)]) is int
         assert type((c * 2).terms[(1,)]) is int
         assert repr(c) == "Coefficient({(0,): 2, (1,): Fraction(1, 2)})"
+
+
+class TestLetterOrder:
+    """Every way of building a letter stores its total derivative order, and
+    letters sorted as plain tuples come out in the spelled-out order: parity,
+    field index, total derivative order, multi-index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_tuple_order_is_the_letter_order(self, seed, n):
+        ctx = JetContext(fields=2, directions=n)
+        rng = random.Random(seed)
+        letters = [corpus.letter(rng, ctx, rng.random() < 0.5, max_order=3) for _ in range(8)]
+        letters += [ctx.shift(l, rng.randint(1, n)) for l in letters]
+        letters += [w[0] for l in letters for w in parse_open(letter_text(l, ctx), ctx).terms]
+        letters += [_slot(l.orders) for l in letters]
+        for l in letters:
+            assert l.order == sum(l.orders)
+        spelled = sorted(letters, key=lambda l: (l.odd, l.index, sum(l.orders), l.orders))
+        assert sorted(letters) == spelled
 
 
 class TestNormalize:
