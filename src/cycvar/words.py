@@ -15,13 +15,10 @@ from typing import Iterable, NamedTuple
 
 
 class Letter(NamedTuple):
-    """A single jet symbol.
-
-    The fields are in sort order: even before odd, then field index, then
-    total derivative count, then the multi-index.  So letters, and words of
-    one length, compare as plain tuples.  `order` is `sum(orders)`, stored
-    once when the letter is built (through `JetContext.letter` or
-    `JetContext.shift`)."""
+    """A single jet symbol.  The fields are in sort order (even before odd,
+    field index, total derivative count `order == sum(orders)`, multi-index),
+    so letters and equal-length words compare as plain tuples;
+    `JetContext.letter` and `JetContext.shift` fill in `order`."""
 
     odd: bool
     index: int

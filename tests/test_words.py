@@ -289,6 +289,17 @@ class TestCut:
         assert pass_sign(B, 1) == 1
 
 
+def _times_operand(rng, ctx, scalar):
+    """Cyclic sum of words with one or two odd counts among 0, 1 and 2 and
+    x-dependent coefficients, plus an empty-word term if `scalar`."""
+    out = FormalSum(cyclic=True)
+    for odd in rng.sample((0, 1, 2), rng.randint(1, 2)):
+        out = out + corpus.cyclic_density(rng, ctx, odd, words=rng.randint(1, 2), max_len=3)
+    if scalar:
+        out.add_word((), corpus.coefficient(rng, ctx))
+    return out
+
+
 class TestTimes:
     def test_single_letters(self):
         f = single([A])
@@ -331,17 +342,6 @@ class TestTimes:
         rng = random.Random(seed)
         f, g = (_times_operand(rng, ctx, scalar) for scalar in (f_scalar, g_scalar))
         assert times(f, g) == reference_times(ctx, f, g)
-
-
-def _times_operand(rng, ctx, scalar):
-    """Cyclic sum of words with one or two odd counts among 0, 1 and 2 and
-    x-dependent coefficients, plus an empty-word term if `scalar`."""
-    out = FormalSum(cyclic=True)
-    for odd in rng.sample((0, 1, 2), rng.randint(1, 2)):
-        out = out + corpus.cyclic_density(rng, ctx, odd, words=rng.randint(1, 2), max_len=3)
-    if scalar:
-        out.add_word((), corpus.coefficient(rng, ctx))
-    return out
 
 
 X = Coefficient.monomial((1,), 1)
