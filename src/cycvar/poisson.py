@@ -28,7 +28,6 @@ from .schouten import (
     evaluate,
     multivector_from_operator,
     normalize_multivector,
-    schouten_bracket,
 )
 
 
@@ -135,13 +134,25 @@ def _permutation_sign(perm) -> int:
 
 
 def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
-    """Bracket of the operator's degree-2 density with itself, in standard
+    """Bracket of the operator's degree-2 density P with itself, in standard
     form; its class vanishes exactly when the operator's bracket satisfies
-    Jacobi."""
+    Jacobi.
+
+    The representative is 2 * sum_j close(dP/da_j * dP/db_j), the pairing of
+    P's variations, not the flow density of `schouten_bracket(pv, pv)`.  The
+    two differ by a total divergence: for degree 2 the right variation along
+    b_j is minus the left one, and the even factor dP/da_j commutes under
+    `close`, so both halves of the bracket give the same pairing.  The
+    standard form is built from the odd variations alone, which vanish on
+    total divergences exactly, so it is the same value on either route."""
     _require_skew(op)
     pv = multivector_from_operator(ctx, op)
-    defect = schouten_bracket(ctx, pv, pv)
-    return normalize_multivector(ctx, defect.density, defect.degree)
+    density = FormalSum(cyclic=True)
+    for j in range(1, ctx.fields + 1):
+        da = euler_derivative(ctx, pv.density, odd_kind=False, index=j)
+        db = euler_derivative(ctx, pv.density, odd_kind=True, index=j)
+        density._accumulate(close_concat(da, db))
+    return normalize_multivector(ctx, density.scale(2), 3)
 
 
 def involutivity_witness(
@@ -212,9 +223,13 @@ def is_hamiltonian(
 
     The verdict comes from the triviality of the master defect, read off its
     standard form: a degree-3 standard form is empty exactly when the
-    density is a total divergence (see `normalize_multivector`).  A negative
-    verdict is backed, when possible, by an explicit functional triple whose
-    Jacobi defect is nontrivial.
+    density is a total divergence (see `normalize_multivector`).  The master
+    defect is built from the pairing of the bivector's variations, which is
+    the same standard form as that of the self-bracket's flow density (see
+    `master_defect`).  A negative verdict is backed, when possible, by an
+    explicit functional triple whose Jacobi defect is nontrivial; triples
+    with a repeated functional are skipped, since their defect is exactly
+    zero, but still count against `witness_budget` (see `_witness_search`).
     """
     if witness_budget < 0:
         raise PreconditionError(
@@ -238,7 +253,13 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     The covector of {h_j, h_i} for i < j is taken as minus that of
     {h_i, h_j}: for a skew operator the two brackets add up to a total
     divergence, which every variational derivative maps to exactly zero.
-    Unchecked."""
+    For the same reason the covector of {h_i, h_i} is exactly zero, so the
+    cyclic sum over a triple with a repeated index cancels term by term to
+    the empty sum.  Such triples are skipped without computing anything,
+    but they still count against `budget`, so every budget finds the same
+    witness as the plain loop.  Under a derivative-order cap only computed
+    triples can exceed it, so a run the plain loop ends at a skipped triple
+    finds the uncapped witness instead.  Unchecked."""
     pool = _witness_pool(ctx)
     section = functools.cache(lambda i: _section(ctx, op, pool[i]))
     inner_covector = functools.cache(
@@ -248,6 +269,8 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     )
     triples = itertools.combinations_with_replacement(range(len(pool)), 3)
     for triple in itertools.islice(triples, budget):
+        if triple[0] == triple[1] or triple[1] == triple[2]:
+            continue
         jd = _jacobi(
             ctx,
             [section(i)[1] for i in triple],

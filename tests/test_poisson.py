@@ -7,13 +7,13 @@ import pytest
 
 import cycvar.poisson as P
 from cycvar import corpus
-from cycvar.errors import PreconditionError
+from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import Coefficient, FormalSum
 from cycvar.jets import JetContext
 from cycvar.lang import parse_operator
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.selftest import hamiltonian_family
-from cycvar.schouten import multivector_from_operator, schouten_bracket
+from cycvar.schouten import multivector_from_operator, normalize_multivector, schouten_bracket
 from cycvar.variational import Functional, covector_of, is_trivial
 from cycvar.poisson import (
     IDENTITY_NAMES,
@@ -228,13 +228,8 @@ class TestMasterDefectVerdict:
         return defect.is_zero(), is_trivial(ctx, defect.density), is_trivial(ctx, raw)
 
     def test_named_operators(self):
-        ctx = JetContext()
-        cases = [(ctx, op) for op in hamiltonian_family(ctx).values()]
-        for fields, text in TestWitnessSearch.CASES:
-            case_ctx = JetContext(fields=fields, directions=1)
-            cases.append((case_ctx, parse_operator(text, case_ctx)))
         found = []
-        for case_ctx, op in cases:
+        for case_ctx, op in _named_operators():
             verdict = self.verdicts(case_ctx, op)
             assert len(set(verdict)) == 1
             assert is_hamiltonian(case_ctx, op, find_witness=False).hamiltonian == verdict[0]
@@ -249,6 +244,97 @@ class TestMasterDefectVerdict:
         found = [self.verdicts(ctx, op) for op in ops]
         assert all(len(set(verdict)) == 1 for verdict in found)
         assert {verdict[0] for verdict in found} == {True, False}
+
+
+def _named_operators():
+    """The `selftest` Hamiltonian family and the `TestWitnessSearch`
+    operators, each with its context."""
+    ctx = JetContext()
+    cases = [(ctx, op) for op in hamiltonian_family(ctx).values()]
+    for fields, text in TestWitnessSearch.CASES:
+        case_ctx = JetContext(fields=fields, directions=1)
+        cases.append((case_ctx, parse_operator(text, case_ctx)))
+    return cases
+
+
+class TestMasterDefectPairing:
+    """`master_defect` builds its representative from the pairing of the
+    bivector's variations, not from the flow density of the self-bracket.
+    The two differ by a total divergence, so their standard forms must be
+    the same value, exactly."""
+
+    @staticmethod
+    def assert_same_standard_form(ctx, op):
+        pv = multivector_from_operator(ctx, op)
+        flow = normalize_multivector(ctx, schouten_bracket(ctx, pv, pv).density, 3)
+        defect = master_defect(ctx, op)
+        assert defect.degree == flow.degree == 3
+        assert defect.density == flow.density
+        return defect.is_zero()
+
+    def test_named_operators(self):
+        zero = [self.assert_same_standard_form(ctx, op) for ctx, op in _named_operators()]
+        assert set(zero) == {True, False}
+
+    @pytest.mark.parametrize("fields,directions", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_corpus_skew_parts(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        ops = _corpus_skew_parts(ctx, 824, 16)
+        assert len(ops) >= 10
+        zero = [self.assert_same_standard_form(ctx, op) for op in ops]
+        assert set(zero) == {True, False}
+
+
+class TestRepeatedIndexTriples:
+    """The witness search skips triples with a repeated pool index without
+    computing them.  That is exact only because such a triple's cyclic sum
+    is the empty sum: the covector of {h_i, h_i} is zero and that of
+    {h_k, h_i} is minus that of {h_i, h_k}, so the three terms cancel."""
+
+    @pytest.mark.parametrize("fields,text", TestWitnessSearch.CASES)
+    def test_jacobi_density_exactly_zero(self, fields, text):
+        ctx = JetContext(fields=fields, directions=1)
+        op = parse_operator(text, ctx)
+        pool = P._witness_pool(ctx)
+        sections = [P._section(ctx, op, h) for h in pool]
+        inner = {
+            (i, j): covector_of(ctx, P._bracket(ctx, sections[i][0], sections[j][1]))
+            for i, j in itertools.product(range(len(pool)), repeat=2)
+        }
+        cancelled = 0
+        for triple in itertools.combinations_with_replacement(range(len(pool)), 3):
+            if len(set(triple)) == 3:
+                continue
+            jd = P._jacobi(
+                ctx,
+                [sections[i][1] for i in triple],
+                lambda a, b: inner[triple[a], triple[b]],
+            )
+            assert jd.density.is_zero(), triple
+            cancelled += any(
+                P._bracket(ctx, inner[triple[a], triple[b]], sections[triple[c]][1]).density
+                for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+            )
+        assert cancelled
+
+
+    @pytest.mark.parametrize("text", ["op(a1*a2*D + D*R(a1*a2))", "op(a2*a1*D + D*R(a2*a1))"])
+    def test_skipped_triples_do_not_reach_the_order_cap(self, text):
+        """Under `max_order=2` the plain loop exceeds the cap at the triple
+        (0, 0, 5), whose defect is exactly zero; the search skips it and
+        finds the uncapped witness first."""
+        capped = JetContext(fields=2, directions=1, max_order=2)
+        free = JetContext(fields=2, directions=1)
+        op = parse_operator(text, capped)
+        pool = P._witness_pool(capped)
+        with pytest.raises(BoundExceeded):
+            reference_witness_search(capped, op, pool, 200)
+        got = is_hamiltonian(capped, op)
+        want = is_hamiltonian(free, parse_operator(text, free))
+        assert not got.hamiltonian and got.witness is not None
+        assert got.defect_density == want.defect_density
+        assert [h.density for h in got.witness] == [h.density for h in want.witness]
+        assert got.witness_defect == want.witness_defect
 
 
 class TestInnerCovectorAntisymmetry:
