@@ -215,6 +215,17 @@ def _corpus_skew_parts(ctx, seed, count):
     return [op for op in ops if op]
 
 
+def _named_operators():
+    """The `selftest` Hamiltonian family and the `TestWitnessSearch`
+    operators, each with its context."""
+    ctx = JetContext()
+    cases = [(ctx, op) for op in hamiltonian_family(ctx).values()]
+    for fields, text in TestWitnessSearch.CASES:
+        case_ctx = JetContext(fields=fields, directions=1)
+        cases.append((case_ctx, parse_operator(text, case_ctx)))
+    return cases
+
+
 class TestMasterDefectVerdict:
     """`is_hamiltonian` reads its verdict off the master defect's standard
     form: empty or not.  That must agree with `is_trivial` of the standard
@@ -244,17 +255,6 @@ class TestMasterDefectVerdict:
         found = [self.verdicts(ctx, op) for op in ops]
         assert all(len(set(verdict)) == 1 for verdict in found)
         assert {verdict[0] for verdict in found} == {True, False}
-
-
-def _named_operators():
-    """The `selftest` Hamiltonian family and the `TestWitnessSearch`
-    operators, each with its context."""
-    ctx = JetContext()
-    cases = [(ctx, op) for op in hamiltonian_family(ctx).values()]
-    for fields, text in TestWitnessSearch.CASES:
-        case_ctx = JetContext(fields=fields, directions=1)
-        cases.append((case_ctx, parse_operator(text, case_ctx)))
-    return cases
 
 
 class TestMasterDefectPairing:
@@ -316,7 +316,6 @@ class TestRepeatedIndexTriples:
                 for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
             )
         assert cancelled
-
 
     @pytest.mark.parametrize("text", ["op(a1*a2*D + D*R(a1*a2))", "op(a2*a1*D + D*R(a2*a1))"])
     def test_skipped_triples_do_not_reach_the_order_cap(self, text):
