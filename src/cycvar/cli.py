@@ -374,7 +374,7 @@ def tderiv(session, expr, direction, order):
             value.kind = "open"
             value.payload = FormalSum.single(False, (), value.payload)
         if value.kind not in ("open", "cyclic"):
-            raise ParseError(f"tderiv expects a word sum, got {value.describe()}")
+            raise ParseError(f"tderiv expects a word sum, got {value.kind}")
         out = value.payload
         for _ in range(order):
             out = total_derivative(ctx, out, direction)

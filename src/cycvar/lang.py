@@ -2,9 +2,12 @@
 
 The textual language covers scalars (rationals and powers of the base
 coordinates), letters with derivative suffixes, open products, cyc(...)
-closures, cov(...)/sec(...) tuples, and op(...) operator expressions whose
-products are composition chains applied right to left.  The printer emits
-the same grammar, so parse -> print -> parse is the identity on values.
+closures, cov(...)/sec(...) tuples, and op(...) operators.  One grammar
+parses all of them: inside op(...), D, R(w) and L(w) are extra factors, a
+scalar or word stands for the operator that multiplies by it on the left,
+and a product with an operator composes right to left.  A divisor is a
+nonzero rational everywhere.  The printer emits the same grammar, so
+parse -> print -> parse is the identity on values.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .words import Coefficient, FormalSum, Letter, close
+from .words import Coefficient, FormalSum, Letter, close, concat
 from .jets import JetContext
 from .operators import DifferentialOperator, from_derivative
 from .variational import Covector
@@ -108,9 +111,6 @@ class Value:
     kind: str  # scalar | open | cyclic | operator | covector | section
     payload: object
 
-    def describe(self) -> str:
-        return self.kind
-
 
 class Parser:
     def __init__(self, text: str, ctx: JetContext):
@@ -118,6 +118,7 @@ class Parser:
         self.ctx = ctx
         self.tokens = tokenize(text)
         self.at = 0
+        self.in_op = False  # inside op(...): D, R(w), L(w) are factors
 
     def peek(self) -> Token:
         return self.tokens[self.at]
@@ -138,32 +139,45 @@ class Parser:
     def _scale(self, value: Value, coeff: Coefficient) -> Value:
         if value.kind == "scalar":
             return Value("scalar", value.payload * coeff)
-        if value.kind in ("open", "cyclic"):
+        if value.kind in ("open", "cyclic", "operator"):
             return Value(value.kind, value.payload.scale(coeff))
-        if value.kind == "operator":
-            return Value("operator", value.payload.scale(coeff))
         if value.kind in ("covector", "section"):
             comps = tuple(c.scale(coeff) for c in _components(value))
             return _retuple(value.kind, comps)
         raise AssertionError(value.kind)
 
+    def _operator(self, value: Value) -> Value:
+        """A scalar or open word as the operator that multiplies by it on
+        the left; an operator as itself."""
+        if value.kind == "scalar":
+            value = self._promote_scalar(value, "open")
+        if value.kind != "open":
+            return value
+        return Value(
+            "operator", DifferentialOperator.identity(self.ctx).compose_left(value.payload)
+        )
+
+    def _with_operator(self, left: Value, right: Value) -> bool:
+        return self.in_op and "operator" in (left.kind, right.kind)
+
     def _mul(self, left: Value, right: Value, pos: int) -> Value:
+        if self._with_operator(left, right):
+            return Value(
+                "operator",
+                self._operator(left).payload.compose(self._operator(right).payload),
+            )
         if left.kind == "scalar":
             return self._scale(right, left.payload)
         if right.kind == "scalar":
             return self._scale(left, right.payload)
         if left.kind == "open" and right.kind == "open":
-            from .words import concat
-
             return Value("open", concat(left.payload, right.payload))
         if left.kind == "cyclic" or right.kind == "cyclic":
             raise ParseError(
                 "cyclic sums cannot be multiplied inline; use the times command",
                 pos,
             )
-        raise ParseError(
-            f"cannot multiply {left.describe()} with {right.describe()}", pos
-        )
+        raise ParseError(f"cannot multiply {left.kind} with {right.kind}", pos)
 
     def _div(self, left: Value, right: Value, pos: int) -> Value:
         if right.kind != "scalar":
@@ -178,25 +192,17 @@ class Parser:
         ))
 
     def _add(self, left: Value, right: Value, subtract: bool, pos: int) -> Value:
+        if self._with_operator(left, right):
+            left, right = self._operator(left), self._operator(right)
         if right.kind == "scalar" and left.kind in ("open", "cyclic"):
             right = self._promote_scalar(right, left.kind)
         if left.kind == "scalar" and right.kind in ("open", "cyclic"):
             left = self._promote_scalar(left, right.kind)
         if left.kind != right.kind:
-            raise ParseError(
-                f"cannot add {left.describe()} and {right.describe()}", pos
-            )
-        if left.kind == "scalar":
-            return Value(
-                "scalar",
-                left.payload - right.payload if subtract else left.payload + right.payload,
-            )
-        if left.kind in ("open", "cyclic"):
+            raise ParseError(f"cannot add {left.kind} and {right.kind}", pos)
+        if left.kind in ("scalar", "open", "cyclic", "operator"):
             out = left.payload - right.payload if subtract else left.payload + right.payload
             return Value(left.kind, out)
-        if left.kind == "operator":
-            out = left.payload - right.payload if subtract else left.payload + right.payload
-            return Value("operator", out)
         if left.kind in ("covector", "section"):
             lc, rc = _components(left), _components(right)
             comps = tuple(
@@ -271,29 +277,36 @@ class Parser:
             return Value(
                 "open", FormalSum.single(False, (letter,), self.ctx.one())
             )
-        if tok.kind == "kw":
+        if tok.kind == "kw" and (not self.in_op or tok.text in ("R", "L")):
             return self.parse_keyword()
         if tok.kind == "sym" and tok.text == "(":
             self.take()
-            value = self.parse_expr()
-            self.expect_sym(")")
-            return value
+            return self.parse_group(self.in_op)
         if tok.kind == "deriv":
-            raise ParseError("derivative factors only make sense inside op(...)", tok.pos)
-        raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
+            if not self.in_op:
+                raise ParseError("derivative factors only make sense inside op(...)", tok.pos)
+            self.take()
+            direction, power = _parse_deriv_token(tok.text, tok.pos, self.ctx)
+            return Value("operator", from_derivative(self.ctx, direction, power))
+        where = " inside op(...)" if self.in_op else ""
+        raise ParseError(
+            f"unexpected {tok.text!r}{where}" if tok.text else "unexpected end of input",
+            tok.pos,
+        )
+
+    def parse_group(self, in_op: bool) -> Value:
+        """An expression and its closing parenthesis, parsed with the
+        operator flag set to `in_op`."""
+        outer, self.in_op = self.in_op, in_op
+        value = self.parse_expr()
+        self.in_op = outer
+        self.expect_sym(")")
+        return value
 
     def parse_keyword(self) -> Value:
         tok = self.take()
         name = tok.text
         self.expect_sym("(")
-        if name == "cyc":
-            inner = self.parse_expr()
-            self.expect_sym(")")
-            if inner.kind == "scalar":
-                inner = self._promote_scalar(inner, "open")
-            if inner.kind != "open":
-                raise ParseError("cyc(...) needs an open-word expression", tok.pos)
-            return Value("cyclic", close(inner.payload))
         if name in ("cov", "sec"):
             comps = [self.parse_component(tok.pos)]
             while self.peek().kind == "sym" and self.peek().text == ";":
@@ -307,13 +320,22 @@ class Parser:
                 )
             kind = "covector" if name == "cov" else "section"
             return _retuple(kind, tuple(comps))
-        if name in ("R", "L"):
-            raise ParseError(f"{name}(...) only makes sense inside op(...)", tok.pos)
         if name == "op":
-            value = self.parse_op_expr()
-            self.expect_sym(")")
-            return Value("operator", value)
-        raise AssertionError(name)
+            return self._operator(self.parse_group(True))
+        if name != "cyc" and not self.in_op:
+            raise ParseError(f"{name}(...) only makes sense inside op(...)", tok.pos)
+        inner = self.parse_group(False)
+        if inner.kind == "scalar":
+            inner = self._promote_scalar(inner, "open")
+        if inner.kind != "open":
+            raise ParseError(f"{name}(...) needs an open-word expression", tok.pos)
+        if name == "cyc":
+            return Value("cyclic", close(inner.payload))
+        if name == "L":
+            return self._operator(inner)
+        return Value(
+            "operator", DifferentialOperator.identity(self.ctx).compose_right(inner.payload)
+        )
 
     def parse_component(self, pos: int) -> FormalSum:
         value = self.parse_expr()
@@ -322,105 +344,6 @@ class Parser:
         if value.kind != "open":
             raise ParseError("tuple components must be open-word expressions", pos)
         return value.payload
-
-    # -- operator sublanguage ---------------------------------------------
-
-    def parse_op_expr(self) -> DifferentialOperator:
-        value = self.parse_op_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in "+-":
-                self.take()
-                rhs = self.parse_op_term()
-                value = value - rhs if tok.text == "-" else value + rhs
-            else:
-                return value
-
-    def parse_op_term(self) -> DifferentialOperator:
-        negate = False
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in "+-":
-                self.take()
-                if tok.text == "-":
-                    negate = not negate
-            else:
-                break
-        value = self.parse_op_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "*":
-                self.take()
-                value = value.compose(self.parse_op_factor())
-            elif tok.kind == "sym" and tok.text == "/":
-                self.take()
-                tok2 = self.peek()
-                divisor = self.parse_op_factor()
-                scalar = _operator_constant(divisor)
-                if scalar is None or scalar == 0:
-                    raise ParseError("operator division needs a nonzero rational", tok2.pos)
-                value = value.scale(Fraction(1, 1) / scalar)
-            else:
-                break
-        return -value if negate else value
-
-    def parse_op_factor(self) -> DifferentialOperator:
-        ctx = self.ctx
-        tok = self.peek()
-        if tok.kind == "deriv":
-            self.take()
-            direction, power = _parse_deriv_token(tok.text, tok.pos, ctx)
-            return from_derivative(ctx, direction, power)
-        if tok.kind == "number":
-            self.take()
-            return DifferentialOperator.identity(ctx).scale(
-                Coefficient.constant(int(tok.text), ctx.directions)
-            )
-        if tok.kind == "xmono":
-            self.take()
-            return DifferentialOperator.identity(ctx).scale(
-                _parse_xmono_token(tok.text, tok.pos, ctx)
-            )
-        if tok.kind == "letter":
-            self.take()
-            letter = _parse_letter_token(tok.text, tok.pos, ctx)
-            word = FormalSum.single(False, (letter,), ctx.one())
-            return DifferentialOperator.identity(ctx).compose_left(word)
-        if tok.kind == "kw" and tok.text in ("R", "L"):
-            self.take()
-            self.expect_sym("(")
-            inner = self.parse_expr()
-            self.expect_sym(")")
-            if inner.kind == "scalar":
-                inner = self._promote_scalar(inner, "open")
-            if inner.kind != "open":
-                raise ParseError(f"{tok.text}(...) needs an open-word expression", tok.pos)
-            base = DifferentialOperator.identity(ctx)
-            if tok.text == "R":
-                return base.compose_right(inner.payload)
-            return base.compose_left(inner.payload)
-        if tok.kind == "sym" and tok.text == "(":
-            self.take()
-            value = self.parse_op_expr()
-            self.expect_sym(")")
-            return value
-        raise ParseError(
-            f"unexpected {tok.text!r} inside op(...)" if tok.text else "unexpected end of op(...)",
-            tok.pos,
-        )
-
-
-def _operator_constant(op: DifferentialOperator) -> Fraction | None:
-    """The rational value of an operator that is a constant multiple of the
-    identity, else None."""
-    if not op.terms:
-        return Fraction(0)
-    if len(op.terms) != 1:
-        return None
-    (left, orders, right), coeff = next(iter(op.terms.items()))
-    if left or right or any(orders):
-        return None
-    return coeff.constant_value()
 
 
 def _components(value: Value) -> tuple[FormalSum, ...]:
@@ -453,7 +376,7 @@ def parse_cyclic(text: str, ctx: JetContext) -> FormalSum:
     if value.kind == "open":
         raise ParseError("expected a cyclic expression; wrap words in cyc(...)")
     if value.kind != "cyclic":
-        raise ParseError(f"expected a cyclic expression, got {value.describe()}")
+        raise ParseError(f"expected a cyclic expression, got {value.kind}")
     return value.payload
 
 
@@ -462,14 +385,14 @@ def parse_open(text: str, ctx: JetContext) -> FormalSum:
     if value.kind == "scalar":
         return FormalSum.single(False, (), value.payload)
     if value.kind != "open":
-        raise ParseError(f"expected an open-word expression, got {value.describe()}")
+        raise ParseError(f"expected an open-word expression, got {value.kind}")
     return value.payload
 
 
 def parse_operator(text: str, ctx: JetContext) -> DifferentialOperator:
     value = parse_value(text, ctx)
     if value.kind != "operator":
-        raise ParseError(f"expected op(...), got {value.describe()}")
+        raise ParseError(f"expected op(...), got {value.kind}")
     return value.payload
 
 
@@ -484,7 +407,7 @@ def parse_covector(text: str, ctx: JetContext) -> Covector:
             else value.payload
         )
         return Covector((comp,))
-    raise ParseError(f"expected cov(...), got {value.describe()}")
+    raise ParseError(f"expected cov(...), got {value.kind}")
 
 
 def parse_section_tuple(text: str, ctx: JetContext) -> tuple[FormalSum, ...]:
@@ -498,7 +421,7 @@ def parse_section_tuple(text: str, ctx: JetContext) -> tuple[FormalSum, ...]:
             else value.payload
         )
         return (comp,)
-    raise ParseError(f"expected sec(...), got {value.describe()}")
+    raise ParseError(f"expected sec(...), got {value.kind}")
 
 
 # -- printer ---------------------------------------------------------------
@@ -523,18 +446,22 @@ def _mono_text(exps: tuple[int, ...], value: Fraction, ctx: JetContext) -> tuple
     return sign, "*".join(parts)
 
 
+def _signed_join(pieces) -> str:
+    """Join (sign, unsigned text) pairs as `t1 + t2 - t3`."""
+    out = []
+    for sign, text in pieces:
+        if out:
+            out.append(f"+ {text}" if sign > 0 else f"- {text}")
+        else:
+            out.append(text if sign > 0 else f"-{text}")
+    return " ".join(out)
+
+
 def coefficient_text(c: Coefficient, ctx: JetContext) -> str:
     """Canonical text of a scalar polynomial, parseable by the grammar."""
     if not c:
         return "0"
-    pieces = []
-    for exps, value in c.sorted_terms():
-        sign, body = _mono_text(exps, value, ctx)
-        if not pieces:
-            pieces.append(body if sign > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(pieces)
+    return _signed_join(_mono_text(exps, value, ctx) for exps, value in c.sorted_terms())
 
 
 def letter_text(letter: Letter, ctx: JetContext) -> str:
@@ -590,12 +517,8 @@ def sum_text(f: FormalSum, ctx: JetContext) -> str:
             body = f"cyc({word_text(letters, ctx)})"
         else:
             body = word_text(letters, ctx) if letters else None
-        sign, text = _term_text(coeff, body, ctx)
-        if not pieces:
-            pieces.append(text if sign > 0 else f"-{text}")
-        else:
-            pieces.append(f"+ {text}" if sign > 0 else f"- {text}")
-    return " ".join(pieces)
+        pieces.append(_term_text(coeff, body, ctx))
+    return _signed_join(pieces)
 
 
 def _sigma_text(orders: tuple[int, ...], ctx: JetContext) -> str | None:
@@ -625,13 +548,8 @@ def operator_text(op: DifferentialOperator, ctx: JetContext) -> str:
         sigma = _sigma_text(orders, ctx)
         if sigma:
             factors.append(sigma)
-        body = "*".join(factors) if factors else None
-        sign, text = _term_text(coeff, body, ctx)
-        if not pieces:
-            pieces.append(text if sign > 0 else f"-{text}")
-        else:
-            pieces.append(f"+ {text}" if sign > 0 else f"- {text}")
-    return "op(" + " ".join(pieces) + ")"
+        pieces.append(_term_text(coeff, "*".join(factors) if factors else None, ctx))
+    return "op(" + _signed_join(pieces) + ")"
 
 
 def covector_text(p: Covector, ctx: JetContext) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import corpus
-from .errors import PreconditionError
+from .errors import BoundExceeded, PreconditionError
 from .words import FormalSum, close_concat
 from .jets import JetContext, evolutionary_apply, make_section, total_derivative
 from .operators import DifferentialOperator, from_derivative
@@ -259,7 +259,9 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     but they still count against `budget`, so every budget finds the same
     witness as the plain loop.  Under a derivative-order cap only computed
     triples can exceed it, so a run the plain loop ends at a skipped triple
-    finds the uncapped witness instead.  Unchecked."""
+    finds the uncapped witness instead.  A triple that does exceed the cap
+    ends the search with (None, None): the verdict already stands on the
+    master defect, so the cap ends the search, not the run.  Unchecked."""
     pool = _witness_pool(ctx)
     section = functools.cache(lambda i: _section(ctx, op, pool[i]))
     inner_covector = functools.cache(
@@ -268,16 +270,19 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
         else -inner_covector(j, i)
     )
     triples = itertools.combinations_with_replacement(range(len(pool)), 3)
-    for triple in itertools.islice(triples, budget):
-        if triple[0] == triple[1] or triple[1] == triple[2]:
-            continue
-        jd = _jacobi(
-            ctx,
-            [section(i)[1] for i in triple],
-            lambda a, b: inner_covector(triple[a], triple[b]),
-        )
-        if not jd.is_trivial():
-            return tuple(pool[i] for i in triple), jd.density
+    try:
+        for triple in itertools.islice(triples, budget):
+            if triple[0] == triple[1] or triple[1] == triple[2]:
+                continue
+            jd = _jacobi(
+                ctx,
+                [section(i)[1] for i in triple],
+                lambda a, b: inner_covector(triple[a], triple[b]),
+            )
+            if not jd.is_trivial():
+                return tuple(pool[i] for i in triple), jd.density
+    except BoundExceeded:
+        pass
     return None, None
 
 

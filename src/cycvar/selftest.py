@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import corpus
 from .words import FormalSum, normalize, times
 from .jets import JetContext
+from .lang import parse_operator
 from .operators import DifferentialOperator, from_derivative
 from .variational import coupling, covector_of, is_trivial
 from .schouten import (
@@ -54,46 +55,21 @@ def _open(ctx, letters, value=1) -> FormalSum:
 # -- standard operators used across suites --------------------------------
 
 
-def op_left_word(ctx: JetContext, letters) -> DifferentialOperator:
-    return DifferentialOperator.identity(ctx).compose_left(_open(ctx, letters))
-
-
-def op_right_word(ctx: JetContext, letters) -> DifferentialOperator:
-    return DifferentialOperator.identity(ctx).compose_right(_open(ctx, letters))
-
-
-def op_x_d_plus_d_x(ctx: JetContext) -> DifferentialOperator:
-    x = ctx.x_power(1, 1)
-    xd = from_derivative(ctx).scale(x)
-    dx = DifferentialOperator.identity(ctx).scale(x).compose_derivative(1)
-    return xd + dx
-
-
 def hamiltonian_family(ctx: JetContext) -> dict[str, DifferentialOperator]:
-    d1 = from_derivative(ctx, 1, 1)
-    d3 = from_derivative(ctx, 1, 3)
     return {
-        "D": d1,
-        "D^3": d3,
-        "xD+Dx": op_x_d_plus_d_x(ctx),
-        "D+D^3": d1 + d3,
+        "D": parse_operator("op(D)", ctx),
+        "D^3": parse_operator("op(D^3)", ctx),
+        "xD+Dx": parse_operator("op(x*D + D*x)", ctx),
+        "D+D^3": parse_operator("op(D + D^3)", ctx),
     }
 
 
 def skew_candidates(ctx: JetContext) -> dict[str, DifferentialOperator]:
     """Deterministic skew candidates with word coefficients."""
-    a = ctx.letter(False, 1)
-    left_minus_right = op_left_word(ctx, (a,)) - op_right_word(ctx, (a,))
-    a_d_plus_d_a = from_derivative(ctx).compose_left(_open(ctx, (a,))) + (
-        DifferentialOperator.identity(ctx).compose_right(_open(ctx, (a,))).compose_derivative(1)
-    )
-    aa_d_plus_d_aa = from_derivative(ctx).compose_left(_open(ctx, (a, a))) + (
-        DifferentialOperator.identity(ctx).compose_right(_open(ctx, (a, a))).compose_derivative(1)
-    )
     return {
-        "(a.)-(.a)": left_minus_right,
-        "aD+D(.a)": a_d_plus_d_a,
-        "aaD+D(.aa)": aa_d_plus_d_aa,
+        "(a.)-(.a)": parse_operator("op(a - R(a))", ctx),
+        "aD+D(.a)": parse_operator("op(a*D + D*R(a))", ctx),
+        "aaD+D(.aa)": parse_operator("op(a*a*D + D*R(a*a))", ctx),
     }
 
 
@@ -388,7 +364,7 @@ def suite_substitution(seed: int = 0) -> SuiteResult:
     plan = [
         ("zero", None, 50),
         ("adjoint-pairing", d1, 25),
-        ("adjoint-pairing", op_x_d_plus_d_x(ctx), 25),
+        ("adjoint-pairing", hamiltonian_family(ctx)["xD+Dx"], 25),
         ("adjoint-pairing", skew_candidates(ctx)["aD+D(.a)"], 25),
         ("jacobi-flow", d1, 25),
         ("bivector-alternation", d1 + from_derivative(ctx, 1, 3), 25),
@@ -429,10 +405,9 @@ def suite_adjoint_laws(seed: int = 0) -> SuiteResult:
     d1 = from_derivative(ctx)
     if d1.adjoint() != -d1:
         failures.append("derivative is not minus-self-adjoint")
-    a = ctx.letter(False, 1)
-    if op_left_word(ctx, (a,)).adjoint() != op_right_word(ctx, (a,)):
+    if parse_operator("op(a)", ctx).adjoint() != parse_operator("op(R(a))", ctx):
         failures.append("left multiplication does not transpose to right")
-    xdx = op_x_d_plus_d_x(ctx)
+    xdx = hamiltonian_family(ctx)["xD+Dx"]
     if xdx.adjoint() != -xdx:
         failures.append("symmetrized x-derivative is not skew")
 

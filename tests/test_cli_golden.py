@@ -112,6 +112,8 @@ CASES = [
     ["is-hamiltonian", H],
     ["is-hamiltonian", "--no-witness", H],
     ["is-hamiltonian", "--witness-budget", "-1", H],
+    # the order cap ends the witness search, not the run
+    ["--max-order", "2", "is-hamiltonian", H],
     ["witness", "op(D)", "cov(a)", "cov(a*a)"],
     ["witness", H, "cov(a)", "cov(a*a)"],
     ["subst-check", "zero", "--trials", "3"],

@@ -152,6 +152,83 @@ class TestOperatorGrammar:
             parse_operator("op(D_2)", CTX)
 
 
+# Operator-expression trees: leaves are ("D", direction, power),
+# ("n", integer), ("x", direction) and (kind, letters) for a bare word, R(w)
+# or L(w); nodes are ("+"|"-"|"*", left, right), ("/", tree, p, q) for a
+# division by p/q and ("neg", tree).  Directions and field indices are
+# clamped to the context.
+_LETTERS = st.lists(st.tuples(st.booleans(), st.integers(1, 2), st.integers(0, 1)), min_size=1, max_size=2)
+_OP_LEAVES = st.one_of(
+    st.tuples(st.just("D"), st.integers(1, 2), st.integers(1, 3)),
+    st.tuples(st.just("n"), st.integers(0, 9)),
+    st.tuples(st.just("x"), st.integers(1, 2)),
+    st.tuples(st.sampled_from(["w", "R", "L"]), _LETTERS),
+)
+_OP_TREES = st.recursive(
+    _OP_LEAVES,
+    lambda t: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*"]), t, t),
+        st.tuples(st.just("/"), t, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9)),
+        st.tuples(st.just("neg"), t),
+    ),
+    max_leaves=8,
+)
+
+
+def _word(letters, ctx):
+    """Text and open sum of a word of (odd, index, order) letters."""
+    out = []
+    for odd, index, order in letters:
+        index = min(index, ctx.fields)
+        orders = (order,) + (0,) * (ctx.directions - 1)
+        out.append(ctx.letter(odd, index, orders))
+    text = "*".join(f"{'b' if l.odd else 'a'}{l.index}{'_x' * l.order}" for l in out)
+    return text, FormalSum.single(False, tuple(out), ctx.one())
+
+
+def _render_and_build(tree, ctx):
+    """The op(...)-grammar text of a tree and the operator it denotes, built
+    without the parser."""
+    head = tree[0]
+    identity = DifferentialOperator.identity(ctx)
+    if head == "D":
+        direction, power = min(tree[1], ctx.directions), tree[2]
+        text = "D" if direction == 1 else f"D_{direction}"
+        return text + (f"^{power}" if power > 1 else ""), from_derivative(ctx, direction, power)
+    if head == "n":
+        return str(tree[1]), identity.scale(ctx.const(tree[1]))
+    if head == "x":
+        direction = min(tree[1], ctx.directions)
+        return f"x{direction}", identity.scale(ctx.x_power(direction, 1))
+    if head in ("w", "R", "L"):
+        text, word = _word(tree[1], ctx)
+        if head == "R":
+            return f"R({text})", identity.compose_right(word)
+        if head == "L":
+            return f"L({text})", identity.compose_left(word)
+        return f"({text})", identity.compose_left(word)
+    if head == "neg":
+        text, op = _render_and_build(tree[1], ctx)
+        return f"(-{text})", -op
+    if head == "/":
+        text, op = _render_and_build(tree[1], ctx)
+        p, q = tree[2], tree[3]
+        return f"({text} / ({p}/{q}))", op.scale(Fraction(q, p))
+    (lt, left), (rt, right) = (_render_and_build(t, ctx) for t in tree[1:])
+    if head == "*":
+        return f"({lt} * {rt})", left.compose(right)
+    return f"({lt} {head} {rt})", left + right if head == "+" else left - right
+
+
+class TestOperatorSemantics:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), _OP_TREES)
+    def test_parse_equals_direct_construction(self, shape, tree):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        text, want = _render_and_build(tree, ctx)
+        assert parse_operator(f"op({text})", ctx) == want, text
+
+
 class TestTuples:
     def test_covector_arity(self):
         p = parse_covector("cov(a_xx; a*a)", CTX22)
@@ -187,6 +264,8 @@ class TestErrors:
             "op(cyc(a))",
             "x^",
             "a // 2",
+            # a divisor is a nonzero rational, also inside op(...)
+            "op(b / R(1))",
         ],
     )
     def test_rejected(self, bad):

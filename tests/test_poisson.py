@@ -335,6 +335,27 @@ class TestRepeatedIndexTriples:
         assert [h.density for h in got.witness] == [h.density for h in want.witness]
         assert got.witness_defect == want.witness_defect
 
+    @pytest.mark.parametrize("fields,text", [
+        (1, "op(a*D + D*R(a))"),
+        (1, "op(a*a*D + D*R(a*a))"),
+        (1, "op(a*a*a*D + D*R(a*a*a))"),
+        (2, "op(a1*D + D*R(a1))"),
+    ])
+    def test_order_cap_ends_the_search_not_the_verdict(self, fields, text):
+        """Under `max_order=2` the master defect fits under the cap and is
+        nonzero, but a computed triple exceeds it: the verdict stands with
+        no witness."""
+        capped = JetContext(fields=fields, directions=1, max_order=2)
+        free = JetContext(fields=fields, directions=1)
+        op = parse_operator(text, capped)
+        with pytest.raises(BoundExceeded):
+            reference_witness_search(capped, op, P._witness_pool(capped), 200)
+        got = is_hamiltonian(capped, op)
+        want = is_hamiltonian(free, parse_operator(text, free))
+        assert not got.hamiltonian and not want.hamiltonian
+        assert got.witness is None and got.witness_defect is None
+        assert got.defect_density == want.defect_density
+
 
 class TestInnerCovectorAntisymmetry:
     """The witness search takes the covector of {h_j, h_i} as minus that of
