@@ -93,7 +93,7 @@ def _sum_machine(f: FormalSum, ctx: JetContext, extra=()):
 
 def _operator_machine(op, ctx: JetContext):
     yield "kind: operator"
-    yield f"count: {len(op.terms)}"
+    yield f"count: {len(op.words.terms)}"
     for (left, orders, right), coeff in op.sorted_terms():
         yield (
             f"term: {coefficient_text(coeff, ctx)} | {word_text(left, ctx)}"

@@ -48,11 +48,14 @@ class JetContext:
         if len(orders) != self.directions or any(o < 0 for o in orders):
             raise PreconditionError(f"bad derivative multi-index {orders}")
         order = sum(orders)
+        self.check_order(order)
+        return Letter(odd, index, order, orders)
+
+    def check_order(self, order: int) -> None:
         if self.max_order is not None and order > self.max_order:
             raise BoundExceeded(
                 f"derivative order {order} exceeds cap {self.max_order}"
             )
-        return Letter(odd, index, order, orders)
 
     def check_direction(self, direction: int) -> None:
         if not 1 <= direction <= self.directions:

@@ -1,5 +1,15 @@
 """Total-differential operators with word coefficients on both sides of the
-argument slot, their composition building blocks, and the graded adjoint."""
+argument slot, their composition building blocks, and the graded adjoint.
+
+A term  coeff * left * D^orders(argument) * right  is the open word
+left + (slot,) + right, where the slot letter is the even letter of the
+reserved field index 0 with derivative multi-index `orders`.  An operator is
+stored as the open word sum of its terms, so the word-sum calculus serves it
+too: sums and scalings are those of the words, composing D after the
+operator is the total derivative of the words (shifting the slot letter
+raises `orders`), and multiplying by words on either side is concatenation.
+`terms()` reads the sum back as ((left, orders, right), coeff) pairs.
+"""
 
 from __future__ import annotations
 
@@ -9,96 +19,88 @@ from .words import (
     FormalSum,
     Letter,
     Word,
+    concat,
     odd_count,
     word_key,
 )
-from .jets import JetContext, d_power, minus_d_series
+from .jets import JetContext, d_power, minus_d_series, total_derivative
 
-# Field index 0 is reserved for the argument-slot marker used internally by
-# the adjoint; real letters are 1-based.
+# Field index 0 is reserved for the argument-slot letter; real letters are
+# 1-based.
 SLOT_INDEX = 0
 
 
-def _slot(orders) -> Letter:
+def _slot(ctx: JetContext, orders) -> Letter:
+    """The slot letter of D^orders; its order counts against the cap."""
     orders = tuple(orders)
-    return Letter(False, SLOT_INDEX, sum(orders), orders)
+    order = sum(orders)
+    ctx.check_order(order)
+    return Letter(False, SLOT_INDEX, order, orders)
+
+
+def _split(letters: Word) -> tuple[Word, tuple[int, ...], Word]:
+    """The (left, orders, right) of an operator word, which holds exactly
+    one slot letter."""
+    for i, letter in enumerate(letters):
+        if letter.index == SLOT_INDEX:
+            return letters[:i], letter.orders, letters[i + 1:]
 
 
 class DifferentialOperator:
     """Sum of terms  coeff * left * D^orders(argument) * right  acting on
-    open-word sums.  `left` and `right` are words; the x-dependence lives in
-    the coefficient."""
+    open-word sums, held as the open sum `words` of the words
+    left + slot + right.  `left` and `right` are words; the x-dependence
+    lives in the coefficient."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "words")
 
-    def __init__(self, ctx: JetContext):
+    def __init__(self, ctx: JetContext, words: FormalSum | None = None):
         self.ctx = ctx
-        self.terms: dict[tuple[Word, tuple[int, ...], Word], Coefficient] = {}
-
-    @classmethod
-    def zero(cls, ctx: JetContext) -> "DifferentialOperator":
-        return cls(ctx)
+        self.words = FormalSum(cyclic=False) if words is None else words
 
     @classmethod
     def identity(cls, ctx: JetContext) -> "DifferentialOperator":
-        out = cls(ctx)
-        out.add_term((), ctx.zero_orders(), (), ctx.one())
-        return out
+        return from_derivative(ctx, 1, 0)
 
     def add_term(self, left: Word, orders, right: Word, coeff: Coefficient) -> None:
-        if not coeff:
-            return
-        key = (tuple(left), tuple(orders), tuple(right))
-        acc = self.terms.get(key)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            self.terms[key] = acc
-        else:
-            self.terms.pop(key, None)
+        self.words.add_word(tuple(left) + (_slot(self.ctx, orders),) + tuple(right), coeff)
+
+    def terms(self):
+        """The terms as ((left, orders, right), coeff) pairs."""
+        for letters, coeff in self.words.terms.items():
+            yield _split(letters), coeff
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.words.is_zero()
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.words)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DifferentialOperator)
             and self.ctx == other.ctx
-            and self.terms == other.terms
+            and self.words == other.words
         )
 
     def __hash__(self):
         raise TypeError("DifferentialOperator is not hashable")
 
     def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        out = DifferentialOperator(self.ctx)
-        for (l, s, r), c in self.terms.items():
-            out.add_term(l, s, r, c)
-        for (l, s, r), c in other.terms.items():
-            out.add_term(l, s, r, c)
-        return out
+        return DifferentialOperator(self.ctx, self.words + other.words)
 
     def __neg__(self) -> "DifferentialOperator":
-        out = DifferentialOperator(self.ctx)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return DifferentialOperator(self.ctx, -self.words)
 
     def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        return self + (-other)
+        return DifferentialOperator(self.ctx, self.words - other.words)
 
     def scale(self, factor) -> "DifferentialOperator":
-        out = DifferentialOperator(self.ctx)
-        for k, c in self.terms.items():
-            scaled = c * factor
-            if scaled:
-                out.terms[k] = scaled
-        return out
+        return DifferentialOperator(self.ctx, self.words.scale(factor))
 
     def sorted_terms(self):
         return sorted(
-            self.terms.items(),
+            self.terms(),
             key=lambda kv: (sum(kv[0][1]), kv[0][1], word_key(kv[0][0]), word_key(kv[0][2])),
         )
 
@@ -109,73 +111,36 @@ class DifferentialOperator:
         if p.cyclic:
             raise PreconditionError("operators act on open sums")
         out = FormalSum(cyclic=False)
-        for (left, orders, right), c in self.terms.items():
-            dp = d_power(self.ctx, p, orders)
-            for w, pc in dp.terms.items():
+        for (left, orders, right), c in self.terms():
+            for w, pc in d_power(self.ctx, p, orders).terms.items():
                 out.add_word(left + w + right, c * pc)
         return out
 
     # -- composition building blocks ------------------------------------
 
     def compose_derivative(self, direction: int = 1) -> "DifferentialOperator":
-        """D composed after this operator (differentiate the whole output)."""
-        ctx = self.ctx
-        ctx.check_direction(direction)
-        out = DifferentialOperator(ctx)
-        for (left, orders, right), c in self.terms.items():
-            dc = c.diff(direction)
-            if dc:
-                out.add_term(left, orders, right, dc)
-            for i in range(len(left)):
-                shifted = left[:i] + (ctx.shift(left[i], direction),) + left[i + 1:]
-                out.add_term(shifted, orders, right, c)
-            d = direction - 1
-            raised = orders[:d] + (orders[d] + 1,) + orders[d + 1:]
-            out.add_term(left, raised, right, c)
-            for i in range(len(right)):
-                shifted = right[:i] + (ctx.shift(right[i], direction),) + right[i + 1:]
-                out.add_term(left, orders, shifted, c)
-        return out
+        """D composed after this operator (differentiate the whole output):
+        the total derivative of the words, slot letter included."""
+        return DifferentialOperator(self.ctx, total_derivative(self.ctx, self.words, direction))
 
     def compose_left(self, words: FormalSum) -> "DifferentialOperator":
         """Left multiplication by an open-word sum, composed after this."""
         if words.cyclic:
             raise PreconditionError("left factor must be an open sum")
-        out = DifferentialOperator(self.ctx)
-        for (left, orders, right), c in self.terms.items():
-            for w, wc in words.terms.items():
-                out.add_term(w + left, orders, right, wc * c)
-        return out
+        return DifferentialOperator(self.ctx, concat(words, self.words))
 
     def compose_right(self, words: FormalSum) -> "DifferentialOperator":
         """Right multiplication by an open-word sum, composed after this."""
         if words.cyclic:
             raise PreconditionError("right factor must be an open sum")
-        out = DifferentialOperator(self.ctx)
-        for (left, orders, right), c in self.terms.items():
-            for w, wc in words.terms.items():
-                out.add_term(left, orders, right + w, c * wc)
-        return out
+        return DifferentialOperator(self.ctx, concat(self.words, words))
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        """General composition self after other:  p -> self(other(p))."""
+        """General composition self after other:  p -> self(other(p)), which
+        is this operator applied to the words of `other`."""
         if self.ctx != other.ctx:
             raise PreconditionError("operator composition needs a shared context")
-        ctx = self.ctx
-        out = DifferentialOperator(ctx)
-        for (left, orders, right), c in self.terms.items():
-            piece = other
-            for direction, e in enumerate(orders, start=1):
-                for _ in range(e):
-                    piece = piece.compose_derivative(direction)
-            if left:
-                piece = piece.compose_left(FormalSum.single(False, left, ctx.one()))
-            if right:
-                piece = piece.compose_right(FormalSum.single(False, right, ctx.one()))
-            piece = piece.scale(c)
-            for key, pc in piece.terms.items():
-                out.add_term(key[0], key[1], key[2], pc)
-        return out
+        return DifferentialOperator(self.ctx, self.apply(other.words))
 
     # -- adjoint ---------------------------------------------------------
 
@@ -184,23 +149,18 @@ class DifferentialOperator:
         coeff * L * D^s(p) * R  transposes to the expansion of
         p -> (-D)^s (coeff * R * p * L), with a sign transporting the graded
         side words past the pairing.  The carriers  coeff * R * slot * L  are
-        grouped by s across terms and expanded in Horner form."""
+        grouped by s across terms and expanded in Horner form; the expansion
+        is already the adjoint's word sum."""
         ctx = self.ctx
-        slot = _slot(ctx.zero_orders())
+        slot = _slot(ctx, ctx.zero_orders())
         carriers: dict[tuple[int, ...], FormalSum] = {}
-        for (left, orders, right), c in self.terms.items():
+        for (left, orders, right), c in self.terms():
             k_left = odd_count(left)
             k_total = k_left + odd_count(right)
             flip = k_left % 2 and (k_total - 1) % 2
             part = carriers.setdefault(orders, FormalSum(cyclic=False))
             part.add_word(right + (slot,) + left, -c if flip else c)
-        out = DifferentialOperator(ctx)
-        for w, wc in minus_d_series(ctx, carriers).terms.items():
-            pos = next(
-                i for i, l in enumerate(w) if l.index == SLOT_INDEX and not l.odd
-            )
-            out.add_term(w[:pos], w[pos].orders, w[pos + 1:], wc)
-        return out
+        return DifferentialOperator(ctx, minus_d_series(ctx, carriers))
 
     def is_skew(self) -> bool:
         return self.adjoint() == -self
@@ -211,7 +171,11 @@ class DifferentialOperator:
 
 def from_derivative(ctx: JetContext, direction: int = 1, power: int = 1) -> DifferentialOperator:
     """The operator D^power along one direction."""
-    out = DifferentialOperator.identity(ctx)
-    for _ in range(power):
-        out = out.compose_derivative(direction)
-    return out
+    ctx.check_direction(direction)
+    if power < 0:
+        raise PreconditionError(f"derivative power must be nonnegative, got {power}")
+    orders = [0] * ctx.directions
+    orders[direction - 1] = power
+    return DifferentialOperator(
+        ctx, FormalSum.single(False, (_slot(ctx, orders),), ctx.one())
+    )

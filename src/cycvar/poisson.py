@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import corpus
 from .errors import BoundExceeded, PreconditionError
-from .words import FormalSum, close_concat
+from .words import FormalSum
 from .jets import JetContext, evolutionary_apply, make_section, total_derivative
 from .operators import DifferentialOperator, from_derivative
 from .variational import (
@@ -28,6 +28,7 @@ from .schouten import (
     evaluate,
     multivector_from_operator,
     normalize_multivector,
+    odd_letter_sums,
 )
 
 
@@ -147,11 +148,12 @@ def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
     total divergences exactly, so it is the same value on either route."""
     _require_skew(op)
     pv = multivector_from_operator(ctx, op)
-    density = FormalSum(cyclic=True)
-    for j in range(1, ctx.fields + 1):
-        da = euler_derivative(ctx, pv.density, odd_kind=False, index=j)
-        db = euler_derivative(ctx, pv.density, odd_kind=True, index=j)
-        density._accumulate(close_concat(da, db))
+    families = range(1, ctx.fields + 1)
+    density = coupling(
+        ctx,
+        (euler_derivative(ctx, pv.density, odd_kind=False, index=j) for j in families),
+        (euler_derivative(ctx, pv.density, odd_kind=True, index=j) for j in families),
+    )
     return normalize_multivector(ctx, density.scale(2), 3)
 
 
@@ -351,12 +353,7 @@ def substitution_harness(
             # Variational derivatives annihilate total divergences, exactly.
             even_density = corpus.functional(rng, ctx, max_len=functional_len).density
             p = corpus.covector(rng, ctx, jet_dependent=jet)
-            odd_density = FormalSum(cyclic=True)
-            for j, comp in enumerate(p.components, start=1):
-                carrier = FormalSum.single(
-                    False, (ctx.letter(True, j),), ctx.one()
-                )
-                odd_density._accumulate(close_concat(carrier, comp))
+            odd_density = coupling(ctx, odd_letter_sums(ctx), p.components)
             passed = True
             for density in (even_density, odd_density):
                 for direction in range(1, ctx.directions + 1):

@@ -17,7 +17,7 @@ from .jets import (
     make_section,
 )
 from .operators import DifferentialOperator
-from .variational import Covector, Functional, euler_derivative, is_trivial
+from .variational import Covector, Functional, coupling, euler_derivative, is_trivial
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,14 @@ class Multivector:
 
     def is_zero(self) -> bool:
         return self.density.is_zero()
+
+
+def odd_letter_sums(ctx: JetContext) -> tuple[FormalSum, ...]:
+    """The one-letter open sums b_1, ..., b_m of the odd letters."""
+    return tuple(
+        FormalSum.single(False, (ctx.letter(True, j),), ctx.one())
+        for j in range(1, ctx.fields + 1)
+    )
 
 
 def normalize_multivector(
@@ -80,11 +88,7 @@ def normalize_multivector(
         euler_derivative(ctx, density, odd_kind=True, index=j)
         for j in range(1, ctx.fields + 1)
     ]
-    rebuilt = FormalSum(cyclic=True)
-    for j, var in enumerate(variations, start=1):
-        slot_word = FormalSum.single(False, (ctx.letter(True, j),), ctx.one())
-        rebuilt._accumulate(close_concat(slot_word, var))
-    rebuilt = rebuilt.scale(Fraction(1, degree))
+    rebuilt = coupling(ctx, odd_letter_sums(ctx), variations).scale(Fraction(1, degree))
 
     section = tuple(variations) if degree == 1 else None
     operator = None
@@ -101,10 +105,8 @@ def multivector_from_operator(
 ) -> Multivector:
     """The degree-2 density of a skew one-slot operator, acting diagonally:
     half the closed pairing of the odd letters with their images."""
-    density = FormalSum(cyclic=True)
-    for j in range(1, ctx.fields + 1):
-        b_j = FormalSum.single(False, (ctx.letter(True, j),), ctx.one())
-        density._accumulate(close_concat(b_j, op.apply(b_j)))
+    bs = odd_letter_sums(ctx)
+    density = coupling(ctx, bs, (op.apply(b) for b in bs))
     return normalize_multivector(ctx, density.scale(Fraction(1, 2)), degree=2)
 
 

@@ -232,10 +232,6 @@ class FormalSum:
         out.add_word(letters, coeff)
         return out
 
-    @classmethod
-    def zero(cls, cyclic: bool) -> "FormalSum":
-        return cls(cyclic)
-
     def add_word(self, letters: Word, coeff: Coefficient) -> None:
         if not coeff:
             return
@@ -340,11 +336,12 @@ def close(f: FormalSum) -> FormalSum:
     return out
 
 
-def concat(f: FormalSum, g: FormalSum) -> FormalSum:
-    """Concatenation product of open sums."""
+def concat(f: FormalSum, g: FormalSum, cyclic: bool = False) -> FormalSum:
+    """Concatenation product of open sums, collected in a sum of the given
+    flavor."""
     if f.cyclic or g.cyclic:
         raise ValueError("concat expects open sums")
-    out = FormalSum(cyclic=False)
+    out = FormalSum(cyclic)
     for w1, c1 in f.terms.items():
         for w2, c2 in g.terms.items():
             out.add_word(w1 + w2, c1 * c2)
@@ -354,13 +351,7 @@ def concat(f: FormalSum, g: FormalSum) -> FormalSum:
 def close_concat(f: FormalSum, g: FormalSum) -> FormalSum:
     """`close(concat(f, g))` in one pass: each concatenation goes straight
     into the cyclic sum, with no intermediate open sum."""
-    if f.cyclic or g.cyclic:
-        raise ValueError("close_concat expects open sums")
-    out = FormalSum(cyclic=True)
-    for w1, c1 in f.terms.items():
-        for w2, c2 in g.terms.items():
-            out.add_word(w1 + w2, c1 * c2)
-    return out
+    return concat(f, g, cyclic=True)
 
 
 def times(f: FormalSum, g: FormalSum) -> FormalSum:

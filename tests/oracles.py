@@ -197,7 +197,7 @@ def reference_adjoint(op: DifferentialOperator) -> DifferentialOperator:
     own."""
     ctx = op.ctx
     out = DifferentialOperator(ctx)
-    for (left, orders, right), c in op.terms.items():
+    for (left, orders, right), c in op.terms():
         k_left = odd_count(left)
         sign = -1 if k_left % 2 and (k_left + odd_count(right) - 1) % 2 else 1
         slot = Letter(False, SLOT_INDEX, 0, ctx.zero_orders())

@@ -12,6 +12,7 @@ def run_cli(*args):
         [sys.executable, "-m", "cycvar.cli", *args],
         capture_output=True,
         text=True,
+        timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -226,6 +227,35 @@ class TestRejectedInputs:
         rc, out, err = run_cli("normalize", expr)
         assert rc == 1 and out == ""
         assert err == "error: expression nests too deeply\n"
+
+
+class TestOperatorOrderCap:
+    """`--max-order` bounds an operator's own derivative order wherever the
+    operator is built, and a large power is one term, not a loop."""
+
+    @pytest.mark.parametrize(
+        "command, expr, order",
+        [
+            ("normalize", "op(D^3)", 3),
+            ("normalize", "op(D*D*D)", 3),
+            ("adjoint", "op(D^3)", 3),
+            ("is-hamiltonian", "op(D^3)", 3),
+            ("normalize", "op(D^99999999999)", 99999999999),
+        ],
+    )
+    def test_over_cap_exits_4(self, command, expr, order):
+        rc, out, err = run_cli("--max-order", "2", command, expr)
+        assert rc == 4 and out == ""
+        assert err == f"error: derivative order {order} exceeds cap 2\n"
+
+    @pytest.mark.parametrize("command, wanted", [("normalize", "op(D^2)"), ("adjoint", "op(D^2)")])
+    def test_at_cap_is_accepted(self, command, wanted):
+        rc, out, _ = run_cli("--max-order", "2", command, "op(D^2)")
+        assert rc == 0 and out.strip() == wanted
+
+    def test_huge_power_without_cap(self):
+        rc, out, _ = run_cli("normalize", "op(D^99999999999)")
+        assert rc == 0 and out.strip() == "op(D^99999999999)"
 
 
 class TestPlumbing:

@@ -7,7 +7,7 @@ import pytest
 from cycvar import corpus
 from cycvar.errors import PreconditionError
 from cycvar.words import Coefficient, FormalSum, close, concat
-from cycvar.jets import JetContext
+from cycvar.jets import JetContext, total_derivative
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import is_trivial
 
@@ -35,6 +35,25 @@ D = from_derivative(CTX)
 D3 = from_derivative(CTX, 1, 3)
 X_COEFF = Coefficient.monomial((1,), 1)
 
+# (fields, directions) shapes of the seeded checks
+SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+def graded_operator(rng, ctx, terms):
+    """Operator whose side words carry odd letters, so that both parities
+    of each side word occur."""
+    out = DifferentialOperator(ctx)
+    for _ in range(terms):
+        sigma = [0] * ctx.directions
+        for _ in range(rng.randint(0, 3)):
+            sigma[rng.randrange(ctx.directions)] += 1
+        sides = []
+        for _ in range(2):
+            length = rng.randint(0, 2)
+            sides.append(corpus.open_word(rng, ctx, length, rng.randint(0, length), 1))
+        out.add_term(sides[0], tuple(sigma), sides[1], corpus.coefficient(rng, ctx))
+    return out
+
 
 class TestAction:
     def test_left_then_derivative_orders(self):
@@ -53,6 +72,12 @@ class TestAction:
     def test_rejects_cyclic_argument(self):
         with pytest.raises(PreconditionError):
             D.apply(FormalSum.single(True, (A,), CTX.one()))
+
+    def test_derivative_powers(self):
+        assert from_derivative(CTX, 1, 0) == DifferentialOperator.identity(CTX)
+        assert from_derivative(CTX, 1, 2) == D.compose(D)
+        with pytest.raises(PreconditionError):
+            from_derivative(CTX, 1, -1)
 
 
 class TestCompose:
@@ -126,25 +151,67 @@ class TestAdjoint:
         assert is_trivial(CTX, lhs - rhs)
 
 
+class TestSlotSumAlgebra:
+    """Composition building blocks of seeded operators, some with odd side
+    words, agree with acting on seeded open-sum probes, and the terms read
+    back from an operator rebuild it."""
+
+    @staticmethod
+    def draws(fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(100 * fields + directions)
+        ops = [corpus.operator(rng, ctx, terms=3) for _ in range(3)]
+        ops += [graded_operator(rng, ctx, terms=2) for _ in range(3)]
+        probes = []
+        for _ in range(3):
+            p = corpus.open_sum(rng, ctx, words=2, max_order=1)
+            p.add_word(corpus.open_word(rng, ctx, 2, 1, 1), corpus.coefficient(rng, ctx))
+            probes.append(p)
+        return ctx, rng, ops, probes
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_derivative_after_is_total_derivative(self, fields, directions):
+        ctx, _, ops, probes = self.draws(fields, directions)
+        for op in ops:
+            for d in range(1, directions + 1):
+                after = op.compose_derivative(d)
+                for p in probes:
+                    assert after.apply(p) == total_derivative(ctx, op.apply(p), d)
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_side_multiplication_is_concatenation(self, fields, directions):
+        ctx, rng, ops, probes = self.draws(fields, directions)
+        for op in ops:
+            w = corpus.open_sum(rng, ctx, words=2, max_order=1)
+            w.add_word(corpus.open_word(rng, ctx, 1, 1, 1), corpus.coefficient(rng, ctx))
+            for p in probes:
+                image = op.apply(p)
+                assert op.compose_left(w).apply(p) == concat(w, image)
+                assert op.compose_right(w).apply(p) == concat(image, w)
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_compose_is_sequential_application(self, fields, directions):
+        _, _, ops, probes = self.draws(fields, directions)
+        for f in ops:
+            for g in ops[::3]:
+                composed = f.compose(g)
+                for p in probes:
+                    assert composed.apply(p) == f.apply(g.apply(p))
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_terms_rebuild_the_operator(self, fields, directions):
+        ctx, _, ops, _ = self.draws(fields, directions)
+        for op in ops:
+            rebuilt = DifferentialOperator(ctx)
+            for (left, orders, right), c in op.terms():
+                assert len(orders) == directions and c
+                rebuilt.add_term(left, orders, right, c)
+            assert rebuilt == op
+
+
 class TestAdjointReference:
     """The grouped Horner expansion agrees exactly with expanding each term's
     (-D)^s on its own."""
-
-    @staticmethod
-    def graded_operator(rng, ctx, terms):
-        """Operator whose side words carry odd letters, so that both parities
-        of each side word occur."""
-        out = DifferentialOperator(ctx)
-        for _ in range(terms):
-            sigma = [0] * ctx.directions
-            for _ in range(rng.randint(0, 3)):
-                sigma[rng.randrange(ctx.directions)] += 1
-            sides = []
-            for _ in range(2):
-                length = rng.randint(0, 2)
-                sides.append(corpus.open_word(rng, ctx, length, rng.randint(0, length), 1))
-            out.add_term(sides[0], tuple(sigma), sides[1], corpus.coefficient(rng, ctx))
-        return out
 
     @pytest.mark.parametrize("fields", [1, 2, 3])
     @pytest.mark.parametrize("directions", [1, 2])
@@ -154,6 +221,6 @@ class TestAdjointReference:
         for _ in range(20):
             for op in (
                 corpus.operator(rng, ctx, terms=3),
-                self.graded_operator(rng, ctx, terms=3),
+                graded_operator(rng, ctx, terms=3),
             ):
                 assert op.adjoint() == reference_adjoint(op)

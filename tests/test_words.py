@@ -147,7 +147,7 @@ class TestLetterOrder:
         letters = [corpus.letter(rng, ctx, rng.random() < 0.5, max_order=3) for _ in range(8)]
         letters += [ctx.shift(l, rng.randint(1, n)) for l in letters]
         letters += [w[0] for l in letters for w in parse_open(letter_text(l, ctx), ctx).terms]
-        letters += [_slot(l.orders) for l in letters]
+        letters += [_slot(ctx, l.orders) for l in letters]
         for l in letters:
             assert l.order == sum(l.orders)
         spelled = sorted(letters, key=lambda l: (l.odd, l.index, sum(l.orders), l.orders))
