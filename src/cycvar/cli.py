@@ -599,6 +599,8 @@ def selftest(session, only):
 
 
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         cli.main(args=argv, prog_name="cycvar", standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -606,7 +608,12 @@ def main(argv=None):
     except click.exceptions.Abort:
         sys.exit(130)
     except click.UsageError as exc:
-        exc.show()
+        # with no arguments at all, newer click versions raise the help page
+        # as a usage error; it is shown whole
+        if argv:
+            click.echo(f"error: {exc.format_message()}", err=True)
+        else:
+            exc.show()
         sys.exit(2)
     except click.ClickException as exc:
         exc.show()

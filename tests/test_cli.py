@@ -272,8 +272,14 @@ class TestPlumbing:
         assert rc == 4 and "cap" in err
 
     def test_usage_error_exit_code(self):
-        rc, _, _ = run_cli("no-such-command")
-        assert rc == 2
+        for args, message in [
+            (("no-such-command",), "No such command 'no-such-command'."),
+            (("normalize", "a", "b"), "Got unexpected extra argument (b)"),
+            (("--output", "machine"), "Missing command."),
+        ]:
+            rc, out, err = run_cli(*args)
+            assert rc == 2 and out == ""
+            assert err == f"error: {message}\n"
 
     def test_batch_file(self, tmp_path):
         batch = tmp_path / "batch.txt"
