@@ -21,7 +21,7 @@ from pathlib import Path
 
 import click
 
-from .errors import BoundExceeded, CycvarError, IdentityFailure, ParseError, PreconditionError
+from .errors import CycvarError, IdentityFailure, ParseError, PreconditionError
 from .words import FormalSum, times
 from .jets import JetContext, total_derivative
 from .variational import Functional, coupling, euler_derivative, is_trivial
@@ -618,21 +618,9 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except PreconditionError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except IdentityFailure as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    except BoundExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
     except CycvarError as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        sys.exit(exc.exit_code)
     sys.exit(0)
 
 

@@ -42,14 +42,17 @@ class JetContext:
             raise PreconditionError(
                 f"field index {index} outside 1..{self.fields}"
             )
-        if orders is None:
-            orders = self.zero_orders()
+        orders = self.check_orders(self.zero_orders() if orders is None else orders)
+        return Letter(odd, index, sum(orders), orders)
+
+    def check_orders(self, orders) -> tuple[int, ...]:
+        """A derivative multi-index as a tuple: one nonnegative order per
+        direction, with a total order within the cap."""
         orders = tuple(orders)
         if len(orders) != self.directions or any(o < 0 for o in orders):
             raise PreconditionError(f"bad derivative multi-index {orders}")
-        order = sum(orders)
-        self.check_order(order)
-        return Letter(odd, index, order, orders)
+        self.check_order(sum(orders))
+        return orders
 
     def check_order(self, order: int) -> None:
         if self.max_order is not None and order > self.max_order:

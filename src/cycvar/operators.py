@@ -31,11 +31,10 @@ SLOT_INDEX = 0
 
 
 def _slot(ctx: JetContext, orders) -> Letter:
-    """The slot letter of D^orders; its order counts against the cap."""
-    orders = tuple(orders)
-    order = sum(orders)
-    ctx.check_order(order)
-    return Letter(False, SLOT_INDEX, order, orders)
+    """The slot letter of D^orders, checked like the multi-index of any
+    letter; its order counts against the cap."""
+    orders = ctx.check_orders(orders)
+    return Letter(False, SLOT_INDEX, sum(orders), orders)
 
 
 def _split(letters: Word) -> tuple[Word, tuple[int, ...], Word]:

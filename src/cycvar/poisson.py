@@ -28,6 +28,7 @@ from .schouten import (
     evaluate,
     multivector_from_operator,
     normalize_multivector,
+    odd_degree,
     odd_letter_sums,
 )
 
@@ -44,28 +45,36 @@ def hamiltonian_section(
     return tuple(op.apply(comp) for comp in p.components)
 
 
-def _section(
-    ctx: JetContext, op: DifferentialOperator, f: Functional
-) -> tuple[Covector, tuple[FormalSum, ...]]:
-    """Covector of a functional and its operator image."""
-    p = covector_of(ctx, f)
-    return p, hamiltonian_section(ctx, op, p)
+def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, functionals):
+    """The Jacobi defect density of an index triple (i, j, k) into
+    `functionals`, as a function of the triple: the cyclic sum of
+    {{h_a, h_b}, h_c} over (a, b, c) = (i, j, k), (j, k, i), (k, i, j).
 
+    Each functional's covector and operator image, and each inner bracket's
+    covector, is computed once across all triples asked for.  The covector
+    of {h_j, h_i} for i < j is taken as minus that of {h_i, h_j}: for a
+    skew operator the two brackets add up to a total divergence, which
+    every variational derivative maps to exactly zero.  Unchecked."""
 
-def _bracket(ctx: JetContext, p: Covector, image) -> Functional:
-    """Unchecked bracket core: couple the variations of the first functional
-    with the operator image of the variations of the second."""
-    return Functional(ctx, coupling(ctx, p, image))
+    @functools.cache
+    def section(i):
+        p = covector_of(ctx, functionals[i])
+        return p, hamiltonian_section(ctx, op, p)
 
+    @functools.cache
+    def inner(i, j):
+        if i > j:
+            return -inner(j, i)
+        return covector_of(ctx, coupling(ctx, section(i)[0], section(j)[1]))
 
-def _jacobi(ctx: JetContext, images, inner) -> Functional:
-    """Cyclic sum of {{h_a, h_b}, h_c} over (a, b, c) = (0, 1, 2), (1, 2, 0),
-    (2, 0, 1), from the operator images of h_0, h_1, h_2 and `inner(a, b)`,
-    the covector of {h_a, h_b}.  Unchecked."""
-    total = FormalSum(cyclic=True)
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        total._accumulate(_bracket(ctx, inner(a, b), images[c]).density)
-    return Functional(ctx, total)
+    def defect(triple) -> FormalSum:
+        total = FormalSum(cyclic=True)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            inner_ab = inner(triple[a], triple[b])
+            total._accumulate(coupling(ctx, inner_ab, section(triple[c])[1]))
+        return total
+
+    return defect
 
 
 def poisson_bracket(
@@ -76,7 +85,7 @@ def poisson_bracket(
     _require_skew(op)
     p = covector_of(ctx, f)
     q = covector_of(ctx, g)
-    return _bracket(ctx, p, hamiltonian_section(ctx, op, q))
+    return Functional(ctx, coupling(ctx, p, hamiltonian_section(ctx, op, q)))
 
 
 def jacobi_defect(
@@ -89,17 +98,7 @@ def jacobi_defect(
     """Cyclic sum of nested brackets; trivial exactly when the bracket
     satisfies the Jacobi identity on these arguments."""
     _require_skew(op)
-    return _jacobi_defect(ctx, op, (h1, h2, h3))
-
-
-def _jacobi_defect(ctx: JetContext, op: DifferentialOperator, hs) -> Functional:
-    """Unchecked `jacobi_defect` on a triple of functionals."""
-    sections = [_section(ctx, op, h) for h in hs]
-    return _jacobi(
-        ctx,
-        [v for _, v in sections],
-        lambda a, b: covector_of(ctx, _bracket(ctx, sections[a][0], sections[b][1])),
-    )
+    return Functional(ctx, _jacobi_triples(ctx, op, (h1, h2, h3))((0, 1, 2)))
 
 
 def jacobi_defect_expanded(
@@ -139,20 +138,25 @@ def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
     form; its class vanishes exactly when the operator's bracket satisfies
     Jacobi.
 
-    The representative is 2 * sum_j close(dP/da_j * dP/db_j), the pairing of
-    P's variations, not the flow density of `schouten_bracket(pv, pv)`.  The
-    two differ by a total divergence: for degree 2 the right variation along
-    b_j is minus the left one, and the even factor dP/da_j commutes under
-    `close`, so both halves of the bracket give the same pairing.  The
-    standard form is built from the odd variations alone, which vanish on
-    total divergences exactly, so it is the same value on either route."""
+    P is the raw density (1/2) * sum_j close(b_j * op(b_j)), never put in
+    standard form: only its variations are used, and they ignore total
+    divergences exactly.  The representative is 2 * sum_j close(dP/da_j *
+    dP/db_j), the pairing of P's variations, not the flow density of the
+    self-bracket.  The two differ by a total divergence: for degree 2 the
+    right variation along b_j is minus the left one, and the even factor
+    dP/da_j commutes under `close`, so both halves of the bracket give the
+    same pairing.  The standard form is built from the odd variations alone,
+    which vanish on total divergences exactly, so it is the same value on
+    either route."""
     _require_skew(op)
-    pv = multivector_from_operator(ctx, op)
+    bs = odd_letter_sums(ctx)
+    bivector = coupling(ctx, bs, (op.apply(b) for b in bs)).scale(Fraction(1, 2))
+    odd_degree(bivector, 2)
     families = range(1, ctx.fields + 1)
     density = coupling(
         ctx,
-        (euler_derivative(ctx, pv.density, odd_kind=False, index=j) for j in families),
-        (euler_derivative(ctx, pv.density, odd_kind=True, index=j) for j in families),
+        (euler_derivative(ctx, bivector, odd_kind=False, index=j) for j in families),
+        (euler_derivative(ctx, bivector, odd_kind=True, index=j) for j in families),
     )
     return normalize_multivector(ctx, density.scale(2), 3)
 
@@ -226,12 +230,12 @@ def is_hamiltonian(
     The verdict comes from the triviality of the master defect, read off its
     standard form: a degree-3 standard form is empty exactly when the
     density is a total divergence (see `normalize_multivector`).  The master
-    defect is built from the pairing of the bivector's variations, which is
-    the same standard form as that of the self-bracket's flow density (see
-    `master_defect`).  A negative verdict is backed, when possible, by an
-    explicit functional triple whose Jacobi defect is nontrivial; triples
-    with a repeated functional are skipped, since their defect is exactly
-    zero, but still count against `witness_budget` (see `_witness_search`).
+    defect is built from the pairing of the raw bivector's variations, the
+    same standard form as that of the self-bracket's flow density (see
+    `master_defect`).  A negative verdict is backed, when possible, by a
+    functional triple whose `jacobi_defect` is nontrivial; triples with a
+    repeated functional are skipped, since their defect is exactly zero,
+    but still count against `witness_budget` (see `_witness_search`).
     """
     if witness_budget < 0:
         raise PreconditionError(
@@ -250,39 +254,29 @@ def is_hamiltonian(
 def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     """First of at most `budget` triples of `_witness_pool` functionals, in
     `combinations_with_replacement` order, whose Jacobi defect is nontrivial,
-    with that defect; (None, None) if there is none.  Each pool member's
-    covector and image, and each inner bracket's covector, is computed once.
-    The covector of {h_j, h_i} for i < j is taken as minus that of
-    {h_i, h_j}: for a skew operator the two brackets add up to a total
-    divergence, which every variational derivative maps to exactly zero.
-    For the same reason the covector of {h_i, h_i} is exactly zero, so the
-    cyclic sum over a triple with a repeated index cancels term by term to
-    the empty sum.  Such triples are skipped without computing anything,
-    but they still count against `budget`, so every budget finds the same
-    witness as the plain loop.  Under a derivative-order cap only computed
-    triples can exceed it, so a run the plain loop ends at a skipped triple
-    finds the uncapped witness instead.  A triple that does exceed the cap
-    ends the search with (None, None): the verdict already stands on the
-    master defect, so the cap ends the search, not the run.  Unchecked."""
+    with that defect; (None, None) if there is none.  The defects come from
+    `_jacobi_triples`, which computes each pool member's covector and image,
+    and each inner bracket's covector, once for the whole search.  The
+    covector of {h_i, h_i} is exactly zero and that of {h_k, h_i} is exactly
+    minus that of {h_i, h_k}, so the cyclic sum over a triple with a repeated
+    index cancels term by term to the empty sum.  Such triples are skipped
+    without computing anything, but they still count against `budget`, so
+    every budget finds the same witness as the plain loop.  Under a
+    derivative-order cap only computed triples can exceed it, so a run the
+    plain loop ends at a skipped triple finds the uncapped witness instead.
+    A triple that does exceed the cap ends the search with (None, None): the
+    verdict already stands on the master defect, so the cap ends the search,
+    not the run.  Unchecked."""
     pool = _witness_pool(ctx)
-    section = functools.cache(lambda i: _section(ctx, op, pool[i]))
-    inner_covector = functools.cache(
-        lambda i, j: covector_of(ctx, _bracket(ctx, section(i)[0], section(j)[1]))
-        if i <= j
-        else -inner_covector(j, i)
-    )
+    defect = _jacobi_triples(ctx, op, pool)
     triples = itertools.combinations_with_replacement(range(len(pool)), 3)
     try:
         for triple in itertools.islice(triples, budget):
             if triple[0] == triple[1] or triple[1] == triple[2]:
                 continue
-            jd = _jacobi(
-                ctx,
-                [section(i)[1] for i in triple],
-                lambda a, b: inner_covector(triple[a], triple[b]),
-            )
-            if not jd.is_trivial():
-                return tuple(pool[i] for i in triple), jd.density
+            density = defect(triple)
+            if not is_trivial(ctx, density):
+                return tuple(pool[i] for i in triple), density
     except BoundExceeded:
         pass
     return None, None
@@ -375,7 +369,7 @@ def substitution_harness(
             hs = tuple(
                 corpus.functional(rng, ctx, max_len=functional_len) for _ in range(3)
             )
-            residual = _jacobi_defect(ctx, op, hs).density
+            residual = _jacobi_triples(ctx, op, hs)((0, 1, 2))
             passed = is_trivial(ctx, residual)
         else:  # bivector-alternation
             p = corpus.covector(rng, ctx, jet_dependent=jet)

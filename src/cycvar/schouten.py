@@ -25,17 +25,14 @@ class Multivector:
     """A homogeneous cyclic density of fixed degree in the odd letters,
     considered up to total divergences.
 
-    `normalize_multivector` stores the extracted section components for
-    degree 1 and, for degree 2 with a single field pair, the extracted
-    one-slot operator.  `q_field` keeps its result in `_field`, which
-    equality and `repr` ignore.
+    It stores the density alone: `bivector_operator` extracts the one-slot
+    operator of a degree-2 multivector on request.  `q_field` keeps its
+    result in `_field`, which equality and `repr` ignore.
     """
 
     ctx: JetContext
     degree: int
     density: FormalSum
-    section: tuple[FormalSum, ...] | None = None
-    operator: DifferentialOperator | None = None
     _field: tuple[JetContext, GeneratingSection] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -52,15 +49,27 @@ def odd_letter_sums(ctx: JetContext) -> tuple[FormalSum, ...]:
     )
 
 
+def odd_degree(density: FormalSum, expected: int | None = None) -> int:
+    """The odd degree of a homogeneous density: that of its words, else
+    `expected`, else 0.  Raises PreconditionError if the words mix degrees
+    or their degree is not `expected`."""
+    degrees = density.odd_degrees()
+    if len(degrees) > 1:
+        raise PreconditionError(f"density mixes odd degrees {sorted(degrees)}")
+    if not degrees:
+        return 0 if expected is None else expected
+    found = degrees.pop()
+    if expected is not None and expected != found:
+        raise PreconditionError(f"density has degree {found}, expected {expected}")
+    return found
+
+
 def normalize_multivector(
     ctx: JetContext, density: FormalSum, degree: int | None = None
 ) -> Multivector:
     """Re-present a homogeneous density in the standard form with one bare
-    odd letter out front, scaling by the degree; extract the section (degree
-    1) or the one-slot operator (degree 2, single field pair) on the way.
-    A zero density and a nonzero total divergence get the same standard
-    form: an empty density with zero section components or an empty
-    operator.
+    odd letter out front, scaling by the degree.  A zero density and a
+    nonzero total divergence get the same standard form: an empty density.
 
     For degree >= 1 the standard form is empty exactly when the density is
     a total divergence: it is built from the odd variations alone, and it
@@ -68,19 +77,7 @@ def normalize_multivector(
     has the same variations along every family."""
     if not density.cyclic:
         raise PreconditionError("a multivector density must be cyclic")
-    degrees = density.odd_degrees()
-    if len(degrees) > 1:
-        raise PreconditionError(f"density mixes odd degrees {sorted(degrees)}")
-    found = degrees.pop() if degrees else None
-    if found is not None:
-        if degree is not None and degree != found:
-            raise PreconditionError(
-                f"density has degree {found}, expected {degree}"
-            )
-        degree = found
-    elif degree is None:
-        degree = 0
-
+    degree = odd_degree(density, degree)
     if degree == 0:
         return Multivector(ctx, degree, density)
 
@@ -89,15 +86,21 @@ def normalize_multivector(
         for j in range(1, ctx.fields + 1)
     ]
     rebuilt = coupling(ctx, odd_letter_sums(ctx), variations).scale(Fraction(1, degree))
+    return Multivector(ctx, degree, rebuilt)
 
-    section = tuple(variations) if degree == 1 else None
-    operator = None
-    if degree == 2 and ctx.fields == 1:
-        operator = DifferentialOperator(ctx)
-        for w, c in variations[0].terms.items():
-            pos = next(i for i, l in enumerate(w) if l.odd)
-            operator.add_term(w[:pos], w[pos].orders, w[pos + 1:], c)
-    return Multivector(ctx, degree, rebuilt, section=section, operator=operator)
+
+def bivector_operator(ctx: JetContext, mv: Multivector) -> DifferentialOperator:
+    """The one-slot operator of a degree-2 multivector in one field pair:
+    each word L * b_sigma * R of the density's odd variation is the term
+    L * D^sigma(arg) * R, so a total divergence gives the empty operator."""
+    if mv.degree != 2 or ctx.fields != 1:
+        raise PreconditionError("need a degree-2 multivector in one field pair")
+    operator = DifferentialOperator(ctx)
+    variation = euler_derivative(ctx, mv.density, odd_kind=True, index=1)
+    for w, c in variation.terms.items():
+        pos = next(i for i, l in enumerate(w) if l.odd)
+        operator.add_term(w[:pos], w[pos].orders, w[pos + 1:], c)
+    return operator
 
 
 def multivector_from_operator(

@@ -7,9 +7,11 @@ on words rather than through operator terms, and bivector evaluation goes
 through the pairing formula rather than through contraction of the density.
 The Euler derivative and the adjoint are expanded one letter occurrence (one
 operator term) at a time, each with its own power of (-D), rather than
-grouped in Horner form.  The witness search is the plain loop over the public
-`jacobi_defect`, with nothing reused between triples.  The eager Schouten
-bracket puts every result, intermediate ones included, in standard form.
+grouped in Horner form.  The Jacobi defect is computed one triple at a
+time, every inner bracket's covector on its own, {h_k, h_i} as well as
+{h_i, h_k}, and the witness search is the plain loop over it, with nothing
+reused between triples.  The eager Schouten bracket puts every result,
+intermediate ones included, in standard form.
 Coefficient arithmetic is redone on plain dicts whose values are all
 Fractions, whole numbers included.
 """
@@ -27,9 +29,8 @@ from cycvar.words import (
     pass_sign,
 )
 from cycvar.jets import JetContext, d_power, evolutionary_apply, graded_commutator
-from cycvar.variational import Covector, coupling, is_trivial
+from cycvar.variational import Covector, coupling, covector_of, is_trivial
 from cycvar.operators import SLOT_INDEX, DifferentialOperator
-from cycvar.poisson import jacobi_defect
 from cycvar.schouten import Multivector, normalize_multivector, q_field
 
 
@@ -208,16 +209,36 @@ def reference_adjoint(op: DifferentialOperator) -> DifferentialOperator:
     return out
 
 
+def reference_jacobi_terms(ctx: JetContext, op: DifferentialOperator, hs) -> list[FormalSum]:
+    """The three nested brackets {{h_a, h_b}, h_c} of the Jacobi cyclic sum
+    over (a, b, c) = (0, 1, 2), (1, 2, 0), (2, 0, 1), for one triple of
+    functionals: each inner bracket's covector is computed from the
+    covectors and operator images of its own arguments."""
+    ps = [covector_of(ctx, h) for h in hs]
+    images = [tuple(op.apply(c) for c in p.components) for p in ps]
+    return [
+        coupling(ctx, covector_of(ctx, coupling(ctx, ps[a], images[b])), images[c])
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+
+
+def reference_jacobi_defect(ctx: JetContext, op: DifferentialOperator, hs) -> FormalSum:
+    """The Jacobi defect density of one triple of functionals: the sum of its
+    `reference_jacobi_terms`."""
+    return sum(reference_jacobi_terms(ctx, op, hs), FormalSum(cyclic=True))
+
+
 def reference_witness_search(ctx: JetContext, op: DifferentialOperator, pool, budget: int):
     """The witness search as a plain loop: the first of at most `budget`
     triples from `pool`, in `combinations_with_replacement` order, whose
-    public `jacobi_defect` is nontrivial, with that defect; else (None, None)."""
+    `reference_jacobi_defect` is nontrivial, with that defect; else
+    (None, None)."""
     for tried, triple in enumerate(itertools.combinations_with_replacement(pool, 3)):
         if tried >= budget:
             break
-        jd = jacobi_defect(ctx, op, *triple)
-        if not jd.is_trivial():
-            return triple, jd.density
+        density = reference_jacobi_defect(ctx, op, triple)
+        if not is_trivial(ctx, density):
+            return triple, density
     return None, None
 
 

@@ -79,6 +79,17 @@ class TestAction:
         with pytest.raises(PreconditionError):
             from_derivative(CTX, 1, -1)
 
+    @pytest.mark.parametrize("orders", [(-1,), (1, 2), ()])
+    def test_add_term_rejects_a_bad_multi_index(self, orders):
+        """A term's multi-index has one nonnegative order per direction,
+        as a letter's has."""
+        op = DifferentialOperator(CTX)
+        with pytest.raises(PreconditionError, match="bad derivative multi-index"):
+            op.add_term((), orders, (), CTX.one())
+        with pytest.raises(PreconditionError, match="bad derivative multi-index"):
+            CTX.letter(False, 1, orders)
+        assert op.is_zero()
+
 
 class TestCompose:
     def test_derivative_after_coordinate(self):

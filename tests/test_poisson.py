@@ -14,7 +14,7 @@ from cycvar.lang import parse_operator
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.selftest import hamiltonian_family
 from cycvar.schouten import multivector_from_operator, normalize_multivector, schouten_bracket
-from cycvar.variational import Functional, covector_of, is_trivial
+from cycvar.variational import Functional, coupling, covector_of, is_trivial
 from cycvar.poisson import (
     IDENTITY_NAMES,
     involutivity_witness,
@@ -28,7 +28,7 @@ from cycvar.poisson import (
 
 import random
 
-from oracles import reference_witness_search
+from oracles import reference_jacobi_defect, reference_jacobi_terms, reference_witness_search
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -160,8 +160,8 @@ class TestIsHamiltonian:
 
 class TestWitnessSearch:
     """The search reuses covectors, images and inner brackets; it must pick
-    the same triple, with the same defect, as the plain loop over the public
-    `jacobi_defect` in `oracles.reference_witness_search`."""
+    the same triple, with the same defect, as the plain loop over the
+    per-triple reference in `oracles.reference_witness_search`."""
 
     CASES = [
         (1, "op(a*D + D*R(a))"),
@@ -296,25 +296,13 @@ class TestRepeatedIndexTriples:
         ctx = JetContext(fields=fields, directions=1)
         op = parse_operator(text, ctx)
         pool = P._witness_pool(ctx)
-        sections = [P._section(ctx, op, h) for h in pool]
-        inner = {
-            (i, j): covector_of(ctx, P._bracket(ctx, sections[i][0], sections[j][1]))
-            for i, j in itertools.product(range(len(pool)), repeat=2)
-        }
         cancelled = 0
         for triple in itertools.combinations_with_replacement(range(len(pool)), 3):
             if len(set(triple)) == 3:
                 continue
-            jd = P._jacobi(
-                ctx,
-                [sections[i][1] for i in triple],
-                lambda a, b: inner[triple[a], triple[b]],
-            )
-            assert jd.density.is_zero(), triple
-            cancelled += any(
-                P._bracket(ctx, inner[triple[a], triple[b]], sections[triple[c]][1]).density
-                for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-            )
+            terms = reference_jacobi_terms(ctx, op, [pool[i] for i in triple])
+            assert sum(terms, FormalSum(cyclic=True)).is_zero(), triple
+            cancelled += any(terms)
         assert cancelled
 
     @pytest.mark.parametrize("text", ["op(a1*a2*D + D*R(a1*a2))", "op(a2*a1*D + D*R(a2*a1))"])
@@ -370,13 +358,34 @@ class TestInnerCovectorAntisymmetry:
         pool = P._witness_pool(ctx)
         nonzero = 0
         for op in ops:
-            sections = [P._section(ctx, op, h) for h in pool]
+            ps = [covector_of(ctx, h) for h in pool]
+            images = [tuple(op.apply(c) for c in p.components) for p in ps]
             for i, j in itertools.combinations(range(len(pool)), 2):
-                ij = covector_of(ctx, P._bracket(ctx, sections[i][0], sections[j][1]))
-                ji = covector_of(ctx, P._bracket(ctx, sections[j][0], sections[i][1]))
+                ij = covector_of(ctx, coupling(ctx, ps[i], images[j]))
+                ji = covector_of(ctx, coupling(ctx, ps[j], images[i]))
                 assert ji == -ij
                 nonzero += any(ij.components)
         assert nonzero
+
+
+class TestJacobiDefectReference:
+    """`jacobi_defect` takes the covector of {h_3, h_1} as minus that of
+    {h_1, h_3}; its density must equal, exactly, that of the reference,
+    which computes every inner bracket's covector on its own."""
+
+    @pytest.mark.parametrize("fields,directions", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_corpus_triples(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(840 + 10 * fields + directions)
+        ops = _corpus_skew_parts(ctx, 830 + 10 * fields + directions, 12)
+        assert len(ops) >= 8
+        nonzero = 0
+        for op in ops:
+            hs = [corpus.functional(rng, ctx, max_len=2) for _ in range(3)]
+            got = jacobi_defect(ctx, op, *hs).density
+            assert got == reference_jacobi_defect(ctx, op, hs)
+            nonzero += not got.is_zero()
+        assert nonzero >= 2
 
 
 class TestSkewCheckedAtEveryEntry:

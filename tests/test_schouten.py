@@ -14,6 +14,7 @@ from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import Covector, is_trivial
 from cycvar.schouten import (
     Multivector,
+    bivector_operator,
     check_field_morphism,
     check_jacobi,
     check_skew,
@@ -79,12 +80,12 @@ class TestNormalizeMultivector:
         mv = multivector_from_operator(CTX, D_OP)
         assert mv.density == FormalSum.single(True, (B, BX), CTX.const(Fraction(1, 2)))
         assert mv.degree == 2
-        assert mv.operator is not None
+        assert bivector_operator(CTX, mv) == D_OP
 
     def test_total_divergence_has_the_zero_standard_form(self):
         """A nonzero total divergence is the zero class, so its standard form
-        equals that of the zero density: degree 2 with an empty operator,
-        degree 1 with zero section components."""
+        equals that of the zero density: an empty density, and at degree 2
+        the empty operator."""
         for degree, letters in ((2, [A, B, BX]), (1, [A, AX, B])):
             divergence = total_derivative(CTX, cyc(letters))
             assert divergence
@@ -92,7 +93,16 @@ class TestNormalizeMultivector:
             assert normalize_multivector(CTX, divergence, degree) == zero
             assert zero.density.is_zero()
         two = normalize_multivector(CTX, FormalSum(cyclic=True), 2)
-        assert two.operator == DifferentialOperator(CTX)
+        assert bivector_operator(CTX, two) == DifferentialOperator(CTX)
+
+    def test_bivector_operator_needs_degree_two_in_one_field_pair(self):
+        with pytest.raises(PreconditionError):
+            bivector_operator(CTX, normalize_multivector(CTX, cyc([A, B])))
+        ctx2 = JetContext(fields=2, directions=1)
+        b1, b2 = ctx2.letter(True, 1), ctx2.letter(True, 2)
+        density = FormalSum.single(True, (b1, b2), ctx2.one())
+        with pytest.raises(PreconditionError):
+            bivector_operator(ctx2, normalize_multivector(ctx2, density))
 
 
 class TestQField:
@@ -138,7 +148,7 @@ class TestQFieldCache:
 
     def test_equality_and_repr_ignore_cache(self):
         mv = multivector_from_operator(CTX, SHIFT_OP)
-        twin = Multivector(CTX, mv.degree, mv.density, mv.section, mv.operator)
+        twin = Multivector(CTX, mv.degree, mv.density)
         before = repr(mv)
         q_field(CTX, mv)
         assert mv == twin
