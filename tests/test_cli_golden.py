@@ -64,6 +64,11 @@ CASES = [
     ["--m", "2", "--n", "2", "normalize", "sec(a2*a1; b1_{x^2,2})"],
     # orders (1,0) and (0,2): total order and multi-index order disagree
     ["--n", "2", "normalize", "cyc(b*a_{x^2,2}*a_{x^1,1}) + 2*cyc(a_{x^1,1}*a_{x^2,2})"],
+    # products of letter runs with scalars, divisors, groups and operators
+    ["normalize", "2*a*b_x/3 - a*(b + a_x)*b"],
+    ["normalize", "op(a*b*D + D*R(a*b))"],
+    ["--n", "2", "normalize", "op(x2*a*b_{x^2,1}*D_2 - L(b*a)*R(a*a_x)*D_1)"],
+    ["normalize", "a*b_{y}*a"],
     ["normalize", "@batch.txt"],
     ["normalize", "@bad.txt"],
     ["normalize", "@empty.txt"],
