@@ -13,7 +13,9 @@ time, every inner bracket's covector on its own, {h_k, h_i} as well as
 reused between triples.  The eager Schouten bracket puts every result,
 intermediate ones included, in standard form.
 Coefficient arithmetic is redone on plain dicts whose values are all
-Fractions, whole numbers included.
+Fractions, whole numbers included.  The reference printer names every
+letter occurrence through `letter_text` afresh and prints every
+coefficient, constants included, monomial by monomial.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from cycvar.words import (
     pass_sign,
 )
 from cycvar.jets import JetContext, d_power, evolutionary_apply, graded_commutator
+from cycvar.lang import letter_text
 from cycvar.variational import Covector, coupling, covector_of, is_trivial
 from cycvar.operators import SLOT_INDEX, DifferentialOperator
 from cycvar.schouten import Multivector, normalize_multivector, q_field
@@ -270,3 +273,125 @@ def eager_check_jacobi(
 def eager_check_field_morphism(ctx: JetContext, xi: Multivector, eta: Multivector) -> bool:
     commutator = graded_commutator(ctx, q_field(ctx, xi), q_field(ctx, eta))
     return q_field(ctx, eager_schouten_bracket(ctx, xi, eta)) == commutator
+
+
+# -- reference printer -------------------------------------------------------
+
+
+def _reference_mono(exps, value, ctx: JetContext) -> tuple[str, str]:
+    """Sign ("" or "-") and unsigned text of one scalar monomial."""
+    xs = []
+    for direction, e in enumerate(exps, start=1):
+        if e:
+            name = "x" if ctx.directions == 1 else f"x{direction}"
+            xs.append(name if e == 1 else f"{name}^{e}")
+    value = Fraction(value)
+    digits = [] if abs(value) == 1 and xs else [str(abs(value))]
+    return ("-" if value < 0 else ""), "*".join(digits + xs)
+
+
+def _reference_join(pieces) -> str:
+    """(sign, text) pairs joined as `t1 + t2 - t3`."""
+    out = ""
+    for i, (sign, text) in enumerate(pieces):
+        if i == 0:
+            out = sign + text
+        else:
+            out += (" - " if sign else " + ") + text
+    return out
+
+
+def reference_coefficient_text(c: Coefficient, ctx: JetContext) -> str:
+    if not c.terms:
+        return "0"
+    monos = sorted(c.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    return _reference_join(_reference_mono(exps, value, ctx) for exps, value in monos)
+
+
+def reference_word_text(letters, ctx: JetContext) -> str:
+    return "*".join(letter_text(l, ctx) for l in letters) if letters else "1"
+
+
+def _reference_term(coeff: Coefficient, body, ctx: JetContext) -> tuple[str, str]:
+    if len(coeff.terms) == 1:
+        ((exps, value),) = coeff.terms.items()
+        sign, mono = _reference_mono(exps, value, ctx)
+        if body is None:
+            return sign, mono
+        return sign, body if mono == "1" else f"{mono}*{body}"
+    text = reference_coefficient_text(coeff, ctx)
+    return "", f"({text})" if body is None else f"({text})*{body}"
+
+
+def _by_word(f: FormalSum):
+    return sorted(f.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def reference_sum_text(f: FormalSum, ctx: JetContext) -> str:
+    """Canonical text of a word sum, as `lang.sum_text` prints it."""
+    if not f.terms:
+        return "0"
+    pieces = []
+    for letters, coeff in _by_word(f):
+        word = reference_word_text(letters, ctx)
+        body = f"cyc({word})" if f.cyclic else (word if letters else None)
+        pieces.append(_reference_term(coeff, body, ctx))
+    return _reference_join(pieces)
+
+
+def _reference_sigma(orders, ctx: JetContext) -> str | None:
+    if ctx.directions == 1:
+        k = orders[0]
+        return None if k == 0 else "D" if k == 1 else f"D^{k}"
+    parts = [
+        f"D_{d}" if e == 1 else f"D_{d}^{e}"
+        for d, e in enumerate(orders, start=1)
+        if e
+    ]
+    return "*".join(parts) or None
+
+
+def _operator_terms(op: DifferentialOperator):
+    return sorted(
+        op.terms(),
+        key=lambda kv: (sum(kv[0][1]), kv[0][1], (len(kv[0][0]), kv[0][0]), (len(kv[0][2]), kv[0][2])),
+    )
+
+
+def reference_operator_text(op: DifferentialOperator, ctx: JetContext) -> str:
+    """Canonical text of an operator, as `lang.operator_text` prints it."""
+    if op.is_zero():
+        return "op(0)"
+    pieces = []
+    for (left, orders, right), coeff in _operator_terms(op):
+        factors = []
+        if left:
+            factors.append(reference_word_text(left, ctx))
+        if right:
+            factors.append(f"R({reference_word_text(right, ctx)})")
+        sigma = _reference_sigma(orders, ctx)
+        if sigma:
+            factors.append(sigma)
+        pieces.append(_reference_term(coeff, "*".join(factors) or None, ctx))
+    return "op(" + _reference_join(pieces) + ")"
+
+
+def reference_covector_text(p: Covector, ctx: JetContext) -> str:
+    return "cov(" + "; ".join(reference_sum_text(c, ctx) for c in p.components) + ")"
+
+
+def reference_sum_term_lines(f: FormalSum, ctx: JetContext) -> list[str]:
+    """The `term:` lines of a machine-mode sum record."""
+    return [
+        f"term: {reference_coefficient_text(coeff, ctx)} | {reference_word_text(letters, ctx)}"
+        for letters, coeff in _by_word(f)
+    ]
+
+
+def reference_operator_term_lines(op: DifferentialOperator, ctx: JetContext) -> list[str]:
+    """The `term:` lines of a machine-mode operator record."""
+    return [
+        f"term: {reference_coefficient_text(coeff, ctx)} | {reference_word_text(left, ctx)}"
+        f" | {','.join(map(str, orders))} | {reference_word_text(right, ctx)}"
+        for (left, orders, right), coeff in _operator_terms(op)
+    ]

@@ -1,10 +1,16 @@
-"""End-to-end command-line checks through a real subprocess."""
+"""End-to-end command-line checks through a real subprocess, and in-process
+checks of how records reach stdout."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+import cycvar.cli as C
+from cycvar.selftest import SuiteResult
 
 
 def run_cli(*args):
@@ -317,3 +323,38 @@ class TestPlumbing:
         first = run_cli(*args)
         second = run_cli(*args)
         assert first == second and first[0] == 0
+
+
+def run_in_process(*args):
+    """`cycvar ARGS` through `cli.main` in this process: (exit code, stdout,
+    stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            C.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("mode, first_line", [
+        ("pretty", "[1] first: pass ("),
+        ("machine", "suite: 1 | first | pass | done"),
+    ])
+    def test_selftest_prints_each_suite_as_it_finishes(self, monkeypatch, mode, first_line):
+        seen = []
+
+        def first(seed):
+            return SuiteResult(1, "first", True, "done")
+
+        def second(seed):
+            seen.append(sys.stdout.getvalue())
+            return SuiteResult(2, "second", True, "done")
+
+        monkeypatch.setattr(C, "SUITES", [first, second])
+        code, out, _ = run_in_process("--output", mode, "selftest")
+        assert code == 0
+        assert seen[0].splitlines()[-1].startswith(first_line)
+        assert out.startswith(seen[0]) and "second" not in seen[0]

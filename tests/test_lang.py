@@ -1,5 +1,7 @@
 """Expression grammar: tokens, parsing, canonical printing, round-trips."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycvar import corpus
+from cycvar.cli import Session
 from cycvar.errors import ParseError
-from cycvar.words import FormalSum, close
+from cycvar.words import FormalSum, close, concat
 from cycvar.jets import JetContext
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.lang import (
@@ -23,6 +26,14 @@ from cycvar.lang import (
     parse_value,
     section_text,
     sum_text,
+)
+from cycvar.variational import Covector
+from oracles import (
+    reference_covector_text,
+    reference_operator_term_lines,
+    reference_operator_text,
+    reference_sum_term_lines,
+    reference_sum_text,
 )
 
 CTX = JetContext(fields=1, directions=1)
@@ -348,3 +359,227 @@ class TestRoundTrips:
         assert parse_open("0", CTX).is_zero()
         assert parse_operator("op(0)", CTX).is_zero()
         assert operator_text(DifferentialOperator(CTX), CTX) == "op(0)"
+
+
+def _machine_term_lines(kind, payload, ctx):
+    """The `term:` lines of the machine record the CLI prints for a value."""
+    session = Session(m=ctx.fields, n=ctx.directions, output="machine")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        session.emit(kind, payload, ctx)
+    return [line for line in out.getvalue().splitlines() if line.startswith("term: ")]
+
+
+class TestPrinterAgainstReference:
+    """The printer gives the bytes of a reference that names every letter
+    occurrence afresh and prints every coefficient monomial by monomial."""
+
+    @staticmethod
+    def _factor(choice, ctx):
+        if choice == "x-poly":
+            return ctx.x_power(ctx.directions, 2, Fraction(-3, 4)) + ctx.const(2)
+        return ctx.const(choice)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.sampled_from(["cyclic", "open", "operator", "covector"]),
+        st.sampled_from([1, -1, 0, 7, Fraction(-5, 3), 10**25, "x-poly"]),
+    )
+    def test_matches_reference(self, seed, shape, kind, factor):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(seed)
+        k = self._factor(factor, ctx)
+        if kind in ("cyclic", "open"):
+            if kind == "cyclic":
+                v = corpus.cyclic_density(rng, ctx, rng.randint(0, 3), words=3)
+            else:
+                v = corpus.open_sum(rng, ctx, words=3, max_x_degree=2)
+            v = v.scale(k)
+            assert sum_text(v, ctx) == reference_sum_text(v, ctx)
+            assert _machine_term_lines("sum", v, ctx) == reference_sum_term_lines(v, ctx)
+        elif kind == "operator":
+            v = corpus.operator(rng, ctx, terms=rng.randint(1, 3)).scale(k)
+            assert operator_text(v, ctx) == reference_operator_text(v, ctx)
+            assert _machine_term_lines("operator", v, ctx) == reference_operator_term_lines(v, ctx)
+        else:
+            v = corpus.covector(rng, ctx, jet_dependent=rng.random() < 0.5)
+            v = Covector(tuple(c.scale(k) for c in v.components))
+            assert covector_text(v, ctx) == reference_covector_text(v, ctx)
+
+
+# Product chains: a chain is an optional leading minus and a list of links
+# (op, factor), the first op being None; op is "*" or "/" (then the factor
+# is a nonzero integer p).  Factors are ("letter", odd, index, orders),
+# ("n", k), ("x", direction, power), ("sum", chain, sign, chain) for a
+# parenthesised sum or difference, and, inside op(...), ("D", direction,
+# power), ("R", letters) and ("L", letters).
+_LETTER = st.tuples(
+    st.just("letter"), st.booleans(), st.integers(1, 2),
+    st.tuples(st.integers(0, 4), st.integers(0, 2)),
+)
+_PLAIN = st.one_of(
+    _LETTER,
+    st.tuples(st.just("n"), st.integers(0, 12)),
+    st.tuples(st.just("x"), st.integers(1, 2), st.integers(1, 3)),
+)
+
+
+def _links(factors, max_size=7):
+    link = st.one_of(
+        st.tuples(st.just("*"), factors),
+        st.tuples(st.just("/"), st.integers(1, 9)),
+    )
+    return st.tuples(
+        st.booleans(),
+        st.tuples(st.just(None), factors),
+        st.lists(link, max_size=max_size),
+    ).map(lambda t: (t[0], [t[1], *t[2]]))
+
+
+_INNER = _links(_PLAIN, max_size=3)
+_GROUP = st.tuples(st.just("sum"), _INNER, st.sampled_from(["+", "-"]), _INNER)
+_CHAINS = _links(st.one_of(_PLAIN, _PLAIN, _GROUP))
+_OP_CHAINS = _links(
+    st.one_of(
+        _PLAIN,
+        _GROUP,
+        st.tuples(st.just("D"), st.integers(1, 2), st.integers(1, 3)),
+        st.tuples(st.sampled_from(["R", "L"]), st.lists(_LETTER, min_size=1, max_size=3)),
+    )
+)
+
+
+class _Fold:
+    """The text of a chain and its value, folded left to right through
+    concat, scale and compose from single-letter sums, without the parser."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def letter(self, factor):
+        _, odd, index, (order, second) = factor
+        index = min(index, self.ctx.fields)
+        if self.ctx.directions == 1:
+            orders, suffix = (order,), f"_{{x,{order}}}"
+        else:
+            orders, suffix = (order, second), f"_{{x^1,{order}}}_{{x^2,{second}}}"
+        letter = self.ctx.letter(odd, index, orders)
+        text = f"{'b' if odd else 'a'}{index}{suffix}"
+        return text, FormalSum.single(False, (letter,), self.ctx.one())
+
+    def word(self, letters):
+        texts, sums = zip(*(self.letter(f) for f in letters))
+        out = sums[0]
+        for s in sums[1:]:
+            out = concat(out, s)
+        return "*".join(texts), out
+
+    def factor(self, factor):
+        ctx, head = self.ctx, factor[0]
+        identity = DifferentialOperator.identity(ctx)
+        if head == "letter":
+            text, value = self.letter(factor)
+            return text, ("open", value)
+        if head == "n":
+            return str(factor[1]), ("scalar", ctx.const(factor[1]))
+        if head == "x":
+            direction = min(factor[1], ctx.directions)
+            return f"x{direction}^{factor[2]}", ("scalar", ctx.x_power(direction, factor[2]))
+        if head == "D":
+            direction = min(factor[1], ctx.directions)
+            return f"D_{direction}^{factor[2]}", ("operator", from_derivative(ctx, direction, factor[2]))
+        if head in ("R", "L"):
+            text, word = self.word(factor[1])
+            op = identity.compose_right(word) if head == "R" else identity.compose_left(word)
+            return f"{head}({text})", ("operator", op)
+        _, left, sign, right = factor
+        (lt, lv), (rt, rv) = self.chain(left), self.chain(right)
+        return f"({lt} {sign} {rt})", self.add(lv, rv, sign == "-")
+
+    def chain(self, chain):
+        negate, links = chain
+        texts, value = [], None
+        for op, factor in links:
+            if op == "/":
+                texts.append(f"/{factor}")
+                value = self.scale(value, self.ctx.const(Fraction(1, factor)))
+                continue
+            text, right = self.factor(factor)
+            texts.append(text if op is None else f"*{text}")
+            value = right if op is None else self.mul(value, right)
+        if negate:
+            value = self.scale(value, self.ctx.const(-1))
+        return ("-" if negate else "") + "".join(texts), value
+
+    def scale(self, value, c):
+        kind, v = value
+        return kind, v * c if kind == "scalar" else v.scale(c)
+
+    def as_operator(self, value):
+        kind, v = value
+        identity = DifferentialOperator.identity(self.ctx)
+        if kind == "scalar":
+            return identity.scale(v)
+        return v if kind == "operator" else identity.compose_left(v)
+
+    def mul(self, left, right):
+        if "operator" in (left[0], right[0]):
+            return "operator", self.as_operator(left).compose(self.as_operator(right))
+        if left[0] == "scalar":
+            return self.scale(right, left[1])
+        if right[0] == "scalar":
+            return self.scale(left, right[1])
+        return "open", concat(left[1], right[1])
+
+    def add(self, left, right, subtract):
+        if left[0] == right[0] == "scalar":
+            return "scalar", left[1] - right[1] if subtract else left[1] + right[1]
+        lv, rv = (
+            v if kind == "open" else FormalSum.single(False, (), v)
+            for kind, v in (left, right)
+        )
+        return "open", lv - rv if subtract else lv + rv
+
+
+class TestProductChains:
+    """A product chain parses to its factor-by-factor left fold, whatever
+    runs of letters it holds."""
+
+    SHAPES = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(SHAPES, _CHAINS)
+    def test_outside_op(self, shape, chain):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        text, (kind, want) = _Fold(ctx).chain(chain)
+        value = parse_value(text, ctx)
+        assert (value.kind, value.payload) == (kind, want), text
+
+    @settings(max_examples=300, deadline=None)
+    @given(SHAPES, _OP_CHAINS)
+    def test_inside_op(self, shape, chain):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        fold = _Fold(ctx)
+        text, value = fold.chain(chain)
+        assert parse_operator(f"op({text})", ctx) == fold.as_operator(value), text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a*b_{y}*a", "malformed derivative suffix in 'b_{y}' (at column 3)"),
+            ("a*b*a3", "field index 3 outside 1..1 (at column 5)"),
+            ("a*-b", "unexpected '-' (at column 3)"),
+            (
+                "a*b*cyc(a)",
+                "cyclic sums cannot be multiplied inline; use the times command (at column 4)",
+            ),
+            ("op(a*b*R(b_{y}))", "malformed derivative suffix in 'b_{y}' (at column 10)"),
+            ("op(D*a*-b)", "unexpected '-' inside op(...) (at column 8)"),
+        ],
+    )
+    def test_error_in_a_chain(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_value(text, CTX)
+        assert str(info.value) == message
