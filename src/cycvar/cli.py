@@ -12,6 +12,7 @@ command-line usage error, 3 failed identity check (selftest, subst-check),
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import time
@@ -39,6 +40,8 @@ from .selftest import SUITES
 from .lang import (
     coefficient_text,
     covector_text,
+    digits_value,
+    number_text,
     operator_text,
     parse_covector,
     parse_operator,
@@ -87,17 +90,19 @@ def _sum_machine(f: FormalSum, ctx: JetContext, extra=()):
     for key, value in extra:
         yield f"{key}: {value}"
     yield f"count: {len(f.terms)}"
+    names = {}
     for letters, coeff in f.sorted_terms():
-        yield f"term: {coefficient_text(coeff, ctx)} | {word_text(letters, ctx)}"
+        yield f"term: {coefficient_text(coeff, ctx)} | {word_text(letters, ctx, names)}"
 
 
 def _operator_machine(op, ctx: JetContext):
     yield "kind: operator"
     yield f"count: {len(op.words.terms)}"
+    names = {}
     for (left, orders, right), coeff in op.sorted_terms():
         yield (
-            f"term: {coefficient_text(coeff, ctx)} | {word_text(left, ctx)}"
-            f" | {','.join(map(str, orders))} | {word_text(right, ctx)}"
+            f"term: {coefficient_text(coeff, ctx)} | {word_text(left, ctx, names)}"
+            f" | {','.join(map(number_text, orders))} | {word_text(right, ctx, names)}"
         )
 
 
@@ -227,7 +232,7 @@ def _load_config(path: str) -> dict:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise PreconditionError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         raise PreconditionError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise PreconditionError(f"config {path} must hold a JSON object")
@@ -273,14 +278,21 @@ class Session:
 
     def emit(self, kind: str, *payload) -> None:
         """Print one record.  Machine records open with `status: ok`; batch
-        records are separated by `---` (machine) or a blank line (pretty)."""
+        records are separated by `---` (machine) or a blank line (pretty).
+        A record is written whole, so one that cannot be printed writes
+        nothing; `selftest` writes each suite's line as the suite finishes."""
+        head = []
         if self.records:
-            click.echo("---" if self.machine else "")
+            head.append("---" if self.machine else "")
         self.records += 1
         if self.machine:
-            click.echo("status: ok")
-        for line in _KINDS[kind][self.machine](*payload):
-            click.echo(line)
+            head.append("status: ok")
+        lines = itertools.chain(head, _KINDS[kind][self.machine](*payload))
+        if kind == "selftest":
+            for line in lines:
+                click.echo(line)
+        else:
+            click.echo("\n".join(lines))
 
 
 def _expand(arg: str) -> list[str]:
@@ -387,7 +399,7 @@ def _parse_family(wrt: str, ctx: JetContext) -> tuple[bool, int]:
     m = re.fullmatch(r"([ab])([0-9]*)", wrt)
     if m is None:
         raise ParseError(f"--wrt expects a letter family like a, b, a2; got {wrt!r}")
-    index = int(m.group(2)) if m.group(2) else 1
+    index = digits_value(m.group(2)) if m.group(2) else 1
     if not 1 <= index <= ctx.fields:
         raise ParseError(f"--wrt family index {index} out of range 1..{ctx.fields}")
     return m.group(1) == "b", index

@@ -13,10 +13,12 @@ parse -> print -> parse is the identity on values.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import ParseError, PreconditionError
+from .errors import BoundExceeded, CycvarError, ParseError, PreconditionError
 from .words import Coefficient, FormalSum, Letter, close, concat
 from .jets import JetContext
 from .operators import DifferentialOperator, from_derivative
@@ -36,13 +38,23 @@ _TOKEN = re.compile(
 
 _SUFFIX = re.compile(r"_(x+|\{[^{}]*\})")
 _BRACE = re.compile(r"^x(?:\^([0-9]+))?,([0-9]+)$")
+_XMONO = re.compile(r"^x([0-9]*)(?:\^([0-9]+))?$")
+_DERIV = re.compile(r"^D(?:_([0-9]+))?(?:\^([0-9]+))?$")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
+
+
+def digits_value(digits: str, pos: int | None = None) -> int:
+    """The integer a digit string spells; a string longer than the
+    interpreter converts is a parse error, not a crash."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number with {len(digits)} digits is too long", pos) from None
 
 
 def tokenize(text: str) -> list[Token]:
@@ -65,7 +77,7 @@ def _parse_letter_token(text: str, pos: int, ctx: JetContext) -> Letter:
     head = body[0]
     odd = head[0] == "b"
     digits = head[1:]
-    index = int(digits) if digits else 1
+    index = digits_value(digits, pos) if digits else 1
     orders = [0] * ctx.directions
     for part in body[1:]:
         if not part:
@@ -76,10 +88,10 @@ def _parse_letter_token(text: str, pos: int, ctx: JetContext) -> Letter:
         m = _BRACE.match(part[1:-1]) if part.startswith("{") else None
         if m is None:
             raise ParseError(f"malformed derivative suffix in {text!r}", pos)
-        direction = int(m.group(1)) if m.group(1) else 1
+        direction = digits_value(m.group(1), pos) if m.group(1) else 1
         if not 1 <= direction <= ctx.directions:
             raise ParseError(f"direction {direction} out of range in {text!r}", pos)
-        orders[direction - 1] += int(m.group(2))
+        orders[direction - 1] += digits_value(m.group(2), pos)
     try:
         return ctx.letter(odd, index, tuple(orders))
     except PreconditionError as exc:
@@ -87,20 +99,19 @@ def _parse_letter_token(text: str, pos: int, ctx: JetContext) -> Letter:
 
 
 def _parse_xmono_token(text: str, pos: int, ctx: JetContext) -> Coefficient:
-    m = re.match(r"^x([0-9]*)(?:\^([0-9]+))?$", text)
-    digits, power = m.group(1), m.group(2)
-    direction = int(digits) if digits else 1
+    digits, power = _XMONO.match(text).groups()
+    direction = digits_value(digits, pos) if digits else 1
     if not 1 <= direction <= ctx.directions:
         raise ParseError(f"base coordinate {text!r} out of range", pos)
-    return ctx.x_power(direction, int(power) if power else 1)
+    return ctx.x_power(direction, digits_value(power, pos) if power else 1)
 
 
 def _parse_deriv_token(text: str, pos: int, ctx: JetContext) -> tuple[int, int]:
-    m = re.match(r"^D(?:_([0-9]+))?(?:\^([0-9]+))?$", text)
-    direction = int(m.group(1)) if m.group(1) else 1
+    digits, power = _DERIV.match(text).groups()
+    direction = digits_value(digits, pos) if digits else 1
     if not 1 <= direction <= ctx.directions:
         raise ParseError(f"derivative direction in {text!r} out of range", pos)
-    return direction, int(m.group(2)) if m.group(2) else 1
+    return direction, digits_value(power, pos) if power else 1
 
 
 # -- parsed values ---------------------------------------------------------
@@ -266,17 +277,14 @@ class Parser:
         if tok.kind == "number":
             self.take()
             return Value(
-                "scalar", Coefficient.constant(int(tok.text), self.ctx.directions)
+                "scalar",
+                Coefficient.constant(digits_value(tok.text, tok.pos), self.ctx.directions),
             )
         if tok.kind == "xmono":
             self.take()
             return Value("scalar", _parse_xmono_token(tok.text, tok.pos, self.ctx))
         if tok.kind == "letter":
-            self.take()
-            letter = _parse_letter_token(tok.text, tok.pos, self.ctx)
-            return Value(
-                "open", FormalSum.single(False, (letter,), self.ctx.one())
-            )
+            return self.parse_letters()
         if tok.kind == "kw" and (not self.in_op or tok.text in ("R", "L")):
             return self.parse_keyword()
         if tok.kind == "sym" and tok.text == "(":
@@ -293,6 +301,24 @@ class Parser:
             f"unexpected {tok.text!r}{where}" if tok.text else "unexpected end of input",
             tok.pos,
         )
+
+    def parse_letters(self) -> Value:
+        """A run l1*l2*...*lk of letter factors as one word.  Concatenation
+        and composition are associative, so this is the value of the
+        left-to-right product.  A letter after the first that does not
+        parse ends the run: it is read again, and its error raised, only
+        after the product with the factors before it, as in a fold."""
+        tokens, ctx = self.tokens, self.ctx
+        tok = self.take()
+        letters = [_parse_letter_token(tok.text, tok.pos, ctx)]
+        while tokens[self.at].text == "*" and tokens[self.at + 1].kind == "letter":
+            tok = tokens[self.at + 1]
+            try:
+                letters.append(_parse_letter_token(tok.text, tok.pos, ctx))
+            except CycvarError:
+                break
+            self.at += 2
+        return Value("open", FormalSum.single(False, tuple(letters), ctx.one()))
 
     def parse_group(self, in_op: bool) -> Value:
         """An expression and its closing parenthesis, parsed with the
@@ -427,38 +453,56 @@ def parse_section_tuple(text: str, ctx: JetContext) -> tuple[FormalSum, ...]:
 # -- printer ---------------------------------------------------------------
 
 
+def number_text(value) -> str:
+    """Decimal text of an int or Fraction; a number longer than the
+    interpreter converts is an exceeded bound, not a crash."""
+    try:
+        return str(value)
+    except ValueError:
+        raise BoundExceeded(
+            f"a number in the result has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _x_name(direction: int, ctx: JetContext) -> str:
     return "x" if ctx.directions == 1 else f"x{direction}"
 
 
-def _mono_text(exps: tuple[int, ...], value: Fraction, ctx: JetContext) -> tuple[int, str]:
-    """Sign and unsigned text of one scalar monomial."""
-    sign = -1 if value < 0 else 1
-    value = abs(value)
-    parts = []
-    has_x = any(exps)
-    if value != 1 or not has_x:
-        parts.append(str(value))
+def _mono_text(exps: tuple[int, ...], value, ctx: JetContext) -> str:
+    """Signed text of one scalar monomial."""
+    xs = []
     for direction, e in enumerate(exps, start=1):
         if e:
             name = _x_name(direction, ctx)
-            parts.append(name if e == 1 else f"{name}^{e}")
-    return sign, "*".join(parts)
+            xs.append(name if e == 1 else f"{name}^{number_text(e)}")
+    if not xs:
+        return number_text(value)
+    if value == 1:
+        return "*".join(xs)
+    if value == -1:
+        return "-" + "*".join(xs)
+    return "*".join([number_text(value), *xs])
 
 
-def _signed_join(pieces) -> str:
-    """Join (sign, unsigned text) pairs as `t1 + t2 - t3`."""
+def _signed_join(texts) -> str:
+    """Join signed texts as `t1 + t2 - t3`."""
     out = []
-    for sign, text in pieces:
-        if out:
-            out.append(f"+ {text}" if sign > 0 else f"- {text}")
+    for text in texts:
+        if not out:
+            out.append(text)
+        elif text[0] == "-":
+            out.append(f"- {text[1:]}")
         else:
-            out.append(text if sign > 0 else f"-{text}")
+            out.append(f"+ {text}")
     return " ".join(out)
 
 
 def coefficient_text(c: Coefficient, ctx: JetContext) -> str:
     """Canonical text of a scalar polynomial, parseable by the grammar."""
+    if len(c.terms) == 1:
+        ((exps, value),) = c.terms.items()
+        if not any(exps):
+            return number_text(value)
     if not c:
         return "0"
     return _signed_join(_mono_text(exps, value, ctx) for exps, value in c.sorted_terms())
@@ -467,7 +511,7 @@ def coefficient_text(c: Coefficient, ctx: JetContext) -> str:
 def letter_text(letter: Letter, ctx: JetContext) -> str:
     name = "b" if letter.odd else "a"
     if ctx.fields > 1 or letter.index > 1:
-        name += str(letter.index)
+        name += number_text(letter.index)
     if ctx.directions == 1:
         k = letter.orders[0]
         if k == 0:
@@ -475,48 +519,58 @@ def letter_text(letter: Letter, ctx: JetContext) -> str:
         elif k <= 3:
             suffix = "_" + "x" * k
         else:
-            suffix = f"_{{x,{k}}}"
+            suffix = f"_{{x,{number_text(k)}}}"
         return name + suffix
     out = name
     for direction, e in enumerate(letter.orders, start=1):
         if e:
-            out += f"_{{x^{direction},{e}}}"
+            out += f"_{{x^{direction},{number_text(e)}}}"
     return out
 
 
-def word_text(letters, ctx: JetContext) -> str:
+def word_text(letters, ctx: JetContext, names: dict | None = None) -> str:
+    """Text of a word.  `names` maps letters to their text; a printing call
+    passes one dict to all its words, so each letter is named once."""
     if not letters:
         return "1"
-    return "*".join(letter_text(l, ctx) for l in letters)
+    if names is None:
+        names = {}
+    out = []
+    for l in letters:
+        text = names.get(l)
+        if text is None:
+            text = names[l] = letter_text(l, ctx)
+        out.append(text)
+    return "*".join(out)
 
 
-def _term_text(coeff: Coefficient, body: str | None, ctx: JetContext) -> tuple[int, str]:
-    """Sign and unsigned text of one sum term with its coefficient folded in."""
-    terms = coeff.sorted_terms()
-    if len(terms) == 1:
-        exps, value = terms[0]
-        sign, mono = _mono_text(exps, value, ctx)
-        if body is None:
-            return sign, mono
-        if mono == "1":
-            return sign, body
-        return sign, f"{mono}*{body}"
-    text = coefficient_text(coeff, ctx)
+def _term_text(coeff: Coefficient, body: str | None, ctx: JetContext) -> str:
+    """Signed text of one sum term with its coefficient folded in."""
+    if len(coeff.terms) != 1:
+        text = f"({coefficient_text(coeff, ctx)})"
+        return text if body is None else f"{text}*{body}"
+    ((exps, value),) = coeff.terms.items()
+    mono = _mono_text(exps, value, ctx) if any(exps) else number_text(value)
     if body is None:
-        return 1, f"({text})"
-    return 1, f"({text})*{body}"
+        return mono
+    if mono == "1":
+        return body
+    if mono == "-1":
+        return "-" + body
+    return f"{mono}*{body}"
 
 
 def sum_text(f: FormalSum, ctx: JetContext) -> str:
     """Canonical text of a word sum; cyclic terms are wrapped in cyc(...)."""
     if f.is_zero():
         return "0"
+    names = {}
     pieces = []
     for letters, coeff in f.sorted_terms():
         if f.cyclic:
-            body = f"cyc({word_text(letters, ctx)})"
+            body = f"cyc({word_text(letters, ctx, names)})"
         else:
-            body = word_text(letters, ctx) if letters else None
+            body = word_text(letters, ctx, names) if letters else None
         pieces.append(_term_text(coeff, body, ctx))
     return _signed_join(pieces)
 
@@ -526,11 +580,11 @@ def _sigma_text(orders: tuple[int, ...], ctx: JetContext) -> str | None:
         return None
     if ctx.directions == 1:
         k = orders[0]
-        return "D" if k == 1 else f"D^{k}"
+        return "D" if k == 1 else f"D^{number_text(k)}"
     parts = []
     for direction, e in enumerate(orders, start=1):
         if e:
-            parts.append(f"D_{direction}" if e == 1 else f"D_{direction}^{e}")
+            parts.append(f"D_{direction}" if e == 1 else f"D_{direction}^{number_text(e)}")
     return "*".join(parts)
 
 
@@ -538,13 +592,14 @@ def operator_text(op: DifferentialOperator, ctx: JetContext) -> str:
     """Canonical text of an operator, in op(...) grammar."""
     if op.is_zero():
         return "op(0)"
+    names = {}
     pieces = []
     for (left, orders, right), coeff in op.sorted_terms():
         factors = []
         if left:
-            factors.append(word_text(left, ctx))
+            factors.append(word_text(left, ctx, names))
         if right:
-            factors.append(f"R({word_text(right, ctx)})")
+            factors.append(f"R({word_text(right, ctx, names)})")
         sigma = _sigma_text(orders, ctx)
         if sigma:
             factors.append(sigma)

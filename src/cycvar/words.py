@@ -128,6 +128,9 @@ class Coefficient:
 
     @classmethod
     def constant(cls, value, directions: int) -> "Coefficient":
+        if type(value) is int:
+            # already lean: no Fraction round trip
+            return cls._wrap({(0,) * directions: value} if value else {})
         return cls({(0,) * directions: value})
 
     @classmethod

@@ -358,3 +358,80 @@ class TestStreaming:
         assert code == 0
         assert seen[0].splitlines()[-1].startswith(first_line)
         assert out.startswith(seen[0]) and "second" not in seen[0]
+
+
+# the interpreter's cap on int <-> decimal string conversion; 0 (or a
+# Python without the cap) converts numbers of any length
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "9" * 5000
+ONE = "0" * 4999 + "1"  # as long as LONG, and a valid field index
+
+
+class TestOverLongNumbers:
+    """Numbers longer than the interpreter converts end with one error line,
+    as a parse error when read and as an exceeded bound when printed."""
+
+    @pytest.mark.parametrize(
+        "args, column",
+        [
+            (("normalize", LONG), 1),
+            (("normalize", f"x^{LONG}"), 1),
+            (("normalize", f"cyc(a_{{x,{LONG}}})"), 5),
+            (("normalize", f"op(D^{LONG})"), 4),
+            (("normalize", f"a{ONE}"), 1),
+            (("euler", "--wrt", f"a{ONE}", "cyc(a)"), None),
+        ],
+        ids=["integer", "x-power", "letter-order", "derivative-power", "field-index", "wrt"],
+    )
+    def test_in_input(self, args, column):
+        rc, out, err = run_in_process(*args)
+        if not 0 < INT_DIGITS < len(LONG):
+            assert rc == 0
+            return
+        where = "" if column is None else f" (at column {column})"
+        assert (rc, out) == (1, "")
+        assert err == f"error: number with {len(LONG)} digits is too long{where}\n"
+
+    def test_in_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"seed": {LONG}}}')
+        rc, out, err = run_in_process("--config", str(cfg), "normalize", "cyc(a)")
+        if not 0 < INT_DIGITS < len(LONG):
+            assert rc == 0
+            return
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: config {cfg} is not valid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["machine", "pretty"])
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "{half}*{half}",
+            "{half}*{half}*a",
+            "op({half}*{half}*D)",
+            "cov({half}*{half}*a)",
+        ],
+    )
+    def test_in_output(self, tmp_path, mode, expr):
+        half = "9" * 3000
+        batch = tmp_path / "batch.txt"
+        batch.write_text("cyc(a)\n" + expr.format(half=half) + "\n")
+        rc, out, err = run_in_process("--output", mode, "normalize", f"@{batch}")
+        first = run_in_process("--output", mode, "normalize", "cyc(a)")[1]
+        if not 0 < INT_DIGITS < 2 * len(half):
+            assert rc == 0 and out.startswith(first)
+            return
+        # the first record is written whole and the second not at all
+        assert (rc, out) == (4, first)
+        assert err == f"error: a number in the result has more than {INT_DIGITS} digits\n"
+
+    @pytest.mark.parametrize("mode", ["machine", "pretty"])
+    def test_derivative_order_in_output(self, mode):
+        # one derivative more than the longest order the parser reads
+        order = "9" * (INT_DIGITS or 4300)
+        rc, out, err = run_in_process("--output", mode, "tderiv", f"cyc(a_{{x,{order}}}*a)")
+        if not INT_DIGITS:
+            assert rc == 0
+            return
+        assert (rc, out) == (4, "")
+        assert err == f"error: a number in the result has more than {INT_DIGITS} digits\n"

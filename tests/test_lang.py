@@ -577,6 +577,13 @@ class TestProductChains:
             ),
             ("op(a*b*R(b_{y}))", "malformed derivative suffix in 'b_{y}' (at column 10)"),
             ("op(D*a*-b)", "unexpected '-' inside op(...) (at column 8)"),
+            # a product that fails is reported before a bad letter after it
+            (
+                "cyc(a)*b*a3",
+                "cyclic sums cannot be multiplied inline; use the times command (at column 7)",
+            ),
+            ("op(D)*a*a3", "cannot multiply operator with open (at column 6)"),
+            ("2/a*a3", "division needs a scalar divisor (at column 2)"),
         ],
     )
     def test_error_in_a_chain(self, text, message):
