@@ -3,6 +3,7 @@ of evolutionary fields on word sums."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import BoundExceeded, PreconditionError
@@ -55,10 +56,14 @@ class JetContext:
         return orders
 
     def check_order(self, order: int) -> None:
+        """Raise BoundExceeded for an order over the cap.  An order longer
+        than the interpreter converts to text is named by that limit instead,
+        so the message never calls `str` on it."""
         if self.max_order is not None and order > self.max_order:
-            raise BoundExceeded(
-                f"derivative order {order} exceeds cap {self.max_order}"
-            )
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and order >= 10**limit:
+                order = f"of more than {limit} digits"
+            raise BoundExceeded(f"derivative order {order} exceeds cap {self.max_order}")
 
     def check_direction(self, direction: int) -> None:
         if not 1 <= direction <= self.directions:
@@ -67,14 +72,13 @@ class JetContext:
             )
 
     def shift(self, letter: Letter, direction: int) -> Letter:
-        """The letter with one more derivative along a 1-based direction."""
+        """The letter with one more derivative along a 1-based direction.  The
+        cap is compared here before `check_order` raises, sparing hot loops a call."""
         d = direction - 1
         orders = letter.orders[:d] + (letter.orders[d] + 1,) + letter.orders[d + 1:]
         order = letter.order + 1
         if self.max_order is not None and order > self.max_order:
-            raise BoundExceeded(
-                f"derivative order {order} exceeds cap {self.max_order}"
-            )
+            self.check_order(order)
         return Letter(letter.odd, letter.index, order, orders)
 
     # -- coefficients ----------------------------------------------------
@@ -143,21 +147,33 @@ def minus_d_series(
     return parts.get((), FormalSum(cyclic=False))
 
 
-def partial_jet(ctx: JetContext, f: FormalSum, target: Letter) -> FormalSum:
-    """Cyclic partial derivative with respect to one exact letter: cut the
-    circle at each occurrence, reading onward from the cut."""
-    if not f.cyclic:
-        raise PreconditionError("partial_jet expects a cyclic sum")
-    out = FormalSum(cyclic=False)
+def cuts(
+    f: FormalSum, odd_kind: bool, index: int, right: bool = False
+) -> dict[tuple[int, ...], FormalSum]:
+    """The cut-open words of one letter family in a cyclic sum, grouped by
+    the multi-index of the removed letter.  Each occurrence cuts the circle
+    there, reading onward from the cut, with the sign of the odd letters
+    passed on the way; `right` moves the removed letter to the other end,
+    which adds a sign per word on odd families only."""
+    parts: dict[tuple[int, ...], FormalSum] = {}
     for w, c in f.terms.items():
         total_odd = odd_count(w)
+        word_sign = -1 if right and odd_kind and (total_odd - 1) % 2 else 1
         sign = 1
         for i, letter in enumerate(w):
-            if letter == target:
-                opened = w[i + 1:] + w[:i]
-                out.add_word(opened, c * sign)
+            if letter.odd == odd_kind and letter.index == index:
+                part = parts.setdefault(letter.orders, FormalSum(cyclic=False))
+                part.add_word(w[i + 1:] + w[:i], c if sign == word_sign else -c)
             sign *= pass_sign(letter, total_odd)
-    return out
+    return parts
+
+
+def partial_jet(ctx: JetContext, f: FormalSum, target: Letter) -> FormalSum:
+    """Cyclic partial derivative with respect to one exact letter: the
+    `cuts` of its family at its multi-index."""
+    if not f.cyclic:
+        raise PreconditionError("partial_jet expects a cyclic sum")
+    return cuts(f, target.odd, target.index).get(target.orders, FormalSum(cyclic=False))
 
 
 @dataclass(frozen=True)
@@ -188,11 +204,6 @@ class GeneratingSection:
             and (self.parity == other.parity or (self.is_zero() and other.is_zero()))
         )
 
-    def __neg__(self) -> "GeneratingSection":
-        return GeneratingSection(
-            tuple(-c for c in self.even), tuple(-c for c in self.odd), self.parity
-        )
-
 
 def make_section(
     ctx: JetContext, even=None, odd=None, parity: int | None = None
@@ -206,14 +217,11 @@ def make_section(
             f"section needs {ctx.fields} components of each kind"
         )
     seen: set[int] = set()
-    for comp in even:
-        if comp.cyclic:
-            raise PreconditionError("section components must be open sums")
-        seen.update(k % 2 for k in comp.odd_degrees())
-    for comp in odd:
-        if comp.cyclic:
-            raise PreconditionError("section components must be open sums")
-        seen.update((k + 1) % 2 for k in comp.odd_degrees())
+    for slot_parity, comps in ((0, even), (1, odd)):
+        for comp in comps:
+            if comp.cyclic:
+                raise PreconditionError("section components must be open sums")
+            seen.update((k + slot_parity) % 2 for k in comp.odd_degrees())
     if len(seen) > 1:
         raise PreconditionError("section components have mixed parity")
     if seen:

@@ -406,13 +406,17 @@ def parse_cyclic(text: str, ctx: JetContext) -> FormalSum:
     return value.payload
 
 
-def parse_open(text: str, ctx: JetContext) -> FormalSum:
-    value = parse_value(text, ctx)
+def _open_payload(value: Value) -> FormalSum:
+    """The open sum of a value; a scalar is a multiple of the empty word."""
     if value.kind == "scalar":
         return FormalSum.single(False, (), value.payload)
     if value.kind != "open":
         raise ParseError(f"expected an open-word expression, got {value.kind}")
     return value.payload
+
+
+def parse_open(text: str, ctx: JetContext) -> FormalSum:
+    return _open_payload(parse_value(text, ctx))
 
 
 def parse_operator(text: str, ctx: JetContext) -> DifferentialOperator:
@@ -427,12 +431,7 @@ def parse_covector(text: str, ctx: JetContext) -> Covector:
     if value.kind == "covector":
         return value.payload
     if ctx.fields == 1 and value.kind in ("scalar", "open"):
-        comp = (
-            FormalSum.single(False, (), value.payload)
-            if value.kind == "scalar"
-            else value.payload
-        )
-        return Covector((comp,))
+        return Covector((_open_payload(value),))
     raise ParseError(f"expected cov(...), got {value.kind}")
 
 
@@ -441,12 +440,7 @@ def parse_section_tuple(text: str, ctx: JetContext) -> tuple[FormalSum, ...]:
     if value.kind == "section":
         return value.payload
     if ctx.fields == 1 and value.kind in ("scalar", "open"):
-        comp = (
-            FormalSum.single(False, (), value.payload)
-            if value.kind == "scalar"
-            else value.payload
-        )
-        return (comp,)
+        return (_open_payload(value),)
     raise ParseError(f"expected sec(...), got {value.kind}")
 
 

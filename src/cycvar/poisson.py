@@ -20,11 +20,12 @@ from .variational import (
     Functional,
     coupling,
     covector_of,
-    euler_derivative,
     is_trivial,
+    variations,
 )
 from .schouten import (
     Multivector,
+    bivector_density,
     evaluate,
     multivector_from_operator,
     normalize_multivector,
@@ -149,15 +150,9 @@ def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
     which vanish on total divergences exactly, so it is the same value on
     either route."""
     _require_skew(op)
-    bs = odd_letter_sums(ctx)
-    bivector = coupling(ctx, bs, (op.apply(b) for b in bs)).scale(Fraction(1, 2))
+    bivector = bivector_density(ctx, op)
     odd_degree(bivector, 2)
-    families = range(1, ctx.fields + 1)
-    density = coupling(
-        ctx,
-        (euler_derivative(ctx, bivector, odd_kind=False, index=j) for j in families),
-        (euler_derivative(ctx, bivector, odd_kind=True, index=j) for j in families),
-    )
+    density = coupling(ctx, variations(ctx, bivector, False), variations(ctx, bivector, True))
     return normalize_multivector(ctx, density.scale(2), 3)
 
 
@@ -352,10 +347,9 @@ def substitution_harness(
             for density in (even_density, odd_density):
                 for direction in range(1, ctx.directions + 1):
                     exact = total_derivative(ctx, density, direction)
-                    for j in range(1, ctx.fields + 1):
-                        for odd_kind in (False, True):
-                            if not euler_derivative(ctx, exact, odd_kind, j).is_zero():
-                                passed = False
+                    for odd_kind in (False, True):
+                        if any(variations(ctx, exact, odd_kind)):
+                            passed = False
         elif identity == "adjoint-pairing":
             p = corpus.covector(rng, ctx, jet_dependent=jet)
             q = corpus.covector(rng, ctx, jet_dependent=jet)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .words import FormalSum, close_concat
+from .words import FormalSum
 from .jets import (
     GeneratingSection,
     JetContext,
@@ -17,7 +17,7 @@ from .jets import (
     make_section,
 )
 from .operators import DifferentialOperator
-from .variational import Covector, Functional, coupling, euler_derivative, is_trivial
+from .variational import Covector, Functional, coupling, is_trivial, variations
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,8 @@ def normalize_multivector(
     if degree == 0:
         return Multivector(ctx, degree, density)
 
-    variations = [
-        euler_derivative(ctx, density, odd_kind=True, index=j)
-        for j in range(1, ctx.fields + 1)
-    ]
-    rebuilt = coupling(ctx, odd_letter_sums(ctx), variations).scale(Fraction(1, degree))
+    odd_variations = variations(ctx, density, odd_kind=True)
+    rebuilt = coupling(ctx, odd_letter_sums(ctx), odd_variations).scale(Fraction(1, degree))
     return Multivector(ctx, degree, rebuilt)
 
 
@@ -96,21 +93,24 @@ def bivector_operator(ctx: JetContext, mv: Multivector) -> DifferentialOperator:
     if mv.degree != 2 or ctx.fields != 1:
         raise PreconditionError("need a degree-2 multivector in one field pair")
     operator = DifferentialOperator(ctx)
-    variation = euler_derivative(ctx, mv.density, odd_kind=True, index=1)
+    (variation,) = variations(ctx, mv.density, odd_kind=True)
     for w, c in variation.terms.items():
         pos = next(i for i, l in enumerate(w) if l.odd)
         operator.add_term(w[:pos], w[pos].orders, w[pos + 1:], c)
     return operator
 
 
-def multivector_from_operator(
-    ctx: JetContext, op: DifferentialOperator
-) -> Multivector:
-    """The degree-2 density of a skew one-slot operator, acting diagonally:
-    half the closed pairing of the odd letters with their images."""
+def bivector_density(ctx: JetContext, op: DifferentialOperator) -> FormalSum:
+    """The raw degree-2 density of a one-slot operator acting diagonally,
+    (1/2) * sum_j close(b_j * op(b_j)), never put in standard form."""
     bs = odd_letter_sums(ctx)
-    density = coupling(ctx, bs, (op.apply(b) for b in bs))
-    return normalize_multivector(ctx, density.scale(Fraction(1, 2)), degree=2)
+    return coupling(ctx, bs, (op.apply(b) for b in bs)).scale(Fraction(1, 2))
+
+
+def multivector_from_operator(ctx: JetContext, op: DifferentialOperator) -> Multivector:
+    """The bivector of a skew one-slot operator: its `bivector_density` in
+    standard form."""
+    return normalize_multivector(ctx, bivector_density(ctx, op), degree=2)
 
 
 def q_field(ctx: JetContext, mv: Multivector) -> GeneratingSection:
@@ -122,14 +122,8 @@ def q_field(ctx: JetContext, mv: Multivector) -> GeneratingSection:
     depends only on the class of the density up to total divergences."""
     if mv._field is not None and mv._field[0] == ctx:
         return mv._field[1]
-    even = tuple(
-        -euler_derivative(ctx, mv.density, odd_kind=True, index=j, side="right")
-        for j in range(1, ctx.fields + 1)
-    )
-    odd = tuple(
-        euler_derivative(ctx, mv.density, odd_kind=False, index=j)
-        for j in range(1, ctx.fields + 1)
-    )
+    even = tuple(-v for v in variations(ctx, mv.density, odd_kind=True, side="right"))
+    odd = variations(ctx, mv.density, odd_kind=False)
     section = make_section(ctx, even=even, odd=odd, parity=(mv.degree - 1) % 2)
     object.__setattr__(mv, "_field", (ctx, section))
     return section
@@ -152,15 +146,13 @@ def schouten_by_variations(
     """Independent coordinate route to the bracket density: pair the
     variations of the two arguments family by family.  Differs from the
     primary route by a total divergence only."""
-    out = FormalSum(cyclic=True)
-    for j in range(1, ctx.fields + 1):
-        da_xi = euler_derivative(ctx, xi.density, odd_kind=False, index=j)
-        db_eta = euler_derivative(ctx, eta.density, odd_kind=True, index=j)
-        out._accumulate(close_concat(da_xi, db_eta))
-        db_xi = euler_derivative(ctx, xi.density, odd_kind=True, index=j, side="right")
-        da_eta = euler_derivative(ctx, eta.density, odd_kind=False, index=j)
-        out._accumulate(close_concat(db_xi, da_eta), negate=True)
-    return out
+    forward = coupling(
+        ctx, variations(ctx, xi.density, False), variations(ctx, eta.density, True)
+    )
+    backward = coupling(
+        ctx, variations(ctx, xi.density, True, side="right"), variations(ctx, eta.density, False)
+    )
+    return forward._accumulate(backward, negate=True)
 
 
 def contraction_section(ctx: JetContext, p: Covector) -> GeneratingSection:

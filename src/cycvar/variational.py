@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .words import FormalSum, close_concat, odd_count, pass_sign
-from .jets import JetContext, minus_d_series
+from .words import FormalSum, close_concat
+from .jets import JetContext, cuts, minus_d_series
 
 
 def euler_derivative(
@@ -20,8 +20,8 @@ def euler_derivative(
     """Variational derivative of a cyclic sum along one letter family.
 
     For each occurrence of the family, cut the circle there and apply (-D) to
-    the multi-index of the removed letter.  The cut words are grouped by that
-    multi-index first, so the powers of (-D) are applied in Horner form.
+    the multi-index of the removed letter.  The `cuts` come grouped by that
+    multi-index, so the powers of (-D) are applied in Horner form.
     `side` chooses on which side of the density the variation is collected;
     the two differ, per word, by a sign on odd families only.
     """
@@ -29,19 +29,16 @@ def euler_derivative(
         raise PreconditionError("euler_derivative expects a cyclic sum")
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    cuts: dict[tuple[int, ...], FormalSum] = {}
-    for w, c in f.terms.items():
-        total_odd = odd_count(w)
-        word_sign = 1
-        if side == "right" and odd_kind and (total_odd - 1) % 2:
-            word_sign = -1
-        sign = 1
-        for i, letter in enumerate(w):
-            if letter.odd == odd_kind and letter.index == index:
-                part = cuts.setdefault(letter.orders, FormalSum(cyclic=False))
-                part.add_word(w[i + 1:] + w[:i], c if sign == word_sign else -c)
-            sign *= pass_sign(letter, total_odd)
-    return minus_d_series(ctx, cuts)
+    return minus_d_series(ctx, cuts(f, odd_kind, index, right=side == "right"))
+
+
+def variations(
+    ctx: JetContext, f: FormalSum, odd_kind: bool, side: str = "left"
+) -> tuple[FormalSum, ...]:
+    """The variational derivatives of a cyclic sum along families 1..m of one kind."""
+    return tuple(
+        euler_derivative(ctx, f, odd_kind, j, side) for j in range(1, ctx.fields + 1)
+    )
 
 
 def is_trivial(ctx: JetContext, f: FormalSum) -> bool:
@@ -108,9 +105,4 @@ def covector_of(ctx: JetContext, f) -> Covector:
     """The covector of variational derivatives of a functional (or density)
     along the position families."""
     density = f.density if isinstance(f, Functional) else f
-    return Covector(
-        tuple(
-            euler_derivative(ctx, density, odd_kind=False, index=j)
-            for j in range(1, ctx.fields + 1)
-        )
-    )
+    return Covector(variations(ctx, density, odd_kind=False))

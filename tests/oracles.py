@@ -7,7 +7,8 @@ on words rather than through operator terms, and bivector evaluation goes
 through the pairing formula rather than through contraction of the density.
 The Euler derivative and the adjoint are expanded one letter occurrence (one
 operator term) at a time, each with its own power of (-D), rather than
-grouped in Horner form.  The Jacobi defect is computed one triple at a
+grouped in Horner form, and the cyclic partial derivative rotates each word
+to every occurrence of its letter with a `block_rotations` sign.  The Jacobi defect is computed one triple at a
 time, every inner bracket's covector on its own, {h_k, h_i} as well as
 {h_i, h_k}, and the witness search is the plain loop over it, with nothing
 reused between triples.  The eager Schouten bracket puts every result,
@@ -193,6 +194,18 @@ def reference_euler_derivative(
                 for w2, c2 in minus_d_power(ctx, opened, letter.orders).terms.items():
                     out.add_word(w2, c2)
             sign *= pass_sign(letter, total_odd)
+    return out
+
+
+def reference_partial_jet(f: FormalSum, target: Letter) -> FormalSum:
+    """Cyclic partial derivative by one rotation per occurrence of the exact
+    letter: the word is rotated to start there, with its `block_rotations`
+    sign, and the letter dropped."""
+    out = FormalSum(cyclic=False)
+    for w, c in f.terms.items():
+        for r, (rotated, sign) in enumerate(block_rotations(w)):
+            if w[r] == target:
+                out.add_word(rotated[1:], c * sign)
     return out
 
 

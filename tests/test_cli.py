@@ -365,6 +365,7 @@ class TestStreaming:
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG = "9" * 5000
 ONE = "0" * 4999 + "1"  # as long as LONG, and a valid field index
+ORDER = "9" * (INT_DIGITS or 4300)  # the longest order the parser reads
 
 
 class TestOverLongNumbers:
@@ -424,6 +425,25 @@ class TestOverLongNumbers:
         # the first record is written whole and the second not at all
         assert (rc, out) == (4, first)
         assert err == f"error: a number in the result has more than {INT_DIGITS} digits\n"
+
+    @pytest.mark.parametrize(
+        "cap, args",
+        [
+            ("2", ("normalize", f"a_{{x,{ORDER}}}_{{x,{ORDER}}}")),
+            (ORDER, ("tderiv", f"cyc(a_{{x,{ORDER}}})")),
+            (ORDER, ("normalize", f"op(D^{ORDER}*D^{ORDER})")),
+        ],
+        ids=["letter-orders", "tderiv", "derivative-powers"],
+    )
+    def test_derivative_order_over_cap(self, cap, args):
+        # each order is as long as the interpreter reads; one over the cap is longer
+        rc, out, err = run_in_process("--max-order", cap, *args)
+        assert (rc, out) == (4, "") and err.count("\n") == 1
+        if INT_DIGITS:
+            order = f"of more than {INT_DIGITS} digits"
+            assert err == f"error: derivative order {order} exceeds cap {cap}\n"
+        else:
+            assert err.startswith("error: derivative order ")
 
     @pytest.mark.parametrize("mode", ["machine", "pretty"])
     def test_derivative_order_in_output(self, mode):

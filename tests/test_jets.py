@@ -1,7 +1,10 @@
 """Jet contexts, total derivatives, and evolutionary fields."""
 
+import random
+
 import pytest
 
+from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import FormalSum
 from cycvar.jets import (
@@ -14,6 +17,8 @@ from cycvar.jets import (
     partial_jet,
     total_derivative,
 )
+
+from oracles import reference_partial_jet
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -110,6 +115,24 @@ class TestPartialJet:
     def test_requires_cyclic(self):
         with pytest.raises(PreconditionError):
             partial_jet(CTX, opn([A]), A)
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_matches_per_occurrence_reference(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(300 + 10 * fields + directions)
+        # no drawn word holds a letter of order 3 (corpus orders are at most 2)
+        absent = ctx.letter(True, fields, (3,) + (0,) * (directions - 1))
+        checked = 0
+        for _ in range(8):
+            for odd_degree in range(4):
+                f = corpus.cyclic_density(rng, ctx, odd_degree, words=3)
+                assert partial_jet(ctx, f, absent).is_zero()
+                for target in sorted({letter for w in f.terms for letter in w}):
+                    got = partial_jet(ctx, f, target)
+                    assert got == reference_partial_jet(f, target)
+                    checked += bool(got)
+        assert checked
 
 
 class TestSections:
