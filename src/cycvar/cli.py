@@ -326,11 +326,24 @@ def _expand_one(arg: str) -> str:
 # -- commands --------------------------------------------------------------
 
 
+class _Integer(click.types.IntParamType):
+    """click's INTEGER, naming a digit string too long for int() by its length."""
+
+    def convert(self, value, param, ctx):
+        try:
+            return super().convert(value, param, ctx)
+        except click.BadParameter:
+            digits = str(value).strip().lstrip("+-")
+            if not digits.isdecimal():
+                raise
+            self.fail(f"number with {len(digits)} digits is too long", param, ctx)
+
+
 @click.group(name="cycvar")
-@click.option("--m", type=int, default=None, help="Letter families per parity (default 1).")
-@click.option("--n", type=int, default=None, help="Base directions (default 1).")
-@click.option("--max-order", type=int, default=None, help="Cap on derivative orders; exceeding it exits 4.")
-@click.option("--seed", type=int, default=None, help="Seed for randomized commands (default 0).")
+@click.option("--m", type=_Integer(), default=None, help="Letter families per parity (default 1).")
+@click.option("--n", type=_Integer(), default=None, help="Base directions (default 1).")
+@click.option("--max-order", type=_Integer(), default=None, help="Cap on derivative orders; exceeding it exits 4.")
+@click.option("--seed", type=_Integer(), default=None, help="Seed for randomized commands (default 0).")
 @click.option("--output", type=click.Choice(["pretty", "machine"]), default=None, help="Output style (default pretty).")
 @click.option("--config", "config_path", type=str, default=None, help="JSON file with defaults for m, n, max_order, seed, output.")
 @click.pass_context
@@ -372,8 +385,8 @@ def times_cmd(session, left, right):
 
 @cli.command()
 @click.argument("expr")
-@click.option("--direction", type=int, default=1, show_default=True)
-@click.option("--order", type=int, default=1, show_default=True, help="How many times to differentiate.")
+@click.option("--direction", type=_Integer(), default=1, show_default=True)
+@click.option("--order", type=_Integer(), default=1, show_default=True, help="How many times to differentiate.")
 @click.pass_obj
 def tderiv(session, expr, direction, order):
     """Total derivative of a word sum (cyclic or open).  Supports @FILE."""
@@ -529,7 +542,7 @@ def jacobi(session, operator, functionals):
 @cli.command("is-hamiltonian")
 @click.argument("operator")
 @click.option("--witness/--no-witness", "find_witness", default=True, show_default=True, help="Search for a functional triple breaking Jacobi on a negative verdict.")
-@click.option("--witness-budget", type=int, default=200, show_default=True)
+@click.option("--witness-budget", type=_Integer(), default=200, show_default=True)
 @click.pass_obj
 def is_hamiltonian_cmd(session, operator, find_witness, witness_budget):
     """Decide whether a skew operator is Hamiltonian.  Supports @FILE."""
@@ -559,7 +572,7 @@ def witness(session, operator, first, second):
 
 @cli.command("subst-check")
 @click.argument("identity", type=click.Choice(IDENTITY_NAMES))
-@click.option("--trials", type=int, default=25, show_default=True)
+@click.option("--trials", type=_Integer(), default=25, show_default=True)
 @click.option("--covectors", "covector_class", type=click.Choice(["jet", "x"]), default="jet", show_default=True, help="Draw jet-dependent or coordinate-only arguments.")
 @click.option("--op", "operator", default=None, help="Operator to probe (default op(D)).")
 @click.pass_obj

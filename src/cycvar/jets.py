@@ -56,14 +56,13 @@ class JetContext:
         return orders
 
     def check_order(self, order: int) -> None:
-        """Raise BoundExceeded for an order over the cap.  An order longer
-        than the interpreter converts to text is named by that limit instead,
-        so the message never calls `str` on it."""
+        """Raise BoundExceeded for an order over the cap.  An order or a cap
+        longer than the interpreter converts to text is named by that limit
+        instead, so the message never calls `str` on either."""
         if self.max_order is not None and order > self.max_order:
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and order >= 10**limit:
-                order = f"of more than {limit} digits"
-            raise BoundExceeded(f"derivative order {order} exceeds cap {self.max_order}")
+            text = lambda n: f"of more than {limit} digits" if limit and abs(n) >= 10**limit else n
+            raise BoundExceeded(f"derivative order {text(order)} exceeds cap {text(self.max_order)}")
 
     def check_direction(self, direction: int) -> None:
         if not 1 <= direction <= self.directions:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BoundExceeded, CycvarError, ParseError, PreconditionError
@@ -198,9 +197,7 @@ class Parser:
             raise ParseError("cannot divide by an x-dependent scalar", pos)
         if value == 0:
             raise ParseError("division by zero", pos)
-        return self._scale(left, Coefficient.constant(
-            Fraction(1, 1) / value, self.ctx.directions
-        ))
+        return self._scale(left, Coefficient.constant(1 / value, self.ctx.directions))
 
     def _add(self, left: Value, right: Value, subtract: bool, pos: int) -> Value:
         if self._with_operator(left, right):
@@ -493,13 +490,12 @@ def _signed_join(texts) -> str:
 
 def coefficient_text(c: Coefficient, ctx: JetContext) -> str:
     """Canonical text of a scalar polynomial, parseable by the grammar."""
-    if len(c.terms) == 1:
-        ((exps, value),) = c.terms.items()
+    terms = c.terms
+    if len(terms) == 1:
+        ((exps, value),) = terms.items()
         if not any(exps):
             return number_text(value)
-    if not c:
-        return "0"
-    return _signed_join(_mono_text(exps, value, ctx) for exps, value in c.sorted_terms())
+    return _signed_join(_mono_text(exps, value, ctx) for exps, value in c.sorted_terms()) or "0"
 
 
 def letter_text(letter: Letter, ctx: JetContext) -> str:
@@ -540,18 +536,16 @@ def word_text(letters, ctx: JetContext, names: dict | None = None) -> str:
 
 def _term_text(coeff: Coefficient, body: str | None, ctx: JetContext) -> str:
     """Signed text of one sum term with its coefficient folded in."""
-    if len(coeff.terms) != 1:
-        text = f"({coefficient_text(coeff, ctx)})"
-        return text if body is None else f"{text}*{body}"
-    ((exps, value),) = coeff.terms.items()
-    mono = _mono_text(exps, value, ctx) if any(exps) else number_text(value)
+    text = coefficient_text(coeff, ctx)
+    if len(coeff.nums) != 1:
+        text = f"({text})"
     if body is None:
-        return mono
-    if mono == "1":
+        return text
+    if text == "1":
         return body
-    if mono == "-1":
+    if text == "-1":
         return "-" + body
-    return f"{mono}*{body}"
+    return f"{text}*{body}"
 
 
 def sum_text(f: FormalSum, ctx: JetContext) -> str:

@@ -5,11 +5,13 @@ its parity-reversed partner (odd); it carries a field index and a derivative
 multi-index with one slot per base direction.  Cyclic words are stored by
 their canonical rotation; the sign bookkeeping for odd letters happens once,
 at normalization time, so every later operation works on plain tuples.
+A coefficient keeps integer numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, NamedTuple
 
@@ -89,12 +91,18 @@ def normalize(letters: Word) -> tuple[Word | None, int]:
     return best, best_sign
 
 
-def _lean(value: int | Fraction) -> int | Fraction:
-    """An exact rational with denominator 1 as a plain int, whose arithmetic
-    is much cheaper; any other value unchanged."""
-    if type(value) is Fraction and value.denominator == 1:
-        return value.numerator
-    return value
+def _build(nums: dict[tuple[int, ...], int], den: int, reduced: bool = False) -> "Coefficient":
+    """The Coefficient `nums` / `den` (nonzero int numerators, `den` >= 1) in
+    lowest terms; no gcd runs when `den` is 1 or the caller passes `reduced`."""
+    if den != 1 and not reduced:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: v // g for m, v in nums.items()}
+            den //= g
+    out = object.__new__(Coefficient)
+    out.nums = nums
+    out.den = den
+    return out
 
 
 class Coefficient:
@@ -102,109 +110,114 @@ class Coefficient:
 
     Monomials are exponent tuples with one slot per base direction; they
     commute with everything, so they can be kept apart from the words.
-    A value is stored as an int when it is a whole number and as a Fraction
-    otherwise: every sum, product or conversion that builds a value passes
-    it through `_lean` (negation keeps a value lean).
+    The polynomial is `nums` / `den`: `nums` maps monomials to nonzero ints
+    and the one denominator `den` >= 1 shares no factor with all of them
+    (zero has `den` 1).  The form is canonical, so equal polynomials have
+    equal fields, and the arithmetic runs on plain ints; `terms` reads the
+    values back as rationals.  Like a dict, a Coefficient is unhashable.
     Only a freshly built instance is ever written to; once returned it is
     treated as immutable, so sums may share one Coefficient object.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple[int, ...], int | Fraction] = {}
+        values: dict[tuple[int, ...], Fraction] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, value in items:
-                self._accumulate(tuple(mono), _lean(Fraction(value)))
-
-    def _accumulate(self, mono: tuple[int, ...], value: int | Fraction) -> None:
-        acc = self.terms.get(mono)
-        acc = value if acc is None else _lean(acc + value)
-        if acc:
-            self.terms[mono] = acc
-        else:
-            self.terms.pop(mono, None)
+            for mono, value in terms.items() if isinstance(terms, dict) else terms:
+                mono = tuple(mono)
+                values[mono] = values.get(mono, 0) + Fraction(value)
+        # over the lcm of the reduced denominators no factor is left to cancel
+        self.den = lcm(*(v.denominator for v in values.values()))
+        self.nums = {m: v.numerator * (self.den // v.denominator) for m, v in values.items() if v}
 
     @classmethod
     def constant(cls, value, directions: int) -> "Coefficient":
-        if type(value) is int:
-            # already lean: no Fraction round trip
-            return cls._wrap({(0,) * directions: value} if value else {})
-        return cls({(0,) * directions: value})
+        return cls.monomial((0,) * directions, value)
 
     @classmethod
     def monomial(cls, exponents, value=1) -> "Coefficient":
-        return cls({tuple(exponents): value})
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _build({tuple(exponents): value.numerator} if value else {}, value.denominator, True)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """The values by monomial, each an int when whole, else a Fraction."""
+        den = self.den
+        if den == 1:
+            return dict(self.nums)
+        return {m: v // den if v % den == 0 else Fraction(v, den) for m, v in self.nums.items()}
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Coefficient) and self.terms == other.terms
+        return isinstance(other, Coefficient) and self.den == other.den and self.nums == other.nums
 
-    def __hash__(self):
-        raise TypeError("Coefficient is not hashable")
-
-    @classmethod
-    def _wrap(cls, terms: dict[tuple[int, ...], int | Fraction]) -> "Coefficient":
-        """Adopt a dict of nonzero values, already lean, without re-checking it."""
-        out = cls()
-        out.terms = terms
-        return out
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        out = Coefficient._wrap(dict(self.terms))
-        for mono, value in other.terms.items():
-            out._accumulate(mono, value)
-        return out
+    def __add__(self, other: "Coefficient", sign: int = 1) -> "Coefficient":
+        den = self.den
+        if den == other.den:
+            nums = dict(self.nums)
+        else:
+            den = lcm(den, other.den)
+            nums = {m: v * (den // self.den) for m, v in self.nums.items()}
+            sign *= den // other.den
+        for mono, value in other.nums.items():
+            value = nums.get(mono, 0) + sign * value
+            if value:
+                nums[mono] = value
+            else:
+                del nums[mono]
+        return _build(nums, den)
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient._wrap({m: -v for m, v in self.terms.items()})
+        return _build({m: -v for m, v in self.nums.items()}, self.den, True)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
-        out = Coefficient._wrap(dict(self.terms))
-        for mono, value in other.terms.items():
-            out._accumulate(mono, -value)
-        return out
+        return self.__add__(other, -1)
 
     def __mul__(self, other) -> "Coefficient":
-        if isinstance(other, Coefficient):
-            out = Coefficient()
-            for m1, v1 in self.terms.items():
-                for m2, v2 in other.terms.items():
-                    out._accumulate(tuple(map(add, m1, m2)), _lean(v1 * v2))
-            return out
-        value = _lean(other if isinstance(other, (int, Fraction)) else Fraction(other))
-        if not value:
-            return Coefficient()
-        return Coefficient._wrap({m: _lean(v * value) for m, v in self.terms.items()})
+        if not isinstance(other, Coefficient):
+            # a number is a constant with no exponent slots: the smaller factor
+            other = Coefficient.monomial((), other)
+        small, large = other.nums, self.nums
+        if len(small) > len(large):
+            small, large = large, small
+        den = self.den * other.den
+        if len(small) == 1:
+            ((m1, v1),) = small.items()
+            if not any(m1):
+                return _build({m: v1 * v for m, v in large.items()}, den)
+        nums: dict[tuple[int, ...], int] = {}
+        for m1, v1 in small.items():
+            for m2, v2 in large.items():
+                mono = tuple(map(add, m1, m2))
+                value = nums.get(mono, 0) + v1 * v2
+                if value:
+                    nums[mono] = value
+                else:
+                    del nums[mono]
+        return _build(nums, den)
 
     __rmul__ = __mul__
 
     def diff(self, direction: int) -> "Coefficient":
         """Derivative along a 1-based base direction."""
         d = direction - 1
-        out = Coefficient()
-        for mono, value in self.terms.items():
+        nums = {}
+        for mono, value in self.nums.items():
             e = mono[d]
             if e:
-                out._accumulate(mono[:d] + (e - 1,) + mono[d + 1:], _lean(value * e))
-        return out
+                nums[mono[:d] + (e - 1,) + mono[d + 1:]] = value * e
+        return _build(nums, self.den)
 
     def constant_value(self) -> Fraction | None:
-        """The value of a constant polynomial, as a Fraction, or None if
-        x-dependent."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            mono, value = next(iter(self.terms.items()))
-            if not any(mono):
-                return Fraction(value)
-        return None
+        """The value of a constant polynomial, zero included, as a Fraction,
+        or None if x-dependent."""
+        if len(self.nums) > 1 or any(next(iter(self.nums), ())):
+            return None
+        return Fraction(sum(self.nums.values()), self.den)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))

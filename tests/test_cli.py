@@ -403,6 +403,30 @@ class TestOverLongNumbers:
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: config {cfg} is not valid JSON: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "before, option, after",
+        [
+            ((), "--m", ("normalize", "cyc(a)")),
+            ((), "--n", ("normalize", "cyc(a)")),
+            ((), "--max-order", ("normalize", "cyc(a)")),
+            ((), "--seed", ("normalize", "cyc(a)")),
+            (("tderiv",), "--direction", ("cyc(a)",)),
+            (("tderiv",), "--order", ("cyc(a)",)),
+            (("is-hamiltonian",), "--witness-budget", ("op(D)",)),
+            (("subst-check", "zero"), "--trials", ()),
+        ],
+        ids=["m", "n", "max-order", "seed", "direction", "order", "witness-budget", "trials"],
+    )
+    def test_in_option(self, sign, before, option, after):
+        if not 0 < INT_DIGITS < len(LONG):
+            pytest.skip("this interpreter reads integers of any length")
+        rc, out, err = run_in_process(*before, option, sign + LONG, *after)
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: Invalid value for '{option}': number with {len(LONG)} digits is too long\n"
+        )
+
     @pytest.mark.parametrize("mode", ["machine", "pretty"])
     @pytest.mark.parametrize(
         "expr",

@@ -1,13 +1,16 @@
-"""Fuzzed command-line input: every expression either works or exits with a
-documented code and a one-line message.
+"""Fuzzed command-line input: every expression and every integer option
+value either works or exits with a documented code and a one-line message.
 
 The texts join tokens of the expression grammar at random, so most are
 malformed.  Numbers have at most two digits and derivative powers are
-fixed tokens, so no draw does unbounded work.
+fixed tokens, so no draw does unbounded work.  Option values come from a
+small fixed set whose only large number is too long to read, so orders,
+trials and sizes stay small too.
 """
 
 import contextlib
 import io
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,3 +50,41 @@ def test_exit_code_and_one_error_line(options, text):
         assert err == "", text
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# a number is read only if it is short; an interpreter with no digit limit
+# would read the long one and differentiate or draw that many times
+OPTION_VALUES = ["-1", "0", "1", "2", "x", "1.5", ""] + (["9" * (INT_DIGITS + 1)] if INT_DIGITS else [])
+GLOBAL_OPTIONS = ["--m", "--n", "--max-order", "--seed"]
+# each command with its integer options and its arguments
+COMMANDS = [
+    ("normalize", [], ["cyc(a*a_x)"]),
+    ("tderiv", ["--direction", "--order"], ["cyc(a*a_x)"]),
+    ("is-hamiltonian", ["--witness-budget"], ["op(D)"]),
+    ("subst-check", ["--trials"], ["zero"]),
+]
+
+
+@st.composite
+def option_argv(draw):
+    """An argument list setting a random subset of the integer options."""
+    def options(names):
+        chosen = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+        return [part for name in chosen for part in (name, draw(st.sampled_from(OPTION_VALUES)))]
+
+    command, names, args = draw(st.sampled_from(COMMANDS))
+    return ["--output", "machine", *options(GLOBAL_OPTIONS), command, *options(names), *args]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=option_argv())
+def test_option_values_exit_code_and_one_error_line(argv):
+    code, err = run(argv)
+    assert code in range(5), (argv, code)
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err[:300])
+        # an option value is never echoed whole when it is too long to read
+        assert len(err) < 200, (argv, err[:300])

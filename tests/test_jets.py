@@ -1,6 +1,7 @@
 """Jet contexts, total derivatives, and evolutionary fields."""
 
 import random
+import sys
 
 import pytest
 
@@ -52,6 +53,19 @@ class TestContext:
             capped.letter(False, 1, (3,))
         with pytest.raises(BoundExceeded):
             capped.shift(capped.letter(False, 1, (2,)), 1)
+
+    def test_over_long_cap_is_named_by_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        cap = 10**limit
+        with pytest.raises(BoundExceeded) as exc:
+            JetContext(max_order=cap).check_order(cap + 1)
+        assert str(exc.value) == (
+            f"derivative order of more than {limit} digits exceeds cap of more than {limit} digits"
+        )
+        with pytest.raises(BoundExceeded, match="^derivative order 3 exceeds cap 2$"):
+            JetContext(max_order=2).check_order(3)
 
     def test_direction_check(self):
         with pytest.raises(PreconditionError):

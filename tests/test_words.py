@@ -1,6 +1,7 @@
 """Words, coefficients, signed cyclic normalization, and the closed product."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -132,6 +133,49 @@ class TestLeanValues:
         assert type(c.terms[(0,)]) is int
         assert type((c * 2).terms[(1,)]) is int
         assert repr(c) == "Coefficient({(0,): 2, (1,): Fraction(1, 2)})"
+
+
+def assert_canonical(c: Coefficient) -> None:
+    """Integer numerators over a positive denominator, in lowest terms; zero
+    is the empty polynomial over 1."""
+    assert type(c.den) is int and c.den >= 1, c
+    assert all(type(v) is int and v for v in c.nums.values()), c
+    if c.nums:
+        assert math.gcd(c.den, *c.nums.values()) == 1, (c.den, c.nums)
+    else:
+        assert c.den == 1, c.den
+
+
+class TestCanonicalForm:
+    """Every result keeps one lowest-terms form, so two coefficients are
+    equal exactly when their rational values are."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SHAPES)
+    def test_results_are_in_lowest_terms(self, seed, shape):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(seed)
+        c = corpus.coefficient(rng, ctx, max_x_degree=2)
+        d = corpus.coefficient(rng, ctx, max_x_degree=2)
+        half, third = ctx.const(Fraction(1, 2)), ctx.const(Fraction(1, 3))
+        three_halves, two_thirds = ctx.const(Fraction(3, 2)), ctx.const(Fraction(2, 3))
+        results = [
+            c, d, c + d, c - d, c - c, -c, c * d, c * 0, 0 * c,
+            half + third, half + half, half - half, three_halves * two_thirds,
+            c * half + d * third, c * half - c * half,
+            c * three_halves * two_thirds, c * Fraction(3, 2) * Fraction(2, 3),
+            (c * d - d * c) + c, (c + d) * half * 2, c * 6 * third,
+        ]
+        results += [c.diff(direction) for direction in range(1, ctx.directions + 1)]
+        results += [(c * half).diff(direction) for direction in range(1, ctx.directions + 1)]
+        for got in results:
+            assert_canonical(got)
+        for x, y in itertools.product(results, repeat=2):
+            assert (x == y) == (fraction_terms(x) == fraction_terms(y)), (x, y)
+        assert c * three_halves * two_thirds == c
+        assert (c + d) * half * 2 == c + d
+        assert half + third == ctx.const(Fraction(5, 6))
+        assert c - c == Coefficient()
 
 
 class TestLetterOrder:
