@@ -4,7 +4,7 @@ of evolutionary fields on word sums."""
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BoundExceeded, PreconditionError
 from .words import (
@@ -97,15 +97,20 @@ class JetContext:
 
 def total_derivative(ctx: JetContext, f: FormalSum, direction: int = 1) -> FormalSum:
     """Total derivative along a base direction: acts on the coefficient and on
-    each letter by the product rule (no signs; the derivation is even)."""
+    each letter by the product rule (no signs; the derivation is even).
+    Each distinct letter is shifted once per call."""
     ctx.check_direction(direction)
+    d = direction - 1
     out = FormalSum(f.cyclic)
+    shifted: dict[Letter, Letter] = {}
     for w, c in f.terms.items():
-        dc = c.diff(direction)
-        if dc:
-            out.add_word(w, dc)
+        if any(mono[d] for mono in c.nums):
+            out.add_word(w, c.diff(direction))
         for i, letter in enumerate(w):
-            out.add_word(w[:i] + (ctx.shift(letter, direction),) + w[i + 1:], c)
+            new = shifted.get(letter)
+            if new is None:
+                new = shifted[letter] = ctx.shift(letter, direction)
+            out.add_word(w[:i] + (new,) + w[i + 1:], c)
     return out
 
 
@@ -184,11 +189,20 @@ class GeneratingSection:
     `odd` replaces their parity-reversed partners.  Words in an even component
     must have parity equal to the field parity; words in an odd component must
     have the opposite parity (the odd slot itself absorbs one parity flip).
+
+    `evolutionary_apply` keeps the prolongation it computes in `_prolonged`:
+    the context it was computed under, and for each letter it met, D^orders
+    of the matching component.  A call under another context starts a new
+    table, so a different order cap is never bypassed.  Equality and `repr`
+    ignore the table.
     """
 
     even: tuple[FormalSum, ...]
     odd: tuple[FormalSum, ...]
     parity: int
+    _prolonged: tuple[JetContext, dict[Letter, FormalSum]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.even) and all(
@@ -235,6 +249,35 @@ def make_section(
     return GeneratingSection(even, odd, parity % 2)
 
 
+def _prolongation(
+    ctx: JetContext, section: GeneratingSection, table: dict[Letter, FormalSum], letter: Letter
+) -> FormalSum:
+    """D^orders of the component that `letter` stands for, kept in `table`.
+
+    The steps are those of `d_power`, direction 1 first, and each step is
+    kept too, so a letter of higher order builds on the steps already there.
+    Once a step gives zero, every later step is zero and none is taken."""
+    value = (section.odd if letter.odd else section.even)[letter.index - 1]
+    orders = [0] * len(letter.orders)
+    for d, count in enumerate(letter.orders):
+        for _ in range(count if value else 0):
+            orders[d] += 1
+            multi = tuple(orders)
+            # the last step is keyed by `letter` itself, so no copy of it is kept
+            if multi == letter.orders:
+                step = letter
+            else:
+                step = Letter(letter.odd, letter.index, sum(multi), multi)
+            known = table.get(step)
+            if known is None:
+                known = table[step] = total_derivative(ctx, value, d + 1)
+            value = known
+            if not value:
+                break
+    table[letter] = value
+    return value
+
+
 def evolutionary_apply(
     ctx: JetContext, section: GeneratingSection, f: FormalSum
 ) -> FormalSum:
@@ -242,26 +285,28 @@ def evolutionary_apply(
 
     The field is a graded derivation: each letter occurrence is replaced by
     the matching component, differentiated to the letter's multi-index, with
-    a sign when an odd field passes the odd part of the prefix.
+    a sign when an odd field passes the odd part of the prefix.  Each
+    D^orders of a component is computed once per section and context and
+    kept on the section (see `GeneratingSection`), so repeated calls with one
+    field reuse its prolongation.
     """
+    if section._prolonged is None or section._prolonged[0] != ctx:
+        object.__setattr__(section, "_prolonged", (ctx, {}))
+    table = section._prolonged[1]
     out = FormalSum(f.cyclic)
-    memo: dict[tuple[bool, int, tuple[int, ...]], FormalSum] = {}
     for w, c in f.terms.items():
-        prefix_odd = 0
+        flip = False
         for i, letter in enumerate(w):
-            comp = (section.odd if letter.odd else section.even)[letter.index - 1]
-            if comp:
-                key = (letter.odd, letter.index, letter.orders)
-                value = memo.get(key)
-                if value is None:
-                    value = d_power(ctx, comp, letter.orders)
-                    memo[key] = value
-                flip = section.parity and prefix_odd % 2
+            value = table.get(letter)
+            if value is None:
+                value = _prolongation(ctx, section, table, letter)
+            if value.terms:
+                head, tail = w[:i], w[i + 1:]
                 for vw, vc in value.terms.items():
                     cv = c * vc
-                    out.add_word(w[:i] + vw + w[i + 1:], -cv if flip else cv)
-            if letter.odd:
-                prefix_odd += 1
+                    out.add_word(head + vw + tail, -cv if flip else cv)
+            if letter.odd and section.parity:
+                flip = not flip
     return out
 
 

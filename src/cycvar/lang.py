@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BoundExceeded, CycvarError, ParseError, PreconditionError
-from .words import Coefficient, FormalSum, Letter, close, concat
+from .words import Coefficient, FormalSum, Letter, close, concat, monomial_key
 from .jets import JetContext
 from .operators import DifferentialOperator, from_derivative
 from .variational import Covector
@@ -495,7 +495,8 @@ def coefficient_text(c: Coefficient, ctx: JetContext) -> str:
         ((exps, value),) = terms.items()
         if not any(exps):
             return number_text(value)
-    return _signed_join(_mono_text(exps, value, ctx) for exps, value in c.sorted_terms()) or "0"
+    ordered = sorted(terms.items(), key=lambda kv: monomial_key(kv[0]))
+    return _signed_join(_mono_text(exps, value, ctx) for exps, value in ordered) or "0"
 
 
 def letter_text(letter: Letter, ctx: JetContext) -> str:

@@ -36,6 +36,11 @@ def word_key(letters: Word) -> tuple:
     return (len(letters), letters)
 
 
+def monomial_key(mono: tuple[int, ...]) -> tuple:
+    """Order on monomials: by total degree, then by exponents."""
+    return (sum(mono), mono)
+
+
 def odd_count(letters: Iterable[Letter]) -> int:
     return sum(1 for l in letters if l.odd)
 
@@ -220,7 +225,7 @@ class Coefficient:
         return Fraction(sum(self.nums.values()), self.den)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
 
     def __repr__(self):
         return f"Coefficient({dict(self.sorted_terms())!r})"
@@ -249,7 +254,9 @@ class FormalSum:
         return out
 
     def add_word(self, letters: Word, coeff: Coefficient) -> None:
-        if not coeff:
+        # `nums` is tested directly: this runs once per term of every result,
+        # and `__bool__` would add a Python-level call each time
+        if not coeff.nums:
             return
         letters = tuple(letters)
         if self.cyclic:
@@ -260,7 +267,7 @@ class FormalSum:
                 coeff = -coeff
         acc = self.terms.get(letters)
         acc = coeff if acc is None else acc + coeff
-        if acc:
+        if acc.nums:
             self.terms[letters] = acc
         else:
             self.terms.pop(letters, None)
@@ -312,7 +319,7 @@ class FormalSum:
                 terms[w] = -c if negate else c
                 continue
             acc = acc - c if negate else acc + c
-            if acc:
+            if acc.nums:
                 terms[w] = acc
             else:
                 del terms[w]

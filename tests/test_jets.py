@@ -9,6 +9,7 @@ from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import FormalSum
 from cycvar.jets import (
+    GeneratingSection,
     JetContext,
     d_power,
     evolutionary_apply,
@@ -18,6 +19,7 @@ from cycvar.jets import (
     partial_jet,
     total_derivative,
 )
+from cycvar.schouten import q_field
 
 from oracles import reference_partial_jet
 
@@ -198,3 +200,83 @@ class TestEvolutionaryApply:
         assert z.parity == 0
         assert z.even[0] == FormalSum.single(False, (A, A), CTX.x_power(1, 1)).scale(-1)
         assert z.odd[0].is_zero()
+
+
+def apply_or_none(ctx, section, f):
+    """The action of `section` on `f`, or None if the order cap stops it."""
+    try:
+        return evolutionary_apply(ctx, section, f)
+    except BoundExceeded:
+        return None
+
+
+class TestProlongation:
+    """`evolutionary_apply` keeps each D^orders of a section's components on
+    the section, tied to the context it was computed under."""
+
+    CONTEXTS = [CTX, JetContext(fields=2, directions=2)]
+
+    @staticmethod
+    def cases(ctx, seed):
+        """Seeded (section, sum) pairs: fields of corpus multivectors of
+        degree 1-3 on densities of degree 0-3, and an even field on a
+        one-letter open sum, whose action is one prolonged component."""
+        rng = random.Random(seed)
+        for _ in range(6):
+            section = q_field(ctx, corpus.multivector(rng, ctx, rng.randint(1, 3)))
+            yield section, corpus.cyclic_density(rng, ctx, rng.randint(0, 3), words=3)
+        a = ctx.letter(False, 1)
+        comps = [FormalSum.single(False, (a, ctx.shift(a, 1)), ctx.one())] * ctx.fields
+        target = ctx.shift(ctx.shift(a, 1), ctx.directions)
+        yield make_section(ctx, even=comps), FormalSum.single(False, (target,), ctx.one())
+
+    @staticmethod
+    def fresh(section):
+        return GeneratingSection(section.even, section.odd, section.parity)
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
+    def test_kept_steps_equal_d_power(self, ctx):
+        kept = 0
+        for section, f in self.cases(ctx, 10):
+            evolutionary_apply(ctx, section, f)
+            for letter, value in section._prolonged[1].items():
+                comp = (section.odd if letter.odd else section.even)[letter.index - 1]
+                assert value == d_power(ctx, comp, letter.orders)
+                kept += bool(letter.order and value)
+        assert kept
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
+    def test_cap_is_checked_under_each_context(self, ctx):
+        stopped = set()
+        for section, f in self.cases(ctx, 11):
+            for cap in range(7):
+                evolutionary_apply(ctx, section, f)
+                capped = JetContext(ctx.fields, ctx.directions, max_order=cap)
+                got = apply_or_none(capped, section, f)
+                assert got == apply_or_none(capped, self.fresh(section), f)
+                stopped.add(got is None)
+        assert stopped == {True, False}
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
+    def test_repeated_application_is_equal(self, ctx):
+        for section, f in self.cases(ctx, 12):
+            first = evolutionary_apply(ctx, section, f)
+            assert evolutionary_apply(ctx, section, f) == first
+            assert evolutionary_apply(ctx, self.fresh(section), f) == first
+
+    def test_equality_and_repr_ignore_the_table(self):
+        for section, f in self.cases(CTX, 13):
+            fresh = self.fresh(section)
+            evolutionary_apply(CTX, section, f)
+            assert section._prolonged is not None and fresh._prolonged is None
+            assert section == fresh and fresh == section
+            assert repr(section) == repr(fresh)
+
+    def test_writing_to_a_result_leaves_later_results(self):
+        for section, f in self.cases(CTX, 14):
+            first = evolutionary_apply(CTX, section, f)
+            expected = repr(first)
+            for w, c in list(first.terms.items()):
+                first.add_word(w, c)
+            first.add_word((A, A, A, A, A), CTX.one())
+            assert repr(evolutionary_apply(CTX, section, f)) == expected

@@ -6,7 +6,7 @@ import pytest
 
 from cycvar import corpus
 from cycvar.errors import PreconditionError
-from cycvar.words import FormalSum
+from cycvar.words import FormalSum, close_concat
 from cycvar.jets import JetContext, total_derivative
 from cycvar.variational import (
     Covector,
@@ -110,6 +110,71 @@ class TestTriviality:
     def test_pure_coordinate_density_is_exact(self):
         f = FormalSum.single(True, (), CTX.x_power(1, 3))
         assert is_trivial(CTX, f)
+
+
+def all_families_trivial(ctx, f):
+    """The triviality verdict from every family's variation, none peeled."""
+    return all(not euler_derivative(ctx, f, odd_kind, j) for odd_kind, j in f.letters_present())
+
+
+class TestPeeledTriviality:
+    """`is_trivial` peels letter families odd first, dropping the words of a
+    family whose variation vanishes; its verdict equals the verdict of all
+    the variations of the whole sum."""
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_peeling_identity(self, fields, directions):
+        """close(u_F * E_F f) equals the sum of n * f_n up to a total
+        divergence, f_n being the words with n letters of family F."""
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(600 + 10 * fields + directions)
+        for _ in range(6):
+            f = FormalSum(cyclic=True)
+            for degree in range(4):
+                f = f + corpus.cyclic_density(rng, ctx, degree, words=2, max_len=3)
+            for odd_kind, j in f.letters_present():
+                u = FormalSum.single(False, (ctx.letter(odd_kind, j),), ctx.one())
+                closed = close_concat(u, euler_derivative(ctx, f, odd_kind, j))
+                counted = FormalSum(cyclic=True)
+                for w, c in f.terms.items():
+                    n = sum(1 for l in w if l.odd == odd_kind and l.index == j)
+                    if n:
+                        counted.add_word(w, c * n)
+                assert all_families_trivial(ctx, closed - counted)
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_matches_all_families_verdict(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(700 + 10 * fields + directions)
+
+        def density(degree):
+            return corpus.cyclic_density(rng, ctx, degree, words=rng.randint(1, 3), max_len=3)
+
+        def divergence(h):
+            return total_derivative(ctx, h, rng.randint(1, directions))
+
+        verdicts = []
+        for _ in range(12):
+            mixed = FormalSum(cyclic=True)
+            for degree in range(4):
+                mixed = mixed + density(degree)
+            odd_part = density(rng.randint(1, 3))
+            cases = (
+                divergence(mixed),
+                divergence(mixed) + density(rng.randint(0, 3)),
+                mixed,
+                # the odd families peel first and are missing from the
+                # degree-0 words, which decide the verdict
+                divergence(odd_part) + density(0),
+                divergence(odd_part) + divergence(density(0)),
+            )
+            for f in cases:
+                verdict = is_trivial(ctx, f)
+                assert verdict == all_families_trivial(ctx, f)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
 
 class TestCouplingAndCovectors:
