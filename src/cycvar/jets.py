@@ -19,11 +19,25 @@ from .words import (
 @dataclass(frozen=True)
 class JetContext:
     """Shape of the jet alphabet: number of field pairs, number of base
-    directions, and an optional cap on derivative orders."""
+    directions, and an optional cap on derivative orders.
+
+    A context interns its letters: `letter`, `shift`, the operator slot
+    letters and the prolongation steps all return the one `Letter` it keeps
+    for each (odd, index, orders), and `shift` keeps its result per letter
+    and direction.  Letters still compare and hash by value, so identity is
+    only a fast path: letters of another context, equal or not, and letters
+    built by hand mix freely with these.  Equality, hash and `repr` ignore
+    the tables."""
 
     fields: int = 1
     directions: int = 1
     max_order: int | None = None
+    _letters: dict[tuple, Letter] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _shifts: tuple[dict[Letter, Letter], ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.fields < 1:
@@ -32,11 +46,20 @@ class JetContext:
             raise PreconditionError("need at least one base direction")
         if self.max_order is not None and self.max_order < 0:
             raise PreconditionError("max_order must be nonnegative")
+        object.__setattr__(self, "_shifts", tuple({} for _ in range(self.directions)))
 
     # -- letters ---------------------------------------------------------
 
     def zero_orders(self) -> tuple[int, ...]:
         return (0,) * self.directions
+
+    def _intern(self, odd: bool, index: int, orders: tuple[int, ...]) -> Letter:
+        """The one letter of this context with these fields; unchecked."""
+        key = (odd, index, orders)
+        letter = self._letters.get(key)
+        if letter is None:
+            letter = self._letters[key] = Letter(odd, index, sum(orders), orders)
+        return letter
 
     def letter(self, odd: bool, index: int, orders=None) -> Letter:
         if not 1 <= index <= self.fields:
@@ -44,7 +67,7 @@ class JetContext:
                 f"field index {index} outside 1..{self.fields}"
             )
         orders = self.check_orders(self.zero_orders() if orders is None else orders)
-        return Letter(odd, index, sum(orders), orders)
+        return self._intern(bool(odd), index, orders)
 
     def check_orders(self, orders) -> tuple[int, ...]:
         """A derivative multi-index as a tuple: one nonnegative order per
@@ -71,14 +94,20 @@ class JetContext:
             )
 
     def shift(self, letter: Letter, direction: int) -> Letter:
-        """The letter with one more derivative along a 1-based direction.  The
-        cap is compared here before `check_order` raises, sparing hot loops a call."""
+        """The interned letter with one more derivative along a 1-based
+        direction, computed once per context, letter and direction.  A
+        context's cap never changes, so it is compared only when a new
+        entry is built, and an over-cap shift raises every time.  The
+        direction is checked first, so no bad one reads or fills a table."""
+        self.check_direction(direction)
         d = direction - 1
-        orders = letter.orders[:d] + (letter.orders[d] + 1,) + letter.orders[d + 1:]
-        order = letter.order + 1
-        if self.max_order is not None and order > self.max_order:
-            self.check_order(order)
-        return Letter(letter.odd, letter.index, order, orders)
+        table = self._shifts[d]
+        new = table.get(letter)
+        if new is None:
+            orders = letter.orders[:d] + (letter.orders[d] + 1,) + letter.orders[d + 1:]
+            self.check_order(letter.order + 1)
+            new = table[letter] = self._intern(letter.odd, letter.index, orders)
+        return new
 
     # -- coefficients ----------------------------------------------------
 
@@ -98,18 +127,19 @@ class JetContext:
 def total_derivative(ctx: JetContext, f: FormalSum, direction: int = 1) -> FormalSum:
     """Total derivative along a base direction: acts on the coefficient and on
     each letter by the product rule (no signs; the derivation is even).
-    Each distinct letter is shifted once per call."""
+    Each distinct letter is shifted once per context: the context's shift
+    table for the direction is read here directly, and `shift` fills it."""
     ctx.check_direction(direction)
     d = direction - 1
+    shifted = ctx._shifts[d]
     out = FormalSum(f.cyclic)
-    shifted: dict[Letter, Letter] = {}
     for w, c in f.terms.items():
         if any(mono[d] for mono in c.nums):
             out.add_word(w, c.diff(direction))
         for i, letter in enumerate(w):
             new = shifted.get(letter)
             if new is None:
-                new = shifted[letter] = ctx.shift(letter, direction)
+                new = ctx.shift(letter, direction)
             out.add_word(w[:i] + (new,) + w[i + 1:], c)
     return out
 
@@ -250,24 +280,20 @@ def make_section(
 
 
 def _prolongation(
-    ctx: JetContext, section: GeneratingSection, table: dict[Letter, FormalSum], letter: Letter
+    ctx: JetContext, value: FormalSum, table: dict[Letter, FormalSum], letter: Letter
 ) -> FormalSum:
-    """D^orders of the component that `letter` stands for, kept in `table`.
+    """D^orders of `value`, the component that `letter` stands for, kept in
+    `table` under `letter`.
 
     The steps are those of `d_power`, direction 1 first, and each step is
-    kept too, so a letter of higher order builds on the steps already there.
-    Once a step gives zero, every later step is zero and none is taken."""
-    value = (section.odd if letter.odd else section.even)[letter.index - 1]
+    kept too, under the interned letter of its multi-index, so a letter of
+    higher order builds on the steps already there.  Once a step gives zero,
+    every later step is zero and none is taken."""
     orders = [0] * len(letter.orders)
     for d, count in enumerate(letter.orders):
         for _ in range(count if value else 0):
             orders[d] += 1
-            multi = tuple(orders)
-            # the last step is keyed by `letter` itself, so no copy of it is kept
-            if multi == letter.orders:
-                step = letter
-            else:
-                step = Letter(letter.odd, letter.index, sum(multi), multi)
+            step = ctx._intern(letter.odd, letter.index, tuple(orders))
             known = table.get(step)
             if known is None:
                 known = table[step] = total_derivative(ctx, value, d + 1)
@@ -299,7 +325,8 @@ def evolutionary_apply(
         for i, letter in enumerate(w):
             value = table.get(letter)
             if value is None:
-                value = _prolongation(ctx, section, table, letter)
+                component = (section.odd if letter.odd else section.even)[letter.index - 1]
+                value = _prolongation(ctx, component, table, letter)
             if value.terms:
                 head, tail = w[:i], w[i + 1:]
                 for vw, vc in value.terms.items():

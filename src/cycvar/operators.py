@@ -23,7 +23,7 @@ from .words import (
     odd_count,
     word_key,
 )
-from .jets import JetContext, d_power, minus_d_series, total_derivative
+from .jets import JetContext, _prolongation, minus_d_series, total_derivative
 
 # Field index 0 is reserved for the argument-slot letter; real letters are
 # 1-based.
@@ -31,18 +31,17 @@ SLOT_INDEX = 0
 
 
 def _slot(ctx: JetContext, orders) -> Letter:
-    """The slot letter of D^orders, checked like the multi-index of any
-    letter; its order counts against the cap."""
-    orders = ctx.check_orders(orders)
-    return Letter(False, SLOT_INDEX, sum(orders), orders)
+    """The interned slot letter of D^orders, checked like the multi-index of
+    any letter; its order counts against the cap."""
+    return ctx._intern(False, SLOT_INDEX, ctx.check_orders(orders))
 
 
-def _split(letters: Word) -> tuple[Word, tuple[int, ...], Word]:
-    """The (left, orders, right) of an operator word, which holds exactly
-    one slot letter."""
+def _split(letters: Word) -> tuple[Word, Letter, Word]:
+    """The (left, slot letter, right) of an operator word, which holds
+    exactly one slot letter."""
     for i, letter in enumerate(letters):
         if letter.index == SLOT_INDEX:
-            return letters[:i], letter.orders, letters[i + 1:]
+            return letters[:i], letter, letters[i + 1:]
 
 
 class DifferentialOperator:
@@ -67,7 +66,8 @@ class DifferentialOperator:
     def terms(self):
         """The terms as ((left, orders, right), coeff) pairs."""
         for letters, coeff in self.words.terms.items():
-            yield _split(letters), coeff
+            left, slot, right = _split(letters)
+            yield (left, slot.orders, right), coeff
 
     def is_zero(self) -> bool:
         return self.words.is_zero()
@@ -106,12 +106,21 @@ class DifferentialOperator:
     # -- action ----------------------------------------------------------
 
     def apply(self, p: FormalSum) -> FormalSum:
-        """Apply to an open-word sum."""
+        """Apply to an open-word sum.  The argument is prolonged once per
+        call: each D^sigma of it is computed once, keyed by the slot letter
+        of sigma and built forward on the steps already taken, direction 1
+        first, as `jets._prolongation` does for a field's components."""
         if p.cyclic:
             raise PreconditionError("operators act on open sums")
+        ctx = self.ctx
+        images: dict[Letter, FormalSum] = {}
         out = FormalSum(cyclic=False)
-        for (left, orders, right), c in self.terms():
-            for w, pc in d_power(self.ctx, p, orders).terms.items():
+        for letters, c in self.words.terms.items():
+            left, slot, right = _split(letters)
+            image = images.get(slot)
+            if image is None:
+                image = _prolongation(ctx, p, images, slot)
+            for w, pc in image.terms.items():
                 out.add_word(left + w + right, c * pc)
         return out
 

@@ -35,6 +35,11 @@ from .schouten import (
 
 
 def _require_skew(op: DifferentialOperator) -> None:
+    """The Poisson layer's precondition: a skew operator whose coefficient
+    words hold position letters only.  An odd letter is named first, in one
+    pass, so no deeper layer trips over the parity it brings."""
+    if any(letter.odd for w in op.words.terms for letter in w):
+        raise PreconditionError("operator coefficient words must hold position letters only")
     if not op.is_skew():
         raise PreconditionError("operator is not skew-adjoint")
 

@@ -41,10 +41,12 @@ class Multivector:
         return self.density.is_zero()
 
 
-def odd_letter_sums(ctx: JetContext) -> tuple[FormalSum, ...]:
-    """The one-letter open sums b_1, ..., b_m of the odd letters."""
+def odd_letter_sums(ctx: JetContext, value=1) -> tuple[FormalSum, ...]:
+    """The one-letter open sums value * b_1, ..., value * b_m of the odd
+    letters; a closing scalar rides on them instead of a pass over the
+    result."""
     return tuple(
-        FormalSum.single(False, (ctx.letter(True, j),), ctx.one())
+        FormalSum.single(False, (ctx.letter(True, j),), ctx.const(value))
         for j in range(1, ctx.fields + 1)
     )
 
@@ -82,7 +84,7 @@ def normalize_multivector(
         return Multivector(ctx, degree, density)
 
     odd_variations = variations(ctx, density, odd_kind=True)
-    rebuilt = coupling(ctx, odd_letter_sums(ctx), odd_variations).scale(Fraction(1, degree))
+    rebuilt = coupling(ctx, odd_letter_sums(ctx, Fraction(1, degree)), odd_variations)
     return Multivector(ctx, degree, rebuilt)
 
 
@@ -103,8 +105,8 @@ def bivector_operator(ctx: JetContext, mv: Multivector) -> DifferentialOperator:
 def bivector_density(ctx: JetContext, op: DifferentialOperator) -> FormalSum:
     """The raw degree-2 density of a one-slot operator acting diagonally,
     (1/2) * sum_j close(b_j * op(b_j)), never put in standard form."""
-    bs = odd_letter_sums(ctx)
-    return coupling(ctx, bs, (op.apply(b) for b in bs)).scale(Fraction(1, 2))
+    halves = odd_letter_sums(ctx, Fraction(1, 2))
+    return coupling(ctx, halves, (op.apply(b) for b in odd_letter_sums(ctx)))
 
 
 def multivector_from_operator(ctx: JetContext, op: DifferentialOperator) -> Multivector:

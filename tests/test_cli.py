@@ -235,6 +235,30 @@ class TestRejectedInputs:
         assert err == "error: expression nests too deeply\n"
 
 
+class TestOddCoefficientOperators:
+    """The Poisson layer names an operator whose coefficient words hold an
+    odd letter with one error line, before any deeper layer meets it."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("is-hamiltonian", "op(b*D + D*R(b))"),
+            ("is-hamiltonian", "op(b*b*D + D*R(b*b))"),
+            ("jacobi", "op(b*D + D*R(b))", "cyc(a*a)", "cyc(a*a*a)", "cyc(a*a_x*a_x)"),
+            ("poisson", "op(b*D + D*R(b))", "cyc(a*a)", "cyc(a*a*a)"),
+            ("subst-check", "jacobi-flow", "--trials", "2", "--op", "op(b*b*D + D*R(b*b))"),
+            ("subst-check", "jacobi-flow", "--trials", "1", "--covectors", "x",
+             "--op", "op(b*D + D*R(b))"),
+        ],
+        ids=["is-hamiltonian", "is-hamiltonian-bb", "jacobi", "poisson", "jacobi-flow-bb",
+             "jacobi-flow-x"],
+    )
+    def test_exits_2(self, args):
+        rc, out, err = run_in_process(*args)
+        assert (rc, out) == (2, "")
+        assert err == "error: operator coefficient words must hold position letters only\n"
+
+
 class TestOperatorOrderCap:
     """`--max-order` bounds an operator's own derivative order wherever the
     operator is built, and a large power is one term, not a loop."""

@@ -7,7 +7,7 @@ import pytest
 
 from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
-from cycvar.words import FormalSum
+from cycvar.words import FormalSum, Letter
 from cycvar.jets import (
     GeneratingSection,
     JetContext,
@@ -19,7 +19,10 @@ from cycvar.jets import (
     partial_jet,
     total_derivative,
 )
+from cycvar.lang import letter_text, parse_open, parse_operator
+from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.schouten import q_field
+from cycvar.variational import variations
 
 from oracles import reference_partial_jet
 
@@ -72,6 +75,108 @@ class TestContext:
     def test_direction_check(self):
         with pytest.raises(PreconditionError):
             CTX.check_direction(2)
+
+
+class TestInterning:
+    """A context keeps one letter object per (odd, index, orders), reached by
+    every route that builds one.  Identity is only a fast path: equal
+    contexts agree, and each keeps its own tables."""
+
+    SHAPES = [(1, 1), (2, 2)]
+
+    @staticmethod
+    def unit(directions, d, k=1):
+        return tuple(k * (i == d - 1) for i in range(directions))
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_every_route_gives_one_object(self, fields, directions):
+        ctx = JetContext(fields, directions)
+        zero = ctx.zero_orders()
+        for odd in (False, True):
+            for index in range(1, fields + 1):
+                base = ctx.letter(odd, index)
+                assert ctx.letter(odd, index, list(zero)) is base
+                for d in range(1, directions + 1):
+                    up = ctx.shift(base, d)
+                    assert ctx.letter(odd, index, self.unit(directions, d)) is up
+                    assert ctx.shift(base, d) is up
+                    # a letter built by hand shifts to the same object
+                    assert ctx.shift(Letter(odd, index, 0, zero), d) is up
+                # shifts along different directions commute onto one object
+                corner = ctx.shift(ctx.shift(base, 1), directions)
+                assert ctx.shift(ctx.shift(base, directions), 1) is corner
+                (word,) = parse_open(letter_text(corner, ctx) + "*" + letter_text(base, ctx), ctx).terms
+                assert word[0] is corner and word[1] is base
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_bad_direction_leaves_the_tables_alone(self, fields, directions):
+        ctx = JetContext(fields, directions)
+        a = ctx.letter(False, 1)
+        for direction in (0, -1, directions + 1):
+            with pytest.raises(PreconditionError):
+                ctx.shift(a, direction)
+        assert ctx.shift(a, 1) == ctx.letter(False, 1, self.unit(directions, 1))
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_slot_letters_and_prolongation_steps(self, fields, directions):
+        ctx = JetContext(fields, directions)
+        for d in range(1, directions + 1):
+            built = DifferentialOperator(ctx)
+            built.add_term((), self.unit(directions, d, 2), (), ctx.one())
+            name = "D" if d == 1 else f"D_{d}"
+            parsed = parse_operator(f"op({name}*{name})", ctx)
+            slots = [w[0] for op in (built, parsed, from_derivative(ctx, d, 2)) for w in op.words.terms]
+            assert len(slots) == 3 and slots[1] is slots[0] and slots[2] is slots[0]
+        a = ctx.letter(False, 1)
+        section = make_section(ctx, even=[FormalSum.single(False, (a, a), ctx.one())] * fields)
+        target = ctx.letter(False, fields, (2,) + (1,) * (directions - 1))
+        evolutionary_apply(ctx, section, FormalSum.single(False, (target,), ctx.one()))
+        table = section._prolonged[1]
+        assert len(table) == target.order
+        for key in table:
+            assert ctx.letter(key.odd, key.index, key.orders) is key
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_equal_contexts_agree(self, fields, directions):
+        one, other = JetContext(fields, directions), JetContext(fields, directions)
+        rng = random.Random(40 + 10 * fields + directions)
+        densities = [corpus.cyclic_density(rng, one, k, words=3) for k in range(3)]
+        ops = [corpus.operator(rng, one, terms=3) for _ in range(3)]
+        probes = [corpus.open_sum(rng, other, words=2, max_order=1) for _ in range(2)]
+        assert one == other and hash(one) == hash(other)
+        assert repr(one) == repr(other) == (
+            f"JetContext(fields={fields}, directions={directions}, max_order=None)"
+        )
+        # each context keeps its own letters
+        assert one.letter(True, 1) == other.letter(True, 1)
+        assert one.letter(True, 1) is not other.letter(True, 1)
+        for f in densities:
+            for d in range(1, directions + 1):
+                assert total_derivative(one, f, d) == total_derivative(other, f, d)
+            for odd_kind in (False, True):
+                assert variations(one, f, odd_kind) == variations(other, f, odd_kind)
+        for op in ops:
+            for p in probes:
+                assert op.apply(p) == DifferentialOperator(other, op.words).apply(p)
+            assert op.adjoint().words == DifferentialOperator(other, op.words).adjoint().words
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_cap_raises_on_every_over_cap_shift(self, fields, directions):
+        for cap in range(3):
+            free = JetContext(fields, directions)
+            capped = JetContext(fields, directions, max_order=cap)
+            for odd in (False, True):
+                for index in range(1, fields + 1):
+                    top = capped.letter(odd, index, self.unit(directions, 1, cap))
+                    f = FormalSum.single(False, (top,), capped.one())
+                    for d in range(1, directions + 1):
+                        free.shift(top, d)
+                        total_derivative(free, f, d)
+                        for _ in range(2):
+                            with pytest.raises(BoundExceeded):
+                                capped.shift(top, d)
+                            with pytest.raises(BoundExceeded):
+                                total_derivative(capped, f, d)
 
 
 class TestTotalDerivative:

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from cycvar import corpus
-from cycvar.errors import PreconditionError
+from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import Coefficient, FormalSum, close, concat
-from cycvar.jets import JetContext, total_derivative
+from cycvar.jets import JetContext, d_power, total_derivative
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import is_trivial
 
@@ -235,3 +235,61 @@ class TestAdjointReference:
                 graded_operator(rng, ctx, terms=3),
             ):
                 assert op.adjoint() == reference_adjoint(op)
+
+
+def reference_apply(op, p):
+    """`op` applied to `p` one term at a time, each D^sigma by `d_power`."""
+    out = FormalSum(cyclic=False)
+    for (left, orders, right), c in op.terms():
+        for w, pc in d_power(op.ctx, p, orders).terms.items():
+            out.add_word(left + w + right, c * pc)
+    return out
+
+
+def apply_or_none(apply, *args):
+    """The result of `apply`, or None if the order cap stops it."""
+    try:
+        return apply(*args)
+    except BoundExceeded:
+        return None
+
+
+class TestApplyReference:
+    """`apply` prolongs its argument once per call; it agrees, term order
+    included, with differentiating the argument anew for every term, and
+    under an order cap it stops exactly when that reference does."""
+
+    @staticmethod
+    def draws(fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(2000 + 10 * fields + directions)
+        ops = [corpus.operator(rng, ctx, terms=4) for _ in range(8)]
+        ops += [graded_operator(rng, ctx, terms=4) for _ in range(4)]
+        probes = [corpus.open_sum(rng, ctx, words=2, max_order=1) for _ in range(3)]
+        # a pure-x argument: its derivatives run out to zero
+        probes.append(FormalSum.single(False, (), ctx.x_power(directions, 1)))
+        return ctx, ops, probes
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_matches_per_term_d_power(self, fields, directions):
+        _, ops, probes = self.draws(fields, directions)
+        for op in ops:
+            for p in probes:
+                got, want = op.apply(p), reference_apply(op, p)
+                assert list(got.terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_cap_stops_where_the_reference_stops(self, fields, directions):
+        _, ops, probes = self.draws(fields, directions)
+        stopped = set()
+        for cap in range(5):
+            capped = JetContext(fields, directions, max_order=cap)
+            for op in ops:
+                op = DifferentialOperator(capped, op.words)
+                for p in probes:
+                    got = apply_or_none(op.apply, p)
+                    assert got == apply_or_none(reference_apply, op, p)
+                    stopped.add(got is None)
+        assert stopped == {True, False}
