@@ -11,9 +11,16 @@ from .words import (
     Coefficient,
     FormalSum,
     Letter,
+    Word,
+    normalize,
     odd_count,
     pass_sign,
 )
+
+# Each word table of a context admits at most this many entries.  Past it
+# a table still serves the words it holds and computes the rest afresh, so
+# one large computation cannot grow it without end.
+TABLE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -26,8 +33,20 @@ class JetContext:
     for each (odd, index, orders), and `shift` keeps its result per letter
     and direction.  Letters still compare and hash by value, so identity is
     only a fast path: letters of another context, equal or not, and letters
-    built by hand mix freely with these.  Equality, hash and `repr` ignore
-    the tables."""
+    built by hand mix freely with these.
+
+    A context also keeps three tables of pure functions of a word, since the
+    engine meets the same few hundred words over and over:
+    `_canonical_forms` holds a word's `normalize` result (canonical rotation
+    and sign), `_images` holds per direction the words with one letter
+    shifted (what `total_derivative` adds up), and `_cut_pieces` holds per
+    letter family and side the (orders, open word, sign) pieces of `cuts`.
+    Words are keys by value, so words of hand-built letters find the same
+    entries.  The tables live and die with the context; each admits at most
+    `TABLE_LIMIT` words and then only serves the ones it holds, so the
+    memory a large one-off computation spends on them stays bounded.  The
+    CLI builds one context per invocation.  Equality, hash and `repr`
+    ignore the tables."""
 
     fields: int = 1
     directions: int = 1
@@ -38,6 +57,15 @@ class JetContext:
     _shifts: tuple[dict[Letter, Letter], ...] = field(
         default=(), init=False, repr=False, compare=False
     )
+    _canonical_forms: dict[Word, tuple[Word | None, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _images: tuple[dict[Word, tuple[Word, ...]], ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _cut_pieces: dict[tuple[bool, int, bool], dict[Word, tuple]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.fields < 1:
@@ -47,6 +75,7 @@ class JetContext:
         if self.max_order is not None and self.max_order < 0:
             raise PreconditionError("max_order must be nonnegative")
         object.__setattr__(self, "_shifts", tuple({} for _ in range(self.directions)))
+        object.__setattr__(self, "_images", tuple({} for _ in range(self.directions)))
 
     # -- letters ---------------------------------------------------------
 
@@ -109,6 +138,58 @@ class JetContext:
             new = table[letter] = self._intern(letter.odd, letter.index, orders)
         return new
 
+    # -- words -----------------------------------------------------------
+
+    def _canonical(self, letters: Word) -> tuple[Word | None, int]:
+        """`normalize(letters)`, kept in the table of canonical forms."""
+        table = self._canonical_forms
+        found = table.get(letters)
+        if found is None:
+            found = normalize(letters)
+            if len(table) < TABLE_LIMIT:
+                table[letters] = found
+        return found
+
+    def _derivative_images(self, letters: Word, direction: int) -> tuple[Word, ...]:
+        """The words of `letters` with one letter shifted along a checked
+        1-based direction, in position order.  They are built through
+        `shift`, so an over-cap order raises before anything is kept."""
+        table = self._images[direction - 1]
+        found = table.get(letters)
+        if found is None:
+            shifted = self._shifts[direction - 1]
+            images = []
+            for i, letter in enumerate(letters):
+                new = shifted.get(letter)
+                if new is None:
+                    new = self.shift(letter, direction)
+                images.append(letters[:i] + (new,) + letters[i + 1:])
+            found = tuple(images)
+            if len(table) < TABLE_LIMIT:
+                table[letters] = found
+        return found
+
+    def _cuts(self, letters: Word, odd_kind: bool, index: int, right: bool) -> tuple:
+        """The (orders, open word, sign) pieces that `cuts` reads from one
+        cyclic word, kept per letter family and side."""
+        table = self._cut_pieces.get((odd_kind, index, right))
+        if table is None:
+            table = self._cut_pieces[odd_kind, index, right] = {}
+        found = table.get(letters)
+        if found is None:
+            total_odd = odd_count(letters)
+            word_sign = -1 if right and odd_kind and (total_odd - 1) % 2 else 1
+            pieces = []
+            sign = word_sign
+            for i, letter in enumerate(letters):
+                if letter.odd == odd_kind and letter.index == index:
+                    pieces.append((letter.orders, letters[i + 1:] + letters[:i], sign))
+                sign *= pass_sign(letter, total_odd)
+            found = tuple(pieces)
+            if len(table) < TABLE_LIMIT:
+                table[letters] = found
+        return found
+
     # -- coefficients ----------------------------------------------------
 
     def one(self) -> Coefficient:
@@ -127,20 +208,23 @@ class JetContext:
 def total_derivative(ctx: JetContext, f: FormalSum, direction: int = 1) -> FormalSum:
     """Total derivative along a base direction: acts on the coefficient and on
     each letter by the product rule (no signs; the derivation is even).
-    Each distinct letter is shifted once per context: the context's shift
-    table for the direction is read here directly, and `shift` fills it."""
+    The shifted words of each word, and their canonical forms in a cyclic
+    sum, come from the context's tables."""
     ctx.check_direction(direction)
     d = direction - 1
-    shifted = ctx._shifts[d]
     out = FormalSum(f.cyclic)
+    insert, canonical = out._insert, ctx._canonical
     for w, c in f.terms.items():
         if any(mono[d] for mono in c.nums):
-            out.add_word(w, c.diff(direction))
-        for i, letter in enumerate(w):
-            new = shifted.get(letter)
-            if new is None:
-                new = ctx.shift(letter, direction)
-            out.add_word(w[:i] + (new,) + w[i + 1:], c)
+            # a key of the input is already in the output's form
+            insert(w, 1, c.diff(direction))
+        if f.cyclic:
+            for new in ctx._derivative_images(w, direction):
+                key, sign = canonical(new)
+                insert(key, sign, c)
+        else:
+            for new in ctx._derivative_images(w, direction):
+                insert(new, 1, c)
     return out
 
 
@@ -182,23 +266,22 @@ def minus_d_series(
 
 
 def cuts(
-    f: FormalSum, odd_kind: bool, index: int, right: bool = False
+    ctx: JetContext, f: FormalSum, odd_kind: bool, index: int, right: bool = False
 ) -> dict[tuple[int, ...], FormalSum]:
     """The cut-open words of one letter family in a cyclic sum, grouped by
     the multi-index of the removed letter.  Each occurrence cuts the circle
     there, reading onward from the cut, with the sign of the odd letters
     passed on the way; `right` moves the removed letter to the other end,
-    which adds a sign per word on odd families only."""
+    which adds a sign per word on odd families only.  The pieces of each
+    word are computed once per context, family and side and kept in
+    `ctx`'s table."""
     parts: dict[tuple[int, ...], FormalSum] = {}
     for w, c in f.terms.items():
-        total_odd = odd_count(w)
-        word_sign = -1 if right and odd_kind and (total_odd - 1) % 2 else 1
-        sign = 1
-        for i, letter in enumerate(w):
-            if letter.odd == odd_kind and letter.index == index:
-                part = parts.setdefault(letter.orders, FormalSum(cyclic=False))
-                part.add_word(w[i + 1:] + w[:i], c if sign == word_sign else -c)
-            sign *= pass_sign(letter, total_odd)
+        for orders, piece, sign in ctx._cuts(w, odd_kind, index, right):
+            part = parts.get(orders)
+            if part is None:
+                part = parts[orders] = FormalSum(cyclic=False)
+            part._insert(piece, sign, c)
     return parts
 
 
@@ -207,7 +290,7 @@ def partial_jet(ctx: JetContext, f: FormalSum, target: Letter) -> FormalSum:
     `cuts` of its family at its multi-index."""
     if not f.cyclic:
         raise PreconditionError("partial_jet expects a cyclic sum")
-    return cuts(f, target.odd, target.index).get(target.orders, FormalSum(cyclic=False))
+    return cuts(ctx, f, target.odd, target.index).get(target.orders, FormalSum(cyclic=False))
 
 
 @dataclass(frozen=True)
@@ -314,11 +397,13 @@ def evolutionary_apply(
     a sign when an odd field passes the odd part of the prefix.  Each
     D^orders of a component is computed once per section and context and
     kept on the section (see `GeneratingSection`), so repeated calls with one
-    field reuse its prolongation.
+    field reuse its prolongation.  On a cyclic sum each product word's
+    canonical form comes from the context's table.
     """
     if section._prolonged is None or section._prolonged[0] != ctx:
         object.__setattr__(section, "_prolonged", (ctx, {}))
     table = section._prolonged[1]
+    canonical = ctx._canonical
     out = FormalSum(f.cyclic)
     for w, c in f.terms.items():
         flip = False
@@ -328,10 +413,7 @@ def evolutionary_apply(
                 component = (section.odd if letter.odd else section.even)[letter.index - 1]
                 value = _prolongation(ctx, component, table, letter)
             if value.terms:
-                head, tail = w[:i], w[i + 1:]
-                for vw, vc in value.terms.items():
-                    cv = c * vc
-                    out.add_word(head + vw + tail, -cv if flip else cv)
+                out._add_products(w[:i], value, w[i + 1:], -c if flip else c, canonical)
             if letter.odd and section.parity:
                 flip = not flip
     return out

@@ -120,8 +120,7 @@ class DifferentialOperator:
             image = images.get(slot)
             if image is None:
                 image = _prolongation(ctx, p, images, slot)
-            for w, pc in image.terms.items():
-                out.add_word(left + w + right, c * pc)
+            out._add_products(left, image, right, c)
         return out
 
     # -- composition building blocks ------------------------------------

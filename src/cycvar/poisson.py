@@ -147,7 +147,8 @@ def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
     P is the raw density (1/2) * sum_j close(b_j * op(b_j)), never put in
     standard form: only its variations are used, and they ignore total
     divergences exactly.  The representative is 2 * sum_j close(dP/da_j *
-    dP/db_j), the pairing of P's variations, not the flow density of the
+    dP/db_j), the pairing of P's variations (the 2 rides on the closing
+    letters of the standard form), not the flow density of the
     self-bracket.  The two differ by a total divergence: for degree 2 the
     right variation along b_j is minus the left one, and the even factor
     dP/da_j commutes under `close`, so both halves of the bracket give the
@@ -158,7 +159,7 @@ def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
     bivector = bivector_density(ctx, op)
     odd_degree(bivector, 2)
     density = coupling(ctx, variations(ctx, bivector, False), variations(ctx, bivector, True))
-    return normalize_multivector(ctx, density.scale(2), 3)
+    return normalize_multivector(ctx, density, 3, factor=2)
 
 
 def involutivity_witness(

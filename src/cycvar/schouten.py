@@ -67,11 +67,13 @@ def odd_degree(density: FormalSum, expected: int | None = None) -> int:
 
 
 def normalize_multivector(
-    ctx: JetContext, density: FormalSum, degree: int | None = None
+    ctx: JetContext, density: FormalSum, degree: int | None = None, factor: int | Fraction = 1
 ) -> Multivector:
     """Re-present a homogeneous density in the standard form with one bare
     odd letter out front, scaling by the degree.  A zero density and a
     nonzero total divergence get the same standard form: an empty density.
+    The result is that of `factor` times the density; for degree >= 1 the
+    factor rides on the closing letters, with no pass over the density.
 
     For degree >= 1 the standard form is empty exactly when the density is
     a total divergence: it is built from the odd variations alone, and it
@@ -81,10 +83,10 @@ def normalize_multivector(
         raise PreconditionError("a multivector density must be cyclic")
     degree = odd_degree(density, degree)
     if degree == 0:
-        return Multivector(ctx, degree, density)
+        return Multivector(ctx, degree, density if factor == 1 else density.scale(factor))
 
     odd_variations = variations(ctx, density, odd_kind=True)
-    rebuilt = coupling(ctx, odd_letter_sums(ctx, Fraction(1, degree)), odd_variations)
+    rebuilt = coupling(ctx, odd_letter_sums(ctx, Fraction(factor) / degree), odd_variations)
     return Multivector(ctx, degree, rebuilt)
 
 

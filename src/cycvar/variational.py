@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .words import FormalSum, close_concat
+from .words import FormalSum
 from .jets import JetContext, cuts, minus_d_series
 
 
@@ -29,7 +29,7 @@ def euler_derivative(
         raise PreconditionError("euler_derivative expects a cyclic sum")
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    return minus_d_series(ctx, cuts(f, odd_kind, index, right=side == "right"))
+    return minus_d_series(ctx, cuts(ctx, f, odd_kind, index, right=side == "right"))
 
 
 def variations(
@@ -91,14 +91,19 @@ class Covector:
 
 def coupling(ctx: JetContext, p, values) -> FormalSum:
     """Closed pairing of an m-tuple of covector components with an m-tuple of
-    open-word sums: the cyclic closure of the componentwise concatenations."""
+    open-word sums: the cyclic closure of the componentwise concatenations,
+    each product word's canonical form read from the context's table."""
     p_components = p.components if isinstance(p, Covector) else tuple(p)
     values = tuple(values)
     if len(p_components) != ctx.fields or len(values) != ctx.fields:
         raise PreconditionError(f"coupling needs {ctx.fields} components per side")
     out = FormalSum(cyclic=True)
+    canonical = ctx._canonical
     for pc, vc in zip(p_components, values):
-        out._accumulate(close_concat(pc, vc))
+        if pc.cyclic or vc.cyclic:
+            raise ValueError("coupling expects open sums")
+        for w, c in pc.terms.items():
+            out._add_products(w, vc, (), c, canonical)
     return out
 
 

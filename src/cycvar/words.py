@@ -260,17 +260,45 @@ class FormalSum:
             return
         letters = tuple(letters)
         if self.cyclic:
-            letters, sign = normalize(letters)
-            if letters is None:
-                return
-            if sign < 0:
-                coeff = -coeff
-        acc = self.terms.get(letters)
-        acc = coeff if acc is None else acc + coeff
-        if acc.nums:
-            self.terms[letters] = acc
+            key, sign = normalize(letters)
+            self._insert(key, sign, coeff)
         else:
-            self.terms.pop(letters, None)
+            self._insert(letters, 1, coeff)
+
+    def _insert(self, key: Word | None, sign: int, coeff: Coefficient) -> None:
+        """Add sign * coeff, a nonzero coefficient, under `key`, a word
+        already in this sum's form, dropping the entry if it cancels.  A
+        vanishing cyclic word comes as `normalize` gives it, (None, 0), and
+        adds nothing."""
+        if not sign:
+            return
+        terms = self.terms
+        acc = terms.get(key)
+        if acc is None:
+            terms[key] = -coeff if sign < 0 else coeff
+            return
+        acc = acc - coeff if sign < 0 else acc + coeff
+        if acc.nums:
+            terms[key] = acc
+        else:
+            del terms[key]
+
+    def _add_products(
+        self, head: Word, middle: "FormalSum", tail: Word, coeff: Coefficient, canonical=None
+    ) -> None:
+        """Add coeff * c * (head + w + tail) for each term c * w of `middle`.
+        A cyclic sum takes each key and sign from `canonical`, which must
+        agree with `normalize` (the default); a context passes its table of
+        canonical forms."""
+        insert = self._insert
+        if self.cyclic:
+            canonical = canonical or normalize
+            for w, c in middle.terms.items():
+                key, sign = canonical(head + w + tail)
+                insert(key, sign, coeff * c)
+        else:
+            for w, c in middle.terms.items():
+                insert(head + w + tail, 1, coeff * c)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -310,19 +338,12 @@ class FormalSum:
         if self.cyclic != other.cyclic:
             raise ValueError("cannot mix cyclic and open sums")
         # Coefficients are never mutated once returned, so the coefficient
-        # objects of `other` are shared, not copied.
-        terms = self.terms
+        # objects of `other` are shared, not copied; keys of a like-flavored
+        # sum are already canonical.
+        sign = -1 if negate else 1
+        insert = self._insert
         for w, c in other.terms.items():
-            # keys of a like-flavored sum are already canonical
-            acc = terms.get(w)
-            if acc is None:
-                terms[w] = -c if negate else c
-                continue
-            acc = acc - c if negate else acc + c
-            if acc.nums:
-                terms[w] = acc
-            else:
-                del terms[w]
+            insert(w, sign, c)
         return self
 
     def scale(self, factor) -> "FormalSum":
@@ -366,8 +387,7 @@ def concat(f: FormalSum, g: FormalSum, cyclic: bool = False) -> FormalSum:
         raise ValueError("concat expects open sums")
     out = FormalSum(cyclic)
     for w1, c1 in f.terms.items():
-        for w2, c2 in g.terms.items():
-            out.add_word(w1 + w2, c1 * c2)
+        out._add_products(w1, g, (), c1)
     return out
 
 

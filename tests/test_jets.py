@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from cycvar import corpus
+from cycvar import corpus, jets, words
 from cycvar.errors import BoundExceeded, PreconditionError
-from cycvar.words import FormalSum, Letter
+from cycvar.words import FormalSum, Letter, normalize
 from cycvar.jets import (
     GeneratingSection,
     JetContext,
@@ -22,7 +22,7 @@ from cycvar.jets import (
 from cycvar.lang import letter_text, parse_open, parse_operator
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.schouten import q_field
-from cycvar.variational import variations
+from cycvar.variational import Covector, coupling, euler_derivative, variations
 
 from oracles import reference_partial_jet
 
@@ -385,3 +385,180 @@ class TestProlongation:
                 first.add_word(w, c)
             first.add_word((A, A, A, A, A), CTX.one())
             assert repr(evolutionary_apply(CTX, section, f)) == expected
+
+
+class TestWordTables:
+    """A context keeps each word's canonical form, derivative images and cut
+    pieces.  The tables are a cache of pure functions of a word: a warm
+    context gives what a fresh one gives, term order included."""
+
+    SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    @staticmethod
+    def inputs(ctx, seed):
+        """Seeded corpus sums: cyclic densities of odd degree 0-3, open sums,
+        covectors, and fields of corpus multivectors and covectors."""
+        rng = random.Random(seed)
+        densities = [corpus.cyclic_density(rng, ctx, k % 4, words=3) for k in range(6)]
+        opens = [corpus.open_sum(rng, ctx, words=3, max_len=3) for _ in range(3)]
+        covectors = [corpus.covector(rng, ctx) for _ in range(2)]
+        sections = [q_field(ctx, corpus.multivector(rng, ctx, k)) for k in (1, 2)]
+        sections.append(make_section(ctx, odd=covectors[0].components, parity=1))
+        return densities, opens, covectors, sections
+
+    @staticmethod
+    def results(ctx, densities, opens, covectors, sections):
+        """Every table reader on the inputs under `ctx`, in a fixed order."""
+        out = []
+        for f in densities + opens:
+            for d in range(1, ctx.directions + 1):
+                out.append(total_derivative(ctx, f, d))
+        for f in densities:
+            for odd_kind in (False, True):
+                for j in range(1, ctx.fields + 1):
+                    for side in ("left", "right"):
+                        out.append(euler_derivative(ctx, f, odd_kind, j, side))
+            for letter in sorted({l for w in f.terms for l in w}):
+                out.append(partial_jet(ctx, f, letter))
+        for section in sections:
+            section = GeneratingSection(section.even, section.odd, section.parity)
+            for f in densities + opens:
+                out.append(evolutionary_apply(ctx, section, f))
+        for p in covectors:
+            for q in covectors:
+                out.append(coupling(ctx, p, q.components))
+        return out
+
+    @staticmethod
+    def ordered(sums):
+        return [(f.cyclic, list(f.terms.items())) for f in sums]
+
+    @staticmethod
+    def product_rule(ctx, f, d):
+        """D along direction d, term by term through `add_word`: the order
+        of terms the images must keep (each word's letters in position
+        order)."""
+        out = FormalSum(f.cyclic)
+        for w, c in f.terms.items():
+            if any(mono[d - 1] for mono in c.nums):
+                out.add_word(w, c.diff(d))
+            for i, letter in enumerate(w):
+                out.add_word(w[:i] + (ctx.shift(letter, d),) + w[i + 1:], c)
+        return out
+
+    @staticmethod
+    def by_hand(f):
+        """`f` with every letter rebuilt outside any context."""
+        out = FormalSum(f.cyclic)
+        out.terms = {tuple(Letter(*l) for l in w): c for w, c in f.terms.items()}
+        return out
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_warm_and_fresh_contexts_agree(self, fields, directions):
+        warm = JetContext(fields, directions)
+        data = self.inputs(warm, 50 + 10 * fields + directions)
+        first = self.ordered(self.results(warm, *data))
+        assert warm._canonical_forms and all(warm._images) and warm._cut_pieces
+        assert self.ordered(self.results(warm, *data)) == first
+        assert self.ordered(self.results(JetContext(fields, directions), *data)) == first
+        densities, opens = data[:2]
+        for f in densities + opens:
+            for d in range(1, directions + 1):
+                assert self.ordered([total_derivative(warm, f, d)]) == self.ordered(
+                    [self.product_rule(warm, f, d)]
+                )
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_hand_built_letters_find_the_same_entries(self, fields, directions):
+        ctx = JetContext(fields, directions)
+        densities, opens, covectors, sections = self.inputs(ctx, 60 + 10 * fields + directions)
+        hand = (
+            [self.by_hand(f) for f in densities],
+            [self.by_hand(f) for f in opens],
+            [Covector(tuple(self.by_hand(c) for c in p.components)) for p in covectors],
+            sections,
+        )
+        word = next(iter(hand[0][0].terms))
+        assert word == next(iter(densities[0].terms)) and word[0] is not next(iter(densities[0].terms))[0]
+        expected = self.ordered(self.results(JetContext(fields, directions), densities, opens, covectors, sections))
+        # hand-built words first on a fresh context, then on one warmed by
+        # the interned words, and the interned words after the hand-built ones
+        assert self.ordered(self.results(ctx, *hand)) == expected
+        warm = JetContext(fields, directions)
+        self.results(warm, densities, opens, covectors, sections)
+        assert self.ordered(self.results(warm, *hand)) == expected
+        assert self.ordered(self.results(ctx, densities, opens, covectors, sections)) == expected
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_capped_context_raises_and_keeps_no_image(self, fields, directions):
+        rng = random.Random(70 + 10 * fields + directions)
+        for cap in range(3):
+            free = JetContext(fields, directions)
+            capped = JetContext(fields, directions, max_order=cap)
+            for odd in (False, True):
+                top = capped.letter(odd, rng.randint(1, fields), (cap,) + (0,) * (directions - 1))
+                low = capped.letter(not odd, 1)
+                for cyclic in (False, True):
+                    f = FormalSum.single(cyclic, (low, top, low), capped.one())
+                    (w,) = f.terms
+                    for d in range(1, directions + 1):
+                        total_derivative(free, f, d)
+                        assert w in free._images[d - 1]
+                        for _ in range(2):
+                            with pytest.raises(BoundExceeded):
+                                total_derivative(capped, f, d)
+                        assert w not in capped._images[d - 1]
+            # an under-cap word is still kept
+            if cap:
+                g = FormalSum.single(False, (capped.letter(False, 1),), capped.one())
+                total_derivative(capped, g, 1)
+                assert list(capped._images[0]) == list(g.terms)
+
+    @pytest.mark.parametrize("fields, directions", SHAPES)
+    def test_full_tables_stop_growing_and_still_agree(self, fields, directions, monkeypatch):
+        monkeypatch.setattr(jets, "TABLE_LIMIT", 8)
+        ctx = JetContext(fields, directions)
+        data = self.inputs(ctx, 80 + 10 * fields + directions)
+        first = self.ordered(self.results(ctx, *data))
+        tables = [ctx._canonical_forms, *ctx._images, *ctx._cut_pieces.values()]
+        assert max(map(len, tables)) == 8 and all(len(t) <= 8 for t in tables)
+        kept = [dict(t) for t in tables]
+        more = self.inputs(ctx, 90 + 10 * fields + directions)
+        self.results(ctx, *more)
+        for table, before in zip(tables, kept):
+            assert len(table) <= 8
+            if len(before) == 8:
+                assert table == before
+        assert self.ordered(self.results(ctx, *data)) == first
+        assert self.ordered(self.results(ctx, *more)) == self.ordered(
+            self.results(JetContext(fields, directions), *more)
+        )
+
+    @pytest.mark.parametrize("fields, directions", [(1, 1), (2, 2)])
+    def test_warm_context_makes_no_normalize_calls(self, fields, directions, monkeypatch):
+        calls = []
+
+        def counted(letters):
+            calls.append(letters)
+            return normalize(letters)
+
+        monkeypatch.setattr(words, "normalize", counted)
+        monkeypatch.setattr(jets, "normalize", counted)
+        ctx = JetContext(fields, directions)
+        densities, opens, covectors, sections = self.inputs(ctx, 100 + fields)
+
+        def repeat():
+            for section in sections:
+                for f in densities:
+                    evolutionary_apply(ctx, section, f)
+            for f in densities:
+                for odd_kind in (False, True):
+                    euler_derivative(ctx, f, odd_kind, 1, "right")
+            for p in covectors:
+                coupling(ctx, p, covectors[0].components)
+
+        repeat()
+        assert calls
+        calls.clear()
+        repeat()
+        assert calls == []
