@@ -12,6 +12,8 @@ from .words import (
     FormalSum,
     Letter,
     Word,
+    _Accumulator,
+    _Open,
     normalize,
     odd_count,
     pass_sign,
@@ -45,8 +47,10 @@ class JetContext:
     entries.  The tables live and die with the context; each admits at most
     `TABLE_LIMIT` words and then only serves the ones it holds, so the
     memory a large one-off computation spends on them stays bounded.  The
-    CLI builds one context per invocation.  Equality, hash and `repr`
-    ignore the tables."""
+    CLI builds one context per invocation.  The context keeps the witness
+    pool of the Hamiltonian decision the same way (`poisson._witness_pool`),
+    and its members' covectors by pool index.  Equality, hash and `repr`
+    ignore all of these."""
 
     fields: int = 1
     directions: int = 1
@@ -66,6 +70,8 @@ class JetContext:
     _cut_pieces: dict[tuple[bool, int, bool], dict[Word, tuple]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _witness_pool: tuple = field(default=(), init=False, repr=False, compare=False)
+    _witness_covectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.fields < 1:
@@ -211,21 +217,37 @@ def total_derivative(ctx: JetContext, f: FormalSum, direction: int = 1) -> Forma
     The shifted words of each word, and their canonical forms in a cyclic
     sum, come from the context's tables."""
     ctx.check_direction(direction)
+    out = _Accumulator(f.cyclic)
+    _derive(ctx, f.terms, direction, out)
+    return out.finish()
+
+
+def _derive(ctx: JetContext, terms: dict, direction: int, out: _Accumulator) -> None:
+    """Add the total derivative of `terms`, a finished sum's terms whose
+    keys are in `out`'s form, along a checked direction into `out`.  Each
+    word's Coefficient is handed as it is to the images of the word."""
     d = direction - 1
-    out = FormalSum(f.cyclic)
-    insert, canonical = out._insert, ctx._canonical
-    for w, c in f.terms.items():
-        if any(mono[d] for mono in c.nums):
-            # a key of the input is already in the output's form
-            insert(w, 1, c.diff(direction))
-        if f.cyclic:
+    add = out.add
+    for w, c in terms.items():
+        nums = c.nums
+        for mono in nums:
+            if mono[d]:
+                # the coefficient's derivative, over c's denominator; a key
+                # of the input is already in the output's form
+                diff = object.__new__(Coefficient if c.den == 1 else _Open)
+                diff.nums = {
+                    m[:d] + (m[d] - 1,) + m[d + 1:]: v * m[d] for m, v in nums.items() if m[d]
+                }
+                diff.den = c.den
+                add(w, 1, diff)
+                break
+        if out.cyclic:
             for new in ctx._derivative_images(w, direction):
-                key, sign = canonical(new)
-                insert(key, sign, c)
+                key, sign = ctx._canonical(new)
+                add(key, sign, c)
         else:
             for new in ctx._derivative_images(w, direction):
-                insert(new, 1, c)
-    return out
+                add(new, 1, c)
 
 
 def d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
@@ -246,23 +268,42 @@ def minus_d_series(
     accumulated partial sum once instead of each part k times; the signs are
     put on the odd parts up front, as P_0 + D(-P_1 + D(P_2 + ...)).
     Directions are folded from the last one down: after direction d the keys
-    keep only their first d - 1 slots.
+    keep only their first d - 1 slots.  The partial sums are accumulators:
+    their integer numerators are carried from one D step to the next, and
+    each word of the result gets its Coefficient once, at the end.
     """
-    for d in range(ctx.directions, 0, -1):
-        by_prefix: dict[tuple[int, ...], dict[int, FormalSum]] = {}
+    parts = {orders: _Accumulator(False, dict(part.terms)) for orders, part in parts.items()}
+    return _horner(ctx, parts).finish()
+
+
+def _horner(ctx: JetContext, parts: dict[tuple[int, ...], _Accumulator]) -> _Accumulator:
+    """`minus_d_series` on parts that are accumulators, unfinished; it takes
+    them over and writes to them."""
+    for d in range(ctx.directions, 1, -1):
+        by_prefix: dict[tuple[int, ...], dict[int, _Accumulator]] = {}
         for orders, part in parts.items():
             by_prefix.setdefault(orders[: d - 1], {})[orders[d - 1]] = part
-        parts = {}
-        for prefix, by_count in by_prefix.items():
-            acc = FormalSum(cyclic=False)
-            for k in range(max(by_count), -1, -1):
-                part = by_count.get(k)
-                if part is not None:
-                    acc._accumulate(part, negate=k % 2 == 1)
-                if k:
-                    acc = total_derivative(ctx, acc, d)
-            parts[prefix] = acc
-    return parts.get((), FormalSum(cyclic=False))
+        parts = {prefix: _fold(ctx, by_count, d) for prefix, by_count in by_prefix.items()}
+    if not parts:
+        return _Accumulator(False)
+    return _fold(ctx, {orders[0]: part for orders, part in parts.items()}, 1)
+
+
+def _fold(ctx: JetContext, by_count: dict[int, _Accumulator], direction: int) -> _Accumulator:
+    """The sum over k of (-D)^k by_count[k] along one direction, in Horner
+    form.  Each D step settles the running sum in place, with no new
+    Coefficient, and differentiates it into the same accumulator."""
+    top = max(by_count)
+    acc = by_count[top]
+    if top % 2:
+        acc, part = _Accumulator(False), acc
+        acc.add_terms(part.terms, -1)
+    for k in range(top - 1, -1, -1):
+        _derive(ctx, acc.restart(), direction, acc)
+        part = by_count.get(k)
+        if part is not None:
+            acc.add_terms(part.terms, -1 if k % 2 else 1)
+    return acc
 
 
 def cuts(
@@ -275,13 +316,21 @@ def cuts(
     which adds a sign per word on odd families only.  The pieces of each
     word are computed once per context, family and side and kept in
     `ctx`'s table."""
-    parts: dict[tuple[int, ...], FormalSum] = {}
+    parts = _cut_parts(ctx, f, odd_kind, index, right)
+    return {orders: part.finish() for orders, part in parts.items()}
+
+
+def _cut_parts(
+    ctx: JetContext, f: FormalSum, odd_kind: bool, index: int, right: bool
+) -> dict[tuple[int, ...], _Accumulator]:
+    """`cuts`, each part left unfinished."""
+    parts: dict[tuple[int, ...], _Accumulator] = {}
     for w, c in f.terms.items():
         for orders, piece, sign in ctx._cuts(w, odd_kind, index, right):
             part = parts.get(orders)
             if part is None:
-                part = parts[orders] = FormalSum(cyclic=False)
-            part._insert(piece, sign, c)
+                part = parts[orders] = _Accumulator(False)
+            part.add(piece, sign, c)
     return parts
 
 
@@ -400,23 +449,31 @@ def evolutionary_apply(
     field reuse its prolongation.  On a cyclic sum each product word's
     canonical form comes from the context's table.
     """
+    out = _Accumulator(f.cyclic)
+    _act(ctx, section, f, out)
+    return out.finish()
+
+
+def _act(
+    ctx: JetContext, section: GeneratingSection, f: FormalSum, out: _Accumulator, sign: int = 1
+) -> None:
+    """Add sign times `evolutionary_apply(ctx, section, f)` into `out`."""
     if section._prolonged is None or section._prolonged[0] != ctx:
         object.__setattr__(section, "_prolonged", (ctx, {}))
     table = section._prolonged[1]
     canonical = ctx._canonical
-    out = FormalSum(f.cyclic)
+    add_products = out.add_products
     for w, c in f.terms.items():
-        flip = False
+        s = sign
         for i, letter in enumerate(w):
             value = table.get(letter)
             if value is None:
                 component = (section.odd if letter.odd else section.even)[letter.index - 1]
                 value = _prolongation(ctx, component, table, letter)
             if value.terms:
-                out._add_products(w[:i], value, w[i + 1:], -c if flip else c, canonical)
+                add_products(w[:i], value.terms, w[i + 1:], s, c, canonical)
             if letter.odd and section.parity:
-                flip = not flip
-    return out
+                s = -s
 
 
 def graded_commutator(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from math import gcd
 from typing import NamedTuple
 
 from .errors import BoundExceeded, CycvarError, ParseError, PreconditionError
@@ -445,8 +446,8 @@ def parse_section_tuple(text: str, ctx: JetContext) -> tuple[FormalSum, ...]:
 
 
 def number_text(value) -> str:
-    """Decimal text of an int or Fraction; a number longer than the
-    interpreter converts is an exceeded bound, not a crash."""
+    """Decimal text of an int; a number longer than the interpreter
+    converts is an exceeded bound, not a crash."""
     try:
         return str(value)
     except ValueError:
@@ -459,20 +460,30 @@ def _x_name(direction: int, ctx: JetContext) -> str:
     return "x" if ctx.directions == 1 else f"x{direction}"
 
 
-def _mono_text(exps: tuple[int, ...], value, ctx: JetContext) -> str:
-    """Signed text of one scalar monomial."""
+def _value_text(num: int, den: int) -> str:
+    """Decimal text of the rational num/den (den >= 1), in lowest terms."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != den:
+            return f"{number_text(num // g)}/{number_text(den // g)}"
+        num //= den
+    return number_text(num)
+
+
+def _mono_text(exps: tuple[int, ...], num: int, den: int, ctx: JetContext) -> str:
+    """Signed text of one scalar monomial with the value num/den."""
     xs = []
     for direction, e in enumerate(exps, start=1):
         if e:
             name = _x_name(direction, ctx)
             xs.append(name if e == 1 else f"{name}^{number_text(e)}")
     if not xs:
-        return number_text(value)
-    if value == 1:
+        return _value_text(num, den)
+    if num == den:
         return "*".join(xs)
-    if value == -1:
+    if num == -den:
         return "-" + "*".join(xs)
-    return "*".join([number_text(value), *xs])
+    return "*".join([_value_text(num, den), *xs])
 
 
 def _signed_join(texts) -> str:
@@ -489,14 +500,15 @@ def _signed_join(texts) -> str:
 
 
 def coefficient_text(c: Coefficient, ctx: JetContext) -> str:
-    """Canonical text of a scalar polynomial, parseable by the grammar."""
-    terms = c.terms
-    if len(terms) == 1:
-        ((exps, value),) = terms.items()
+    """Canonical text of a scalar polynomial, parseable by the grammar.  Each
+    value is printed from the stored numerator and denominator."""
+    nums, den = c.nums, c.den
+    if len(nums) == 1:
+        ((exps, num),) = nums.items()
         if not any(exps):
-            return number_text(value)
-    ordered = sorted(terms.items(), key=lambda kv: monomial_key(kv[0]))
-    return _signed_join(_mono_text(exps, value, ctx) for exps, value in ordered) or "0"
+            return _value_text(num, den)
+    ordered = sorted(nums.items(), key=lambda kv: monomial_key(kv[0]))
+    return _signed_join(_mono_text(exps, num, den, ctx) for exps, num in ordered) or "0"
 
 
 def letter_text(letter: Letter, ctx: JetContext) -> str:

@@ -19,11 +19,12 @@ from .words import (
     FormalSum,
     Letter,
     Word,
+    _Accumulator,
     concat,
     odd_count,
     word_key,
 )
-from .jets import JetContext, _prolongation, minus_d_series, total_derivative
+from .jets import JetContext, _horner, _prolongation, total_derivative
 
 # Field index 0 is reserved for the argument-slot letter; real letters are
 # 1-based.
@@ -114,14 +115,15 @@ class DifferentialOperator:
             raise PreconditionError("operators act on open sums")
         ctx = self.ctx
         images: dict[Letter, FormalSum] = {}
-        out = FormalSum(cyclic=False)
+        out = _Accumulator(False)
         for letters, c in self.words.terms.items():
             left, slot, right = _split(letters)
             image = images.get(slot)
             if image is None:
                 image = _prolongation(ctx, p, images, slot)
-            out._add_products(left, image, right, c)
-        return out
+            if image.terms:
+                out.add_products(left, image.terms, right, 1, c)
+        return out.finish()
 
     # -- composition building blocks ------------------------------------
 
@@ -160,14 +162,16 @@ class DifferentialOperator:
         is already the adjoint's word sum."""
         ctx = self.ctx
         slot = _slot(ctx, ctx.zero_orders())
-        carriers: dict[tuple[int, ...], FormalSum] = {}
+        carriers: dict[tuple[int, ...], _Accumulator] = {}
         for (left, orders, right), c in self.terms():
             k_left = odd_count(left)
             k_total = k_left + odd_count(right)
             flip = k_left % 2 and (k_total - 1) % 2
-            part = carriers.setdefault(orders, FormalSum(cyclic=False))
-            part.add_word(right + (slot,) + left, -c if flip else c)
-        return DifferentialOperator(ctx, minus_d_series(ctx, carriers))
+            part = carriers.get(orders)
+            if part is None:
+                part = carriers[orders] = _Accumulator(False)
+            part.add(right + (slot,) + left, -1 if flip else 1, c)
+        return DifferentialOperator(ctx, _horner(ctx, carriers).finish())
 
     def is_skew(self) -> bool:
         return self.adjoint() == -self

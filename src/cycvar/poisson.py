@@ -12,12 +12,13 @@ from fractions import Fraction
 
 from . import corpus
 from .errors import BoundExceeded, PreconditionError
-from .words import FormalSum
-from .jets import JetContext, evolutionary_apply, make_section, total_derivative
+from .words import FormalSum, _Accumulator
+from .jets import JetContext, _act, evolutionary_apply, make_section, total_derivative
 from .operators import DifferentialOperator, from_derivative
 from .variational import (
     Covector,
     Functional,
+    _pair,
     coupling,
     covector_of,
     is_trivial,
@@ -51,20 +52,25 @@ def hamiltonian_section(
     return tuple(op.apply(comp) for comp in p.components)
 
 
-def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, functionals):
+def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, functionals, covectors=None):
     """The Jacobi defect density of an index triple (i, j, k) into
     `functionals`, as a function of the triple: the cyclic sum of
     {{h_a, h_b}, h_c} over (a, b, c) = (i, j, k), (j, k, i), (k, i, j).
 
     Each functional's covector and operator image, and each inner bracket's
-    covector, is computed once across all triples asked for.  The covector
+    covector, is computed once across all triples asked for.  `covectors`,
+    if given, keeps the functionals' covectors by index beyond the call: an
+    entry is read there, or stored once it is computed whole.  The covector
     of {h_j, h_i} for i < j is taken as minus that of {h_i, h_j}: for a
     skew operator the two brackets add up to a total divergence, which
     every variational derivative maps to exactly zero.  Unchecked."""
+    covectors = {} if covectors is None else covectors
 
     @functools.cache
     def section(i):
-        p = covector_of(ctx, functionals[i])
+        p = covectors.get(i)
+        if p is None:
+            p = covectors[i] = covector_of(ctx, functionals[i])
         return p, hamiltonian_section(ctx, op, p)
 
     @functools.cache
@@ -74,11 +80,10 @@ def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, functionals):
         return covector_of(ctx, coupling(ctx, section(i)[0], section(j)[1]))
 
     def defect(triple) -> FormalSum:
-        total = FormalSum(cyclic=True)
+        total = _Accumulator(True)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            inner_ab = inner(triple[a], triple[b])
-            total._accumulate(coupling(ctx, inner_ab, section(triple[c])[1]))
-        return total
+            _pair(ctx, inner(triple[a], triple[b]), section(triple[c])[1], total)
+        return total.finish()
 
     return defect
 
@@ -117,16 +122,15 @@ def jacobi_defect_expanded(
     third covector.  Agrees with `jacobi_defect` up to a total divergence
     when the covectors are the variations of the functionals."""
     _require_skew(op)
-    total = FormalSum(cyclic=True)
+    total = _Accumulator(True)
     for perm in itertools.permutations((0, 1, 2)):
-        sign = _permutation_sign(perm)
         p1, p2, p3 = (covectors[i] for i in perm)
         half = coupling(ctx, p1, hamiltonian_section(ctx, op, p2)).scale(
             Fraction(1, 2)
         )
         flow = make_section(ctx, even=hamiltonian_section(ctx, op, p3), parity=0)
-        total._accumulate(evolutionary_apply(ctx, flow, half), negate=sign < 0)
-    return total
+        _act(ctx, flow, half, total, _permutation_sign(perm))
+    return total.finish()
 
 
 def _permutation_sign(perm) -> int:
@@ -200,9 +204,13 @@ class HamiltonianCertificate:
         return "not hamiltonian: master defect is nontrivial"
 
 
-def _witness_pool(ctx: JetContext) -> list[Functional]:
+def _witness_pool(ctx: JetContext) -> tuple[Functional, ...]:
     """Small deterministic family of functionals used to exhibit a Jacobi
-    failure when the master defect is nontrivial."""
+    failure when the master defect is nontrivial.  It does not depend on
+    the operator, so the context keeps it; it is stored only once it is
+    built whole, so an order cap that stops the build keeps nothing."""
+    if ctx._witness_pool:
+        return ctx._witness_pool
     pool = []
 
     def add(letters, coeff):
@@ -217,7 +225,8 @@ def _witness_pool(ctx: JetContext) -> list[Functional]:
         add((a,), ctx.x_power(1, 1))
         add((a, a), ctx.x_power(1, 1))
         add((a, ctx.shift(ctx.shift(a, 1), 1)), ctx.one())
-    return pool
+    object.__setattr__(ctx, "_witness_pool", tuple(pool))
+    return ctx._witness_pool
 
 
 def is_hamiltonian(
@@ -256,8 +265,9 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     """First of at most `budget` triples of `_witness_pool` functionals, in
     `combinations_with_replacement` order, whose Jacobi defect is nontrivial,
     with that defect; (None, None) if there is none.  The defects come from
-    `_jacobi_triples`, which computes each pool member's covector and image,
-    and each inner bracket's covector, once for the whole search.  The
+    `_jacobi_triples`, which computes each pool member's image and each
+    inner bracket's covector once for the whole search; the pool members'
+    covectors are computed once per context and kept with it.  The
     covector of {h_i, h_i} is exactly zero and that of {h_k, h_i} is exactly
     minus that of {h_i, h_k}, so the cyclic sum over a triple with a repeated
     index cancels term by term to the empty sum.  Such triples are skipped
@@ -269,7 +279,9 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     verdict already stands on the master defect, so the cap ends the search,
     not the run.  Unchecked."""
     pool = _witness_pool(ctx)
-    defect = _jacobi_triples(ctx, op, pool)
+    # the context keeps its own pool's covectors; they do not depend on `op`
+    kept = ctx._witness_covectors if pool is ctx._witness_pool else None
+    defect = _jacobi_triples(ctx, op, pool, kept)
     triples = itertools.combinations_with_replacement(range(len(pool)), 3)
     try:
         for triple in itertools.islice(triples, budget):

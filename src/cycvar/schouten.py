@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .words import FormalSum
+from .words import FormalSum, _Accumulator
 from .jets import (
     GeneratingSection,
     JetContext,
@@ -17,7 +17,7 @@ from .jets import (
     make_section,
 )
 from .operators import DifferentialOperator
-from .variational import Covector, Functional, coupling, is_trivial, variations
+from .variational import Covector, Functional, _pair, coupling, is_trivial, variations
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,16 @@ def schouten_by_variations(
     """Independent coordinate route to the bracket density: pair the
     variations of the two arguments family by family.  Differs from the
     primary route by a total divergence only."""
-    forward = coupling(
-        ctx, variations(ctx, xi.density, False), variations(ctx, eta.density, True)
+    out = _Accumulator(True)
+    _pair(ctx, variations(ctx, xi.density, False), variations(ctx, eta.density, True), out)
+    _pair(
+        ctx,
+        variations(ctx, xi.density, True, side="right"),
+        variations(ctx, eta.density, False),
+        out,
+        -1,
     )
-    backward = coupling(
-        ctx, variations(ctx, xi.density, True, side="right"), variations(ctx, eta.density, False)
-    )
-    return forward._accumulate(backward, negate=True)
+    return out.finish()
 
 
 def contraction_section(ctx: JetContext, p: Covector) -> GeneratingSection:

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .words import FormalSum
-from .jets import JetContext, cuts, minus_d_series
+from .words import FormalSum, _Accumulator
+from .jets import JetContext, _cut_parts, _horner
 
 
 def euler_derivative(
@@ -21,7 +21,8 @@ def euler_derivative(
 
     For each occurrence of the family, cut the circle there and apply (-D) to
     the multi-index of the removed letter.  The `cuts` come grouped by that
-    multi-index, so the powers of (-D) are applied in Horner form.
+    multi-index, so the powers of (-D) are applied in Horner form
+    (`minus_d_series`), straight on the cut parts' unfinished numerators.
     `side` chooses on which side of the density the variation is collected;
     the two differ, per word, by a sign on odd families only.
     """
@@ -29,7 +30,7 @@ def euler_derivative(
         raise PreconditionError("euler_derivative expects a cyclic sum")
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    return minus_d_series(ctx, cuts(ctx, f, odd_kind, index, right=side == "right"))
+    return _horner(ctx, _cut_parts(ctx, f, odd_kind, index, side == "right")).finish()
 
 
 def variations(
@@ -93,18 +94,23 @@ def coupling(ctx: JetContext, p, values) -> FormalSum:
     """Closed pairing of an m-tuple of covector components with an m-tuple of
     open-word sums: the cyclic closure of the componentwise concatenations,
     each product word's canonical form read from the context's table."""
+    out = _Accumulator(True)
+    _pair(ctx, p, values, out)
+    return out.finish()
+
+
+def _pair(ctx: JetContext, p, values, out: _Accumulator, sign: int = 1) -> None:
+    """Add sign times `coupling(ctx, p, values)` into `out`."""
     p_components = p.components if isinstance(p, Covector) else tuple(p)
     values = tuple(values)
     if len(p_components) != ctx.fields or len(values) != ctx.fields:
         raise PreconditionError(f"coupling needs {ctx.fields} components per side")
-    out = FormalSum(cyclic=True)
     canonical = ctx._canonical
     for pc, vc in zip(p_components, values):
         if pc.cyclic or vc.cyclic:
             raise ValueError("coupling expects open sums")
         for w, c in pc.terms.items():
-            out._add_products(w, vc, (), c, canonical)
-    return out
+            out.add_products(w, vc.terms, (), sign, c, canonical)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,17 @@ its parity-reversed partner (odd); it carries a field index and a derivative
 multi-index with one slot per base direction.  Cyclic words are stored by
 their canonical rotation; the sign bookkeeping for odd letters happens once,
 at normalization time, so every later operation works on plain tuples.
-A coefficient keeps integer numerators over one common denominator.
+A coefficient keeps integer numerators over one common denominator.  Word
+sums are accumulated the same way: one accumulator adds each word's integer
+numerators in place over a running denominator, and each result word gets
+its Coefficient once, in lowest terms, when the sum is finished.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add as add_ints
 from typing import Iterable, NamedTuple
 
 
@@ -197,7 +200,7 @@ class Coefficient:
         nums: dict[tuple[int, ...], int] = {}
         for m1, v1 in small.items():
             for m2, v2 in large.items():
-                mono = tuple(map(add, m1, m2))
+                mono = tuple(map(add_ints, m1, m2))
                 value = nums.get(mono, 0) + v1 * v2
                 if value:
                     nums[mono] = value
@@ -235,10 +238,13 @@ class FormalSum:
     """Linear combination of words with Coefficient weights.
 
     The cyclic flavor keeps every key in canonical rotation (signs folded into
-    the coefficients); the open flavor keeps keys verbatim.  Instances are
-    built with `add_word` and treated as immutable afterwards; the arithmetic
-    operators return fresh sums, which may share their operands' Coefficient
-    objects.
+    the coefficients); the open flavor keeps keys verbatim.  Every sum the
+    library returns is built by one `_Accumulator`, which adds integer
+    numerators in place and gives each result word its Coefficient once,
+    when the sum is finished; a returned sum is never written again by the
+    library.  `add_word`, for callers that build a sum term by term, goes
+    through the same accumulator.  Sums may share their operands'
+    Coefficient objects.
     """
 
     __slots__ = ("cyclic", "terms")
@@ -250,55 +256,25 @@ class FormalSum:
     @classmethod
     def single(cls, cyclic: bool, letters: Word, coeff: Coefficient) -> "FormalSum":
         out = cls(cyclic)
-        out.add_word(letters, coeff)
+        if coeff.nums:
+            letters = tuple(letters)
+            key, sign = normalize(letters) if cyclic else (letters, 1)
+            if sign:
+                out.terms[key] = coeff if sign > 0 else -coeff
         return out
 
     def add_word(self, letters: Word, coeff: Coefficient) -> None:
-        # `nums` is tested directly: this runs once per term of every result,
-        # and `__bool__` would add a Python-level call each time
+        # `nums` is tested directly: `__bool__` would add a Python-level call
         if not coeff.nums:
             return
+        acc = _Accumulator(self.cyclic, self.terms)
         letters = tuple(letters)
         if self.cyclic:
             key, sign = normalize(letters)
-            self._insert(key, sign, coeff)
+            acc.add(key, sign, coeff)
         else:
-            self._insert(letters, 1, coeff)
-
-    def _insert(self, key: Word | None, sign: int, coeff: Coefficient) -> None:
-        """Add sign * coeff, a nonzero coefficient, under `key`, a word
-        already in this sum's form, dropping the entry if it cancels.  A
-        vanishing cyclic word comes as `normalize` gives it, (None, 0), and
-        adds nothing."""
-        if not sign:
-            return
-        terms = self.terms
-        acc = terms.get(key)
-        if acc is None:
-            terms[key] = -coeff if sign < 0 else coeff
-            return
-        acc = acc - coeff if sign < 0 else acc + coeff
-        if acc.nums:
-            terms[key] = acc
-        else:
-            del terms[key]
-
-    def _add_products(
-        self, head: Word, middle: "FormalSum", tail: Word, coeff: Coefficient, canonical=None
-    ) -> None:
-        """Add coeff * c * (head + w + tail) for each term c * w of `middle`.
-        A cyclic sum takes each key and sign from `canonical`, which must
-        agree with `normalize` (the default); a context passes its table of
-        canonical forms."""
-        insert = self._insert
-        if self.cyclic:
-            canonical = canonical or normalize
-            for w, c in middle.terms.items():
-                key, sign = canonical(head + w + tail)
-                insert(key, sign, coeff * c)
-        else:
-            for w, c in middle.terms.items():
-                insert(head + w + tail, 1, coeff * c)
+            acc.add(letters, 1, coeff)
+        acc.finish()
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -317,9 +293,7 @@ class FormalSum:
         raise TypeError("FormalSum is not hashable")
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(self.cyclic)
-        out.terms = dict(self.terms)
-        return out._accumulate(other)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "FormalSum":
         out = FormalSum(self.cyclic)
@@ -327,24 +301,15 @@ class FormalSum:
         return out
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(self.cyclic)
-        out.terms = dict(self.terms)
-        return out._accumulate(other, negate=True)
+        return self._plus(other, -1)
 
-    def _accumulate(self, other: "FormalSum", negate: bool = False) -> "FormalSum":
-        """Add `other`, or subtract it if `negate`, into this sum in place and
-        return this sum.  Only for a sum that nothing else holds yet; `other`
-        is left as it was."""
+    def _plus(self, other: "FormalSum", sign: int) -> "FormalSum":
         if self.cyclic != other.cyclic:
             raise ValueError("cannot mix cyclic and open sums")
-        # Coefficients are never mutated once returned, so the coefficient
-        # objects of `other` are shared, not copied; keys of a like-flavored
-        # sum are already canonical.
-        sign = -1 if negate else 1
-        insert = self._insert
-        for w, c in other.terms.items():
-            insert(w, sign, c)
-        return self
+        # keys of a like-flavored sum are already in this sum's form
+        acc = _Accumulator(self.cyclic, dict(self.terms))
+        acc.add_terms(other.terms, sign)
+        return acc.finish()
 
     def scale(self, factor) -> "FormalSum":
         """Multiply by a Coefficient, Fraction, or int."""
@@ -370,14 +335,249 @@ class FormalSum:
         return f"FormalSum<{flavor}>({self.sorted_terms()!r})"
 
 
+class _Open(Coefficient):
+    """A coefficient that an accumulator is still building and alone holds,
+    under one word: nonzero int numerators over a denominator that may
+    share a factor with all of them, or no numerator at all.  It is written
+    in place, and `_Accumulator.finish` settles it into a Coefficient."""
+
+    __slots__ = ()
+
+
+def _rescale(acc: _Open, den: int) -> int:
+    """Bring `acc` to a common denominator with `den`, another
+    denominator; returns the factor that takes a numerator over `den` to
+    one over `acc.den`."""
+    own = acc.den
+    common = own * den // gcd(own, den)
+    if common != own:
+        k = common // own
+        nums = acc.nums
+        for m in nums:
+            nums[m] *= k
+        acc.den = common
+    return common // den
+
+
+class _Accumulator:
+    """The one builder of word sums: for each word, integer numerators by
+    monomial over one running denominator, added in place.
+
+    A word touched once keeps the Coefficient it came with, or gets its
+    product or derivative built straight as one.  On a second touch the
+    word gets an `_Open` coefficient of its own, a copy, never an operand's
+    `nums` dict, and every later term, product or collision is added into
+    it as ints, with no gcd and no new object.  `finish` settles each
+    `_Open` once, in lowest terms, and drops the words that cancelled; when
+    no word was touched twice and every denominator was 1 it has nothing to
+    do.  An `_Open` passed in (by `_derive`, or by `_horner` from an
+    accumulator that is done) is taken over as it is.  `terms` may start as
+    a dict the caller hands over, whose values are Coefficients.  An
+    accumulator never takes its own values as operands."""
+
+    __slots__ = ("cyclic", "terms", "loose")
+
+    def __init__(self, cyclic: bool, terms: dict | None = None):
+        self.cyclic = cyclic
+        self.terms: dict[Word, Coefficient] = {} if terms is None else terms
+        # the `_Open` values, for `finish`
+        self.loose: list[_Open] = []
+
+    def add(self, key: Word | None, sign: int, c: Coefficient) -> None:
+        """Add sign * c under `key`, a word already in this sum's form; a
+        vanishing cyclic word comes as `normalize` gives it, (None, 0), and
+        adds nothing."""
+        if not sign:
+            return
+        terms = self.terms
+        acc = terms.get(key)
+        if acc is None:
+            if type(c) is _Open:
+                if not c.nums:
+                    return
+                if sign < 0:
+                    c = _negated(c)
+                self.loose.append(c)
+            elif sign < 0:
+                c = _negated(c)
+            terms[key] = c
+            return
+        if type(acc) is not _Open:
+            acc = self._own(key, acc)
+        den = c.den
+        if den != acc.den:
+            sign *= _rescale(acc, den)
+        nums = acc.nums
+        get = nums.get
+        for m, v in c.nums.items():
+            v = get(m, 0) + sign * v
+            if v:
+                nums[m] = v
+            else:
+                del nums[m]
+
+    def _own(self, key: Word, c: Coefficient) -> _Open:
+        """Replace the value under `key` by an `_Open` copy of it."""
+        out = object.__new__(_Open)
+        out.nums = dict(c.nums)
+        out.den = c.den
+        self.terms[key] = out
+        self.loose.append(out)
+        return out
+
+    def add_terms(self, terms: dict, sign: int = 1) -> None:
+        """Add sign times a sum's terms, whose keys are in this sum's form."""
+        add = self.add
+        for w, c in terms.items():
+            add(w, sign, c)
+
+    def add_products(
+        self, head: Word, middle: dict, tail: Word, sign: int, c: Coefficient, canonical=None
+    ) -> None:
+        """Add sign * c * c2 * (head + w + tail) for each term c2 * w of the
+        terms `middle`, a finished sum's.  A cyclic sum takes each key and
+        sign from `canonical`, which must agree with `normalize` (the
+        default); a context passes its table of canonical forms.  A word met
+        first here gets the product straight as a Coefficient when its
+        denominator is 1, else as an `_Open`."""
+        if not middle:
+            return
+        terms, add, loose = self.terms, self.add, self.loose
+        n1, d1 = c.nums, c.den
+        zero = (0,) * len(next(iter(n1)))
+        # a constant c scales each c2, and a constant +-1 leaves it as it is
+        scalar = n1[zero] if len(n1) == 1 and zero in n1 else 0
+        keep = d1 == 1 and (scalar == 1 or scalar == -1)
+        cyclic = self.cyclic
+        if cyclic:
+            canonical = canonical or normalize
+        for w, c2 in middle.items():
+            if cyclic:
+                key, s = canonical(head + w + tail)
+                if not s:
+                    continue
+                s *= sign
+            else:
+                key, s = head + w + tail, sign
+            if keep:
+                add(key, s * scalar, c2)
+                continue
+            n2 = c2.nums
+            # a product with a constant factor k scales the other one
+            if scalar:
+                k, other = scalar, n2
+            elif len(n2) == 1 and zero in n2:
+                k, other = n2[zero], n1
+            else:
+                k = 0
+            den = d1 * c2.den
+            acc = terms.get(key)
+            if acc is None:
+                if den == 1:
+                    acc = terms[key] = object.__new__(Coefficient)
+                else:
+                    acc = terms[key] = object.__new__(_Open)
+                    loose.append(acc)
+                acc.den = den
+                if k:
+                    s *= k
+                    acc.nums = {m: s * v for m, v in other.items()}
+                    continue
+                acc.nums = {}
+            else:
+                if type(acc) is not _Open:
+                    acc = self._own(key, acc)
+                if den != acc.den:
+                    s *= _rescale(acc, den)
+            nums = acc.nums
+            get = nums.get
+            if k:
+                s *= k
+                for m, v in other.items():
+                    v = get(m, 0) + s * v
+                    if v:
+                        nums[m] = v
+                    else:
+                        del nums[m]
+                continue
+            for m1, v1 in n1.items():
+                v1 *= s
+                if len(m1) == 1:
+                    # one direction: add the exponents without a tuple pass
+                    (e,) = m1
+                    for m2, v2 in n2.items():
+                        m = (e + m2[0],)
+                        v = get(m, 0) + v1 * v2
+                        if v:
+                            nums[m] = v
+                        else:
+                            del nums[m]
+                    continue
+                for m2, v2 in n2.items():
+                    m = tuple(map(add_ints, m1, m2))
+                    v = get(m, 0) + v1 * v2
+                    if v:
+                        nums[m] = v
+                    else:
+                        del nums[m]
+
+    def finish(self) -> FormalSum:
+        """The sum built: each `_Open` settled in place into a Coefficient in
+        lowest terms, the words that cancelled dropped.  The accumulator is
+        done after this."""
+        out = object.__new__(FormalSum)
+        out.cyclic = self.cyclic
+        out.terms = _settle(self.terms, self.loose)
+        return out
+
+    def restart(self) -> dict:
+        """The terms of `finish`; the accumulator starts again, empty."""
+        terms = _settle(self.terms, self.loose)
+        self.terms = {}
+        self.loose = []
+        return terms
+
+
+def _settle(terms: dict, loose: list) -> dict:
+    """`terms` with each `_Open` value in `loose` put in lowest terms in
+    place and made a Coefficient.  Only an `_Open` can cancel to zero, so
+    the terms are passed over, to drop such words, only when one did."""
+    cancelled = False
+    for c in loose:
+        nums = c.nums
+        if not nums:
+            cancelled = True
+            continue
+        den = c.den
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                c.nums = {m: v // g for m, v in nums.items()}
+                c.den = den // g
+        c.__class__ = Coefficient
+    if cancelled:
+        for key in [key for key, c in terms.items() if not c.nums]:
+            del terms[key]
+    return terms
+
+
+def _negated(c: Coefficient) -> Coefficient:
+    """-c, as a fresh object of the same class."""
+    out = object.__new__(type(c))
+    out.nums = {m: -v for m, v in c.nums.items()}
+    out.den = c.den
+    return out
+
+
 def close(f: FormalSum) -> FormalSum:
     """Image of an open sum under the cyclic closure."""
     if f.cyclic:
         raise ValueError("close expects an open sum")
-    out = FormalSum(cyclic=True)
+    acc = _Accumulator(True)
     for w, c in f.terms.items():
-        out.add_word(w, c)
-    return out
+        key, sign = normalize(w)
+        acc.add(key, sign, c)
+    return acc.finish()
 
 
 def concat(f: FormalSum, g: FormalSum, cyclic: bool = False) -> FormalSum:
@@ -385,10 +585,10 @@ def concat(f: FormalSum, g: FormalSum, cyclic: bool = False) -> FormalSum:
     flavor."""
     if f.cyclic or g.cyclic:
         raise ValueError("concat expects open sums")
-    out = FormalSum(cyclic)
+    acc = _Accumulator(cyclic)
     for w1, c1 in f.terms.items():
-        out._add_products(w1, g, (), c1)
-    return out
+        acc.add_products(w1, g.terms, (), 1, c1)
+    return acc.finish()
 
 
 def close_concat(f: FormalSum, g: FormalSum) -> FormalSum:
@@ -402,18 +602,19 @@ def times(f: FormalSum, g: FormalSum) -> FormalSum:
     rotation pairs.  An empty word acts as a plain scalar factor."""
     if not (f.cyclic and g.cyclic):
         raise ValueError("times expects cyclic sums")
-    out = FormalSum(cyclic=True)
+    acc = _Accumulator(True)
     g_terms = [(w2, c2, signed_rotations(w2)) for w2, c2 in g.terms.items()]
     for w1, c1 in f.terms.items():
         rots1 = signed_rotations(w1)
         for w2, c2, rots2 in g_terms:
             if not w1 or not w2:
-                out.add_word(w1 + w2, c1 * c2)
+                key, sign = normalize(w1 + w2)
+                acc.add(key, sign, c1 * c2)
                 continue
             # the scaled product changes only by the sign s1 * s2
             c = c1 * c2 * Fraction(1, len(w1) * len(w2))
-            minus_c = -c
             for r1, s1 in rots1:
                 for r2, s2 in rots2:
-                    out.add_word(r1 + r2, c if s1 == s2 else minus_c)
-    return out
+                    key, sign = normalize(r1 + r2)
+                    acc.add(key, sign * s1 * s2, c)
+    return acc.finish()

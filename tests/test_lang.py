@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,9 @@ from cycvar.lang import (
     sum_text,
 )
 from cycvar.variational import Covector
+from cycvar.words import Coefficient
 from oracles import (
+    reference_coefficient_text,
     reference_covector_text,
     reference_operator_term_lines,
     reference_operator_text,
@@ -407,6 +410,44 @@ class TestPrinterAgainstReference:
             v = corpus.covector(rng, ctx, jet_dependent=rng.random() < 0.5)
             v = Covector(tuple(c.scale(k) for c in v.components))
             assert covector_text(v, ctx) == reference_covector_text(v, ctx)
+
+
+class TestCoefficientText:
+    """`coefficient_text` prints each value from the stored numerator and
+    the common denominator, reduced by one gcd per value, and gives the
+    bytes of the reference printer, which goes through `Fraction`.  The
+    values share factors with the denominator, so each one reduces apart."""
+
+    CASES = [
+        {(0,): Fraction(1, 2), (1,): Fraction(1, 3)},
+        {(0,): Fraction(3, 2), (1,): 1, (2,): -1},
+        {(0,): Fraction(-2, 3), (1,): Fraction(5, 6), (3,): Fraction(-1, 2)},
+        {(1,): Fraction(4, 6), (2,): Fraction(-9, 6)},
+        {(0,): Fraction(10**30, 7), (1,): Fraction(1, 14)},
+        {(1,): 6, (2,): Fraction(1, 4)},
+    ]
+
+    @pytest.mark.parametrize("terms", CASES)
+    def test_shared_factors(self, terms):
+        c = Coefficient(terms)
+        assert c.den > 1 and any(math.gcd(v, c.den) > 1 for v in c.nums.values())
+        assert coefficient_text(c, CTX) == reference_coefficient_text(c, CTX)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            st.fractions(max_denominator=12).filter(bool),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([1, 2, 3, 6]),
+    )
+    def test_matches_reference(self, terms, den):
+        c = Coefficient({m: v / den for m, v in terms.items()})
+        for ctx, cut in ((CTX, 1), (CTX22, 2)):
+            d = Coefficient({m[:cut]: v for m, v in c.terms.items()})
+            assert coefficient_text(d, ctx) == reference_coefficient_text(d, ctx)
 
 
 # Product chains: a chain is an optional leading minus and a list of links

@@ -19,12 +19,20 @@ from cycvar.words import (
     times,
 )
 from cycvar import corpus
-from cycvar.jets import JetContext, minus_d_series
+from cycvar.jets import (
+    JetContext,
+    cuts,
+    evolutionary_apply,
+    make_section,
+    minus_d_series,
+    partial_jet,
+    total_derivative,
+)
 from cycvar.lang import letter_text, parse_cyclic, parse_open, parse_operator
 from cycvar.operators import _slot
 from cycvar.poisson import jacobi_defect, jacobi_defect_expanded
 from cycvar.schouten import schouten_by_variations
-from cycvar.variational import Functional, coupling
+from cycvar.variational import Functional, coupling, euler_derivative
 
 from oracles import (
     brute_close,
@@ -35,6 +43,9 @@ from oracles import (
     fraction_product,
     fraction_scale,
     fraction_terms,
+    minus_d_power,
+    reference_adjoint,
+    reference_euler_derivative,
     reference_times,
 )
 
@@ -388,6 +399,168 @@ class TestTimes:
         assert times(f, g) == reference_times(ctx, f, g)
 
 
+def assert_sum_canonical(f: FormalSum) -> None:
+    """Every coefficient of a returned sum is a finished Coefficient in
+    lowest terms: no zero numerator, no empty coefficient, and
+    gcd(den, *nums) == 1.  Equality of sums depends on that."""
+    for w, c in f.terms.items():
+        assert type(c) is Coefficient, (w, type(c))
+        assert c.nums, w
+        assert_canonical(c)
+
+
+def _model(f: FormalSum) -> dict:
+    """A sum as word -> {monomial: Fraction}."""
+    return {w: fraction_terms(c) for w, c in f.terms.items()}
+
+
+def _collect(pairs, cyclic: bool) -> dict:
+    """Add (word, {monomial: value}) pairs in Fractions only, closing each
+    word through the brute normalizer when `cyclic`; zeros dropped."""
+    out: dict = {}
+    for w, values in pairs:
+        sign = 1
+        if cyclic:
+            w, sign = brute_normalize(w)
+            if w is None:
+                continue
+        acc = out.setdefault(w, {})
+        for m, v in values.items():
+            acc[m] = acc.get(m, 0) + sign * Fraction(v)
+    out = {w: {m: v for m, v in values.items() if v} for w, values in out.items()}
+    return {w: values for w, values in out.items() if values}
+
+
+def _model_derivative(ctx, f: FormalSum, direction: int) -> dict:
+    """The total derivative by the product rule, in Fractions only: the
+    coefficient's derivative, then each letter shifted in turn."""
+    pairs = []
+    for w, c in f.terms.items():
+        pairs.append((w, fraction_diff(c, direction)))
+        for i, letter in enumerate(w):
+            pairs.append((w[:i] + (ctx.shift(letter, direction),) + w[i + 1:], fraction_terms(c)))
+    return _collect(pairs, f.cyclic)
+
+
+def _model_concat(f: FormalSum, g: FormalSum, cyclic: bool) -> dict:
+    return _collect(
+        (
+            (w1 + w2, fraction_product(c1, c2))
+            for w1, c1 in f.terms.items()
+            for w2, c2 in g.terms.items()
+        ),
+        cyclic,
+    )
+
+
+DENOMINATORS = (1, 2, 3, 6)
+
+
+def _fractional(rng, f: FormalSum) -> FormalSum:
+    """f scaled by a rational whose denominator is among 1, 2, 3 and 6, so
+    that sums and products of its coefficients share and cancel factors."""
+    return f.scale(Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice(DENOMINATORS)))
+
+
+def _odd_open_sum(rng, ctx) -> FormalSum:
+    """Open sum of one-letter odd words: its closed squares b*b vanish."""
+    out = FormalSum(cyclic=False)
+    for _ in range(rng.randint(1, 3)):
+        out.add_word((corpus.letter(rng, ctx, True, max_order=1),), corpus.coefficient(rng, ctx))
+    return out
+
+
+class TestAccumulator:
+    """Every layer loop builds its result through the one accumulator, which
+    adds integer numerators in place over a running denominator and
+    settles each word once.  On seeded corpus sums whose coefficients have
+    denominators among 1, 2, 3 and 6, with planted cancellations to zero and
+    cyclic words that vanish, every result matches a reference computed in
+    Fractions only (or the per-occurrence references of `oracles`), and
+    every Coefficient in it is canonical."""
+
+    SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_layers_match_references(self, shape, seed):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(7000 + 100 * seed + 10 * shape[0] + shape[1])
+        f = _fractional(rng, corpus.open_sum(rng, ctx, words=4, max_len=3))
+        g = _fractional(rng, corpus.open_sum(rng, ctx, words=3, max_len=2))
+        odd = _fractional(rng, _odd_open_sum(rng, ctx))
+        density = _fractional(rng, corpus.cyclic_density(rng, ctx, rng.randint(0, 2), words=3))
+        results = []
+
+        def check(got, want: dict):
+            assert_sum_canonical(got)
+            assert _model(got) == want
+            results.append(got)
+
+        # sums and differences, with a planted cancellation to zero
+        check(f + g, _collect(list(_model(f).items()) + list(_model(g).items()), False))
+        check(f - f, {})
+        check((f + g) - g, _model(f))
+        # closure and products, with odd squares that vanish under rotation
+        check(close(f + odd), _collect(_model(f + odd).items(), True))
+        check(close_concat(odd, odd), _model_concat(odd, odd, True))
+        for cyclic in (False, True):
+            check(concat(f, g, cyclic), _model_concat(f, g, cyclic))
+        check(close(concat(f, g)), _model(brute_close(ctx, concat(f, g))))
+        p = corpus.covector(rng, ctx)
+        values = [_fractional(rng, corpus.open_sum(rng, ctx)) for _ in range(ctx.fields)]
+        pairs = [
+            (w, v)
+            for pc, vc in zip(p.components, values)
+            for w, v in _model_concat(pc, vc, True).items()
+        ]
+        check(coupling(ctx, p, values), _collect(pairs, True))
+        # total derivatives, open and cyclic
+        for direction in range(1, ctx.directions + 1):
+            check(total_derivative(ctx, f, direction), _model_derivative(ctx, f, direction))
+            check(total_derivative(ctx, density, direction), _model_derivative(ctx, density, direction))
+        # the (-D)-series, and a planted cancellation: D q - D(q) is zero
+        zero = (0,) * ctx.directions
+        parts = {zero: f, tuple(1 if d == 0 else 0 for d in range(ctx.directions)): g}
+        parts[tuple(2 if d == ctx.directions - 1 else 0 for d in range(ctx.directions))] = f
+        want = {}
+        for orders, part in parts.items():
+            want = _collect(list(want.items()) + list(_model(minus_d_power(ctx, part, orders)).items()), False)
+        check(minus_d_series(ctx, parts), want)
+        first = tuple(1 if d == 0 else 0 for d in range(ctx.directions))
+        check(minus_d_series(ctx, {zero: total_derivative(ctx, g, 1), first: g}), {})
+        # Euler derivatives, and the planted zero E(D h) = 0
+        exact = total_derivative(ctx, density, ctx.directions)
+        for odd_kind in (False, True):
+            for index in range(1, ctx.fields + 1):
+                for side in ("left", "right"):
+                    check(
+                        euler_derivative(ctx, density, odd_kind, index, side),
+                        _model(reference_euler_derivative(ctx, density, odd_kind, index, side)),
+                    )
+                check(euler_derivative(ctx, exact, odd_kind, index), {})
+        # the adjoint, expanded term by term
+        op = corpus.operator(rng, ctx, terms=3).scale(Fraction(rng.choice((1, 5)), rng.choice(DENOMINATORS)))
+        check(op.adjoint().words, _model(reference_adjoint(op).words))
+        check(op.adjoint().adjoint().words, _model(op.words))
+        assert results
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_settled_coefficients_are_not_written_again(self, shape):
+        """A word touched twice gets a coefficient of its own, settled in
+        place: the sum returned and the operands keep their values when the
+        same loops run again over them."""
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(7700 + 10 * shape[0] + shape[1])
+        f = _fractional(rng, corpus.open_sum(rng, ctx, words=4, max_len=2))
+        first = total_derivative(ctx, f, 1)
+        before = (_model(f), _model(first))
+        again = total_derivative(ctx, first + f, 1) - total_derivative(ctx, first, 1)
+        assert _model(again) == _model(first)
+        assert (_model(f), _model(first)) == before
+        assert_sum_canonical(again)
+
+
 X = Coefficient.monomial((1,), 1)
 
 
@@ -451,14 +624,24 @@ class TestNoAliasing:
             "jacobi_defect",
             "jacobi_defect_expanded",
             "schouten_by_variations",
+            "total_derivative",
+            "cuts",
+            "partial_jet",
+            "evolutionary_apply",
+            "apply",
+            "adjoint",
+            "concat",
+            "close_concat",
         ],
     )
     def test_accumulation_loops(self, loop):
-        """The loops that add into a sum in place start from a fresh sum:
+        """The loops that build through the accumulator, which adds integer
+        numerators in place, never write to an operand's coefficients:
         their operands keep their repr through the call and through later
         writes to the result."""
         rng = random.Random(31)
-        ctx = JetContext(fields=2, directions=2) if loop.startswith("minus") else CTX
+        two = loop.startswith("minus") or loop == "total_derivative"
+        ctx = JetContext(fields=2, directions=2) if two else CTX
         if loop.startswith("minus"):
             # overlapping words, so that the running sum merges and cancels
             base = corpus.open_sum(rng, ctx, words=3)
@@ -489,12 +672,49 @@ class TestNoAliasing:
                 tuple(corpus.covector(rng, ctx) for _ in range(3)),
             )
             call = lambda: jacobi_defect_expanded(ctx, *operands)
-        else:
+        elif loop == "schouten_by_variations":
             operands = (
                 corpus.multivector(rng, ctx, 2, words=2, max_len=3),
                 corpus.multivector(rng, ctx, 1, words=2, max_len=3),
             )
             call = lambda: schouten_by_variations(ctx, *operands)
+        elif loop == "total_derivative":
+            # short words over few letters, so that the images collide
+            operands = (corpus.open_sum(rng, ctx, words=4, max_len=2, max_order=1),)
+            call = lambda: total_derivative(ctx, *operands, 2)
+        elif loop in ("cuts", "partial_jet"):
+            # a density whose cuts meet the same open words more than once
+            operands = (parse_cyclic("cyc(a*a*a_x) + 2*cyc(a*a_x*a_x) - cyc(a*a_x*a*a_x)/3", ctx),)
+            if loop == "cuts":
+                call = lambda: cuts(ctx, *operands, False, 1)[(0,)]
+            else:
+                call = lambda: partial_jet(ctx, *operands, A)
+        elif loop == "evolutionary_apply":
+            operands = (
+                make_section(ctx, even=(parse_open("a*a_x + x*a_x*a/2", ctx),), parity=0),
+                parse_cyclic("cyc(a*a*a_x) + cyc(a*a_x)/3 + 3*x*cyc(a*a*a)", ctx),
+            )
+            call = lambda: evolutionary_apply(ctx, *operands)
+        elif loop in ("apply", "adjoint"):
+            operands = (
+                parse_operator("op(a*D + D*R(a) + (1/2 + x)*D^2*a*a_x + D^3/3)", ctx),
+                parse_open("a*a_x + a_x*a/2 - x*a*a", ctx),
+            )
+            if loop == "apply":
+                call = lambda: operands[0].apply(operands[1])
+            else:
+                call = lambda: operands[0].adjoint().words
+        else:
+            # products that meet one word twice, a factor 1 keeping the
+            # other factor's coefficient for the first of them
+            operands = (
+                parse_open("a + a*a_x - a_x/2", ctx),
+                parse_open("(1/2 + x)*a_x*a + 2*a + 3*a*a_x", ctx),
+            )
+            if loop == "concat":
+                call = lambda: concat(*operands)
+            else:
+                call = lambda: close_concat(*operands)
         before = repr(operands)
         out = call()
         assert out
