@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import BoundExceeded, PreconditionError
 from .words import (
@@ -19,10 +20,28 @@ from .words import (
     pass_sign,
 )
 
-# Each word table of a context admits at most this many entries.  Past it
-# a table still serves the words it holds and computes the rest afresh, so
+# Each memo table of a context admits at most this many entries.  Past it
+# a table still serves the keys it holds and computes the rest afresh, so
 # one large computation cannot grow it without end.
 TABLE_LIMIT = 2048
+
+
+class _Table(dict):
+    """A memo table: a missing key is computed by `compute` and kept while
+    the table holds fewer than `TABLE_LIMIT` entries, read at each miss.  A
+    key whose compute raises is not kept.  No compute function of a
+    context's table holds the context, so the tables never keep it alive."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self.compute(key)
+        if len(self) < TABLE_LIMIT:
+            self[key] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -30,48 +49,29 @@ class JetContext:
     """Shape of the jet alphabet: number of field pairs, number of base
     directions, and an optional cap on derivative orders.
 
-    A context interns its letters: `letter`, `shift`, the operator slot
-    letters and the prolongation steps all return the one `Letter` it keeps
-    for each (odd, index, orders), and `shift` keeps its result per letter
-    and direction.  Letters still compare and hash by value, so identity is
-    only a fast path: letters of another context, equal or not, and letters
-    built by hand mix freely with these.
-
-    A context also keeps three tables of pure functions of a word, since the
-    engine meets the same few hundred words over and over:
-    `_canonical_forms` holds a word's `normalize` result (canonical rotation
-    and sign), `_images` holds per direction the words with one letter
-    shifted (what `total_derivative` adds up), and `_cut_pieces` holds per
-    letter family and side the (orders, open word, sign) pieces of `cuts`.
-    Words are keys by value, so words of hand-built letters find the same
-    entries.  The tables live and die with the context; each admits at most
-    `TABLE_LIMIT` words and then only serves the ones it holds, so the
-    memory a large one-off computation spends on them stays bounded.  The
-    CLI builds one context per invocation.  The context keeps the witness
+    A context keeps five memo tables (`_Table`), since the engine meets the
+    same few hundred letters and words over and over.  `_letters` interns
+    letters: `letter`, `shift`, the operator slot letters and the
+    prolongation steps all read the `Letter` it keeps for each (odd, index,
+    orders), and `_shifts` holds per direction each letter's shift.  Letters
+    still compare and hash by value, so identity is only a fast path:
+    letters of another context, equal or not, and letters built by hand mix
+    freely with these.  `_canonical_forms` holds a word's `normalize` result
+    (canonical rotation and sign), `_images` holds per direction the words
+    with one letter shifted (what `total_derivative` adds up), and
+    `_cut_pieces` holds per letter family and side the (orders, open word,
+    sign) pieces of `cuts`.  Words are keys by value, so words of hand-built
+    letters find the same entries.  Each table admits at most `TABLE_LIMIT`
+    entries and then only serves the ones it holds, so the memory a large
+    one-off computation spends on them stays bounded.  The CLI builds one
+    context per invocation.  The context keeps the densities of the witness
     pool of the Hamiltonian decision the same way (`poisson._witness_pool`),
-    and its members' covectors by pool index.  Equality, hash and `repr`
-    ignore all of these."""
+    and their covectors by pool index.  Equality, hash and `repr` ignore all
+    of these."""
 
     fields: int = 1
     directions: int = 1
     max_order: int | None = None
-    _letters: dict[tuple, Letter] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _shifts: tuple[dict[Letter, Letter], ...] = field(
-        default=(), init=False, repr=False, compare=False
-    )
-    _canonical_forms: dict[Word, tuple[Word | None, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _images: tuple[dict[Word, tuple[Word, ...]], ...] = field(
-        default=(), init=False, repr=False, compare=False
-    )
-    _cut_pieces: dict[tuple[bool, int, bool], dict[Word, tuple]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _witness_pool: tuple = field(default=(), init=False, repr=False, compare=False)
-    _witness_covectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.fields < 1:
@@ -80,21 +80,30 @@ class JetContext:
             raise PreconditionError("need at least one base direction")
         if self.max_order is not None and self.max_order < 0:
             raise PreconditionError("max_order must be nonnegative")
-        object.__setattr__(self, "_shifts", tuple({} for _ in range(self.directions)))
-        object.__setattr__(self, "_images", tuple({} for _ in range(self.directions)))
+        letters = _Table(JetContext._intern)
+        shifts = tuple([_Table(partial(_shifted, d, letters, self.max_order)) for d in range(self.directions)])
+        # the frozen dataclass takes its tables past `__setattr__`
+        self.__dict__.update(
+            _witness_pool=(),
+            _witness_covectors={},
+            _letters=letters,
+            _shifts=shifts,
+            # `normalize` is looked up at each miss, so a wrapped one is seen
+            _canonical_forms=_Table(lambda letters: normalize(letters)),
+            _images=tuple([_Table(partial(_images_of, table)) for table in shifts]),
+            _cut_pieces=_Table(lambda family: _Table(partial(_pieces, *family))),
+        )
 
     # -- letters ---------------------------------------------------------
 
     def zero_orders(self) -> tuple[int, ...]:
         return (0,) * self.directions
 
-    def _intern(self, odd: bool, index: int, orders: tuple[int, ...]) -> Letter:
-        """The one letter of this context with these fields; unchecked."""
-        key = (odd, index, orders)
-        letter = self._letters.get(key)
-        if letter is None:
-            letter = self._letters[key] = Letter(odd, index, sum(orders), orders)
-        return letter
+    @staticmethod
+    def _intern(key: tuple[bool, int, tuple[int, ...]]) -> Letter:
+        """The letter of an (odd, index, orders) key of `_letters`; unchecked."""
+        odd, index, orders = key
+        return Letter(odd, index, sum(orders), orders)
 
     def letter(self, odd: bool, index: int, orders=None) -> Letter:
         if not 1 <= index <= self.fields:
@@ -102,25 +111,22 @@ class JetContext:
                 f"field index {index} outside 1..{self.fields}"
             )
         orders = self.check_orders(self.zero_orders() if orders is None else orders)
-        return self._intern(bool(odd), index, orders)
+        return self._letters[bool(odd), index, orders]
 
     def check_orders(self, orders) -> tuple[int, ...]:
         """A derivative multi-index as a tuple: one nonnegative order per
         direction, with a total order within the cap."""
         orders = tuple(orders)
-        if len(orders) != self.directions or any(o < 0 for o in orders):
+        if len(orders) != self.directions or min(orders) < 0:
             raise PreconditionError(f"bad derivative multi-index {orders}")
-        self.check_order(sum(orders))
+        if self.max_order is not None:
+            _check_order(sum(orders), self.max_order)
         return orders
 
     def check_order(self, order: int) -> None:
-        """Raise BoundExceeded for an order over the cap.  An order or a cap
-        longer than the interpreter converts to text is named by that limit
-        instead, so the message never calls `str` on either."""
-        if self.max_order is not None and order > self.max_order:
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            text = lambda n: f"of more than {limit} digits" if limit and abs(n) >= 10**limit else n
-            raise BoundExceeded(f"derivative order {text(order)} exceeds cap {text(self.max_order)}")
+        """Raise BoundExceeded for an order over the cap."""
+        if self.max_order is not None:
+            _check_order(order, self.max_order)
 
     def check_direction(self, direction: int) -> None:
         if not 1 <= direction <= self.directions:
@@ -130,71 +136,12 @@ class JetContext:
 
     def shift(self, letter: Letter, direction: int) -> Letter:
         """The interned letter with one more derivative along a 1-based
-        direction, computed once per context, letter and direction.  A
-        context's cap never changes, so it is compared only when a new
-        entry is built, and an over-cap shift raises every time.  The
-        direction is checked first, so no bad one reads or fills a table."""
+        direction, kept per letter and direction.  A context's cap never
+        changes, so it is compared only when a new entry is built, and an
+        over-cap shift raises every time.  The direction is checked first,
+        so no bad one reads or fills a table."""
         self.check_direction(direction)
-        d = direction - 1
-        table = self._shifts[d]
-        new = table.get(letter)
-        if new is None:
-            orders = letter.orders[:d] + (letter.orders[d] + 1,) + letter.orders[d + 1:]
-            self.check_order(letter.order + 1)
-            new = table[letter] = self._intern(letter.odd, letter.index, orders)
-        return new
-
-    # -- words -----------------------------------------------------------
-
-    def _canonical(self, letters: Word) -> tuple[Word | None, int]:
-        """`normalize(letters)`, kept in the table of canonical forms."""
-        table = self._canonical_forms
-        found = table.get(letters)
-        if found is None:
-            found = normalize(letters)
-            if len(table) < TABLE_LIMIT:
-                table[letters] = found
-        return found
-
-    def _derivative_images(self, letters: Word, direction: int) -> tuple[Word, ...]:
-        """The words of `letters` with one letter shifted along a checked
-        1-based direction, in position order.  They are built through
-        `shift`, so an over-cap order raises before anything is kept."""
-        table = self._images[direction - 1]
-        found = table.get(letters)
-        if found is None:
-            shifted = self._shifts[direction - 1]
-            images = []
-            for i, letter in enumerate(letters):
-                new = shifted.get(letter)
-                if new is None:
-                    new = self.shift(letter, direction)
-                images.append(letters[:i] + (new,) + letters[i + 1:])
-            found = tuple(images)
-            if len(table) < TABLE_LIMIT:
-                table[letters] = found
-        return found
-
-    def _cuts(self, letters: Word, odd_kind: bool, index: int, right: bool) -> tuple:
-        """The (orders, open word, sign) pieces that `cuts` reads from one
-        cyclic word, kept per letter family and side."""
-        table = self._cut_pieces.get((odd_kind, index, right))
-        if table is None:
-            table = self._cut_pieces[odd_kind, index, right] = {}
-        found = table.get(letters)
-        if found is None:
-            total_odd = odd_count(letters)
-            word_sign = -1 if right and odd_kind and (total_odd - 1) % 2 else 1
-            pieces = []
-            sign = word_sign
-            for i, letter in enumerate(letters):
-                if letter.odd == odd_kind and letter.index == index:
-                    pieces.append((letter.orders, letters[i + 1:] + letters[:i], sign))
-                sign *= pass_sign(letter, total_odd)
-            found = tuple(pieces)
-            if len(table) < TABLE_LIMIT:
-                table[letters] = found
-        return found
+        return self._shifts[direction - 1][letter]
 
     # -- coefficients ----------------------------------------------------
 
@@ -209,6 +156,45 @@ class JetContext:
         exps = [0] * self.directions
         exps[direction - 1] = power
         return Coefficient.monomial(exps, value)
+
+
+def _check_order(order: int, cap: int) -> None:
+    """Raise BoundExceeded for an order over a cap; callers pass a cap only
+    when there is one.  An order or a cap longer than the interpreter
+    converts to text is named by that limit instead, so the message never
+    calls `str` on either."""
+    if order > cap:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        text = lambda n: f"of more than {limit} digits" if limit and abs(n) >= 10**limit else n
+        raise BoundExceeded(f"derivative order {text(order)} exceeds cap {text(cap)}")
+
+
+def _shifted(d: int, letters: _Table, cap: int | None, letter: Letter) -> Letter:
+    """The letter of `letters` with one more derivative along 0-based
+    direction d; an order over `cap` raises."""
+    if cap is not None:
+        _check_order(letter.order + 1, cap)
+    orders = letter.orders
+    return letters[letter.odd, letter.index, orders[:d] + (orders[d] + 1,) + orders[d + 1:]]
+
+
+def _images_of(shifts: _Table, letters: Word) -> tuple[Word, ...]:
+    """The words of `letters` with one letter shifted through `shifts`, in
+    position order; an over-cap order raises before anything is kept."""
+    return tuple([letters[:i] + (shifts[letter],) + letters[i + 1:] for i, letter in enumerate(letters)])
+
+
+def _pieces(odd_kind: bool, index: int, right: bool, letters: Word) -> tuple:
+    """The (orders, open word, sign) pieces that `cuts` reads from one
+    cyclic word, for one letter family and side."""
+    total_odd = odd_count(letters)
+    sign = -1 if right and odd_kind and (total_odd - 1) % 2 else 1
+    pieces = []
+    for i, letter in enumerate(letters):
+        if letter.odd == odd_kind and letter.index == index:
+            pieces.append((letter.orders, letters[i + 1:] + letters[:i], sign))
+        sign *= pass_sign(letter, total_odd)
+    return tuple(pieces)
 
 
 def total_derivative(ctx: JetContext, f: FormalSum, direction: int = 1) -> FormalSum:
@@ -227,7 +213,7 @@ def _derive(ctx: JetContext, terms: dict, direction: int, out: _Accumulator) -> 
     keys are in `out`'s form, along a checked direction into `out`.  Each
     word's Coefficient is handed as it is to the images of the word."""
     d = direction - 1
-    add = out.add
+    add, images, canonical = out.add, ctx._images[d], ctx._canonical_forms
     for w, c in terms.items():
         nums = c.nums
         for mono in nums:
@@ -242,11 +228,11 @@ def _derive(ctx: JetContext, terms: dict, direction: int, out: _Accumulator) -> 
                 add(w, 1, diff)
                 break
         if out.cyclic:
-            for new in ctx._derivative_images(w, direction):
-                key, sign = ctx._canonical(new)
+            for new in images[w]:
+                key, sign = canonical[new]
                 add(key, sign, c)
         else:
-            for new in ctx._derivative_images(w, direction):
+            for new in images[w]:
                 add(new, 1, c)
 
 
@@ -299,7 +285,7 @@ def _fold(ctx: JetContext, by_count: dict[int, _Accumulator], direction: int) ->
         acc, part = _Accumulator(False), acc
         acc.add_terms(part.terms, -1)
     for k in range(top - 1, -1, -1):
-        _derive(ctx, acc.restart(), direction, acc)
+        _derive(ctx, acc.finish().terms, direction, acc)
         part = by_count.get(k)
         if part is not None:
             acc.add_terms(part.terms, -1 if k % 2 else 1)
@@ -325,8 +311,9 @@ def _cut_parts(
 ) -> dict[tuple[int, ...], _Accumulator]:
     """`cuts`, each part left unfinished."""
     parts: dict[tuple[int, ...], _Accumulator] = {}
+    pieces = ctx._cut_pieces[odd_kind, index, right]
     for w, c in f.terms.items():
-        for orders, piece, sign in ctx._cuts(w, odd_kind, index, right):
+        for orders, piece, sign in pieces[w]:
             part = parts.get(orders)
             if part is None:
                 part = parts[orders] = _Accumulator(False)
@@ -425,7 +412,7 @@ def _prolongation(
     for d, count in enumerate(letter.orders):
         for _ in range(count if value else 0):
             orders[d] += 1
-            step = ctx._intern(letter.odd, letter.index, tuple(orders))
+            step = ctx._letters[letter.odd, letter.index, tuple(orders)]
             known = table.get(step)
             if known is None:
                 known = table[step] = total_derivative(ctx, value, d + 1)
@@ -461,7 +448,7 @@ def _act(
     if section._prolonged is None or section._prolonged[0] != ctx:
         object.__setattr__(section, "_prolonged", (ctx, {}))
     table = section._prolonged[1]
-    canonical = ctx._canonical
+    canonical = ctx._canonical_forms.__getitem__
     add_products = out.add_products
     for w, c in f.terms.items():
         s = sign

@@ -34,7 +34,7 @@ SLOT_INDEX = 0
 def _slot(ctx: JetContext, orders) -> Letter:
     """The interned slot letter of D^orders, checked like the multi-index of
     any letter; its order counts against the cap."""
-    return ctx._intern(False, SLOT_INDEX, ctx.check_orders(orders))
+    return ctx._letters[False, SLOT_INDEX, ctx.check_orders(orders)]
 
 
 def _split(letters: Word) -> tuple[Word, Letter, Word]:

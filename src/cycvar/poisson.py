@@ -63,7 +63,9 @@ def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, functionals, cove
     entry is read there, or stored once it is computed whole.  The covector
     of {h_j, h_i} for i < j is taken as minus that of {h_i, h_j}: for a
     skew operator the two brackets add up to a total divergence, which
-    every variational derivative maps to exactly zero.  Unchecked."""
+    every variational derivative maps to exactly zero.  No cached function
+    calls itself, so none holds a reference cycle through the context.
+    Unchecked."""
     covectors = {} if covectors is None else covectors
 
     @functools.cache
@@ -75,14 +77,14 @@ def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, functionals, cove
 
     @functools.cache
     def inner(i, j):
-        if i > j:
-            return -inner(j, i)
         return covector_of(ctx, coupling(ctx, section(i)[0], section(j)[1]))
 
     def defect(triple) -> FormalSum:
         total = _Accumulator(True)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            _pair(ctx, inner(triple[a], triple[b]), section(triple[c])[1], total)
+            i, j = triple[a], triple[b]
+            sign = 1 if i <= j else -1
+            _pair(ctx, inner(min(i, j), max(i, j)), section(triple[c])[1], total, sign)
         return total.finish()
 
     return defect
@@ -123,24 +125,15 @@ def jacobi_defect_expanded(
     when the covectors are the variations of the functionals."""
     _require_skew(op)
     total = _Accumulator(True)
-    for perm in itertools.permutations((0, 1, 2)):
+    # the sign of each permutation, in `permutations` order
+    for perm, sign in zip(itertools.permutations((0, 1, 2)), (1, -1, -1, 1, 1, -1)):
         p1, p2, p3 = (covectors[i] for i in perm)
         half = coupling(ctx, p1, hamiltonian_section(ctx, op, p2)).scale(
             Fraction(1, 2)
         )
         flow = make_section(ctx, even=hamiltonian_section(ctx, op, p3), parity=0)
-        _act(ctx, flow, half, total, _permutation_sign(perm))
+        _act(ctx, flow, half, total, sign)
     return total.finish()
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
@@ -207,26 +200,19 @@ class HamiltonianCertificate:
 def _witness_pool(ctx: JetContext) -> tuple[Functional, ...]:
     """Small deterministic family of functionals used to exhibit a Jacobi
     failure when the master defect is nontrivial.  It does not depend on
-    the operator, so the context keeps it; it is stored only once it is
-    built whole, so an order cap that stops the build keeps nothing."""
-    if ctx._witness_pool:
-        return ctx._witness_pool
-    pool = []
-
-    def add(letters, coeff):
-        density = FormalSum.single(True, tuple(letters), coeff)
-        pool.append(Functional(ctx, density))
-
-    for j in range(1, ctx.fields + 1):
-        a = ctx.letter(False, j)
-        add((a,), ctx.one())
-        add((a, a), ctx.one())
-        add((a, a, a), ctx.one())
-        add((a,), ctx.x_power(1, 1))
-        add((a, a), ctx.x_power(1, 1))
-        add((a, ctx.shift(ctx.shift(a, 1), 1)), ctx.one())
-    object.__setattr__(ctx, "_witness_pool", tuple(pool))
-    return ctx._witness_pool
+    the operator, so the context keeps the densities; they are stored only
+    once they are built whole, so an order cap that stops the build keeps
+    nothing.  The functionals hold the context, so they are built at each
+    call and never kept on it."""
+    if not ctx._witness_pool:
+        pool, one, x = [], ctx.one(), ctx.x_power(1, 1)
+        for j in range(1, ctx.fields + 1):
+            a = ctx.letter(False, j)
+            axx = ctx.shift(ctx.shift(a, 1), 1)
+            shapes = ((a,), one), ((a, a), one), ((a, a, a), one), ((a,), x), ((a, a), x), ((a, axx), one)
+            pool += (FormalSum.single(True, letters, coeff) for letters, coeff in shapes)
+        object.__setattr__(ctx, "_witness_pool", tuple(pool))
+    return tuple(Functional(ctx, density) for density in ctx._witness_pool)
 
 
 def is_hamiltonian(
@@ -280,8 +266,8 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     not the run.  Unchecked."""
     pool = _witness_pool(ctx)
     # the context keeps its own pool's covectors; they do not depend on `op`
-    kept = ctx._witness_covectors if pool is ctx._witness_pool else None
-    defect = _jacobi_triples(ctx, op, pool, kept)
+    own = tuple(h.density for h in pool) == ctx._witness_pool
+    defect = _jacobi_triples(ctx, op, pool, ctx._witness_covectors if own else None)
     triples = itertools.combinations_with_replacement(range(len(pool)), 3)
     try:
         for triple in itertools.islice(triples, budget):
@@ -315,13 +301,6 @@ class HarnessResult:
         return all(r.passed for r in self.reports)
 
 
-def _require_covector_class(covector_class: str) -> None:
-    if covector_class not in ("x", "jet"):
-        raise PreconditionError(
-            f"unknown covector class {covector_class!r} (use 'x' or 'jet')"
-        )
-
-
 IDENTITY_NAMES = ("zero", "adjoint-pairing", "jacobi-flow", "bivector-alternation")
 
 
@@ -342,7 +321,8 @@ def substitution_harness(
         raise PreconditionError(
             f"unknown identity {identity!r}; known: {', '.join(IDENTITY_NAMES)}"
         )
-    _require_covector_class(covector_class)
+    if covector_class not in ("x", "jet"):
+        raise PreconditionError(f"unknown covector class {covector_class!r} (use 'x' or 'jet')")
     rng = random.Random(seed)
     jet = covector_class == "jet"
     # A density of single letters has pure-x variations, so the functionals

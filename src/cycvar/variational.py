@@ -105,7 +105,7 @@ def _pair(ctx: JetContext, p, values, out: _Accumulator, sign: int = 1) -> None:
     values = tuple(values)
     if len(p_components) != ctx.fields or len(values) != ctx.fields:
         raise PreconditionError(f"coupling needs {ctx.fields} components per side")
-    canonical = ctx._canonical
+    canonical = ctx._canonical_forms.__getitem__
     for pc, vc in zip(p_components, values):
         if pc.cyclic or vc.cyclic:
             raise ValueError("coupling expects open sums")

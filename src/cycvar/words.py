@@ -8,7 +8,9 @@ at normalization time, so every later operation works on plain tuples.
 A coefficient keeps integer numerators over one common denominator.  Word
 sums are accumulated the same way: one accumulator adds each word's integer
 numerators in place over a running denominator, and each result word gets
-its Coefficient once, in lowest terms, when the sum is finished.
+its Coefficient once, in lowest terms, when the sum is finished.  That
+accumulator is the one coefficient arithmetic: a Coefficient's own sums and
+products are those of sums of the empty word.
 """
 
 from __future__ import annotations
@@ -99,20 +101,6 @@ def normalize(letters: Word) -> tuple[Word | None, int]:
     return best, best_sign
 
 
-def _build(nums: dict[tuple[int, ...], int], den: int, reduced: bool = False) -> "Coefficient":
-    """The Coefficient `nums` / `den` (nonzero int numerators, `den` >= 1) in
-    lowest terms; no gcd runs when `den` is 1 or the caller passes `reduced`."""
-    if den != 1 and not reduced:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {m: v // g for m, v in nums.items()}
-            den //= g
-    out = object.__new__(Coefficient)
-    out.nums = nums
-    out.den = den
-    return out
-
-
 class Coefficient:
     """Polynomial in the base coordinates with rational coefficients.
 
@@ -124,7 +112,9 @@ class Coefficient:
     equal fields, and the arithmetic runs on plain ints; `terms` reads the
     values back as rationals.  Like a dict, a Coefficient is unhashable.
     Only a freshly built instance is ever written to; once returned it is
-    treated as immutable, so sums may share one Coefficient object.
+    treated as immutable, so sums may share one Coefficient object.  `+`
+    and `-` run on `_Accumulator.add`, and `*` on `FormalSum.scale`, each
+    under the empty word.
     """
 
     __slots__ = ("nums", "den")
@@ -147,7 +137,10 @@ class Coefficient:
     def monomial(cls, exponents, value=1) -> "Coefficient":
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
-        return _build({tuple(exponents): value.numerator} if value else {}, value.denominator, True)
+        out = object.__new__(cls)
+        out.nums = {tuple(exponents): value.numerator} if value else {}
+        out.den = value.denominator
+        return out
 
     @property
     def terms(self) -> dict[tuple[int, ...], int | Fraction]:
@@ -164,61 +157,23 @@ class Coefficient:
         return isinstance(other, Coefficient) and self.den == other.den and self.nums == other.nums
 
     def __add__(self, other: "Coefficient", sign: int = 1) -> "Coefficient":
-        den = self.den
-        if den == other.den:
-            nums = dict(self.nums)
-        else:
-            den = lcm(den, other.den)
-            nums = {m: v * (den // self.den) for m, v in self.nums.items()}
-            sign *= den // other.den
-        for mono, value in other.nums.items():
-            value = nums.get(mono, 0) + sign * value
-            if value:
-                nums[mono] = value
-            else:
-                del nums[mono]
-        return _build(nums, den)
+        acc = _Accumulator(False, {(): self})
+        acc.add((), sign, other)
+        return c if (c := acc.finish().terms.get(())) is not None else Coefficient()
 
     def __neg__(self) -> "Coefficient":
-        return _build({m: -v for m, v in self.nums.items()}, self.den, True)
+        return _negated(self)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self.__add__(other, -1)
 
     def __mul__(self, other) -> "Coefficient":
-        if not isinstance(other, Coefficient):
-            # a number is a constant with no exponent slots: the smaller factor
-            other = Coefficient.monomial((), other)
-        small, large = other.nums, self.nums
-        if len(small) > len(large):
-            small, large = large, small
-        den = self.den * other.den
-        if len(small) == 1:
-            ((m1, v1),) = small.items()
-            if not any(m1):
-                return _build({m: v1 * v for m, v in large.items()}, den)
-        nums: dict[tuple[int, ...], int] = {}
-        for m1, v1 in small.items():
-            for m2, v2 in large.items():
-                mono = tuple(map(add_ints, m1, m2))
-                value = nums.get(mono, 0) + v1 * v2
-                if value:
-                    nums[mono] = value
-                else:
-                    del nums[mono]
-        return _build(nums, den)
+        one = FormalSum(False)
+        if self.nums:
+            one.terms[()] = self
+        return c if (c := one.scale(other).terms.get(())) is not None else Coefficient()
 
     __rmul__ = __mul__
-
-    def diff(self, direction: int) -> "Coefficient":
-        """Derivative along a 1-based base direction."""
-        d = direction - 1
-        nums = {}
-        for mono, value in self.nums.items():
-            e = mono[d]
-            if e:
-                nums[mono[:d] + (e - 1,) + mono[d + 1:]] = value * e
-        return _build(nums, self.den)
 
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, zero included, as a Fraction,
@@ -313,11 +268,15 @@ class FormalSum:
 
     def scale(self, factor) -> "FormalSum":
         """Multiply by a Coefficient, Fraction, or int."""
-        out = FormalSum(self.cyclic)
-        for w, c in self.terms.items():
-            scaled = c * factor
-            if scaled:
-                out.terms[w] = scaled
+        if not isinstance(factor, Coefficient):
+            # a number is a constant with no exponent slots
+            factor = Coefficient.monomial((), factor)
+        # the keys stay as they are, so an open accumulator builds either flavor
+        acc = _Accumulator(False)
+        if factor.nums:
+            acc.add_products((), self.terms, (), 1, factor)
+        out = acc.finish()
+        out.cyclic = self.cyclic
         return out
 
     def sorted_terms(self) -> list[tuple[Word, Coefficient]]:
@@ -523,42 +482,30 @@ class _Accumulator:
 
     def finish(self) -> FormalSum:
         """The sum built: each `_Open` settled in place into a Coefficient in
-        lowest terms, the words that cancelled dropped.  The accumulator is
-        done after this."""
+        lowest terms, the words that cancelled dropped.  Only an `_Open` can
+        cancel to zero, so the terms are passed over, to drop such words,
+        only when one did.  The accumulator then starts again, empty."""
+        terms, cancelled = self.terms, False
+        for c in self.loose:
+            nums = c.nums
+            if not nums:
+                cancelled = True
+                continue
+            den = c.den
+            if den != 1:
+                g = gcd(den, *nums.values())
+                if g != 1:
+                    c.nums = {m: v // g for m, v in nums.items()}
+                    c.den = den // g
+            c.__class__ = Coefficient
+        if cancelled:
+            for key in [key for key, c in terms.items() if not c.nums]:
+                del terms[key]
+        self.terms, self.loose = {}, []
         out = object.__new__(FormalSum)
         out.cyclic = self.cyclic
-        out.terms = _settle(self.terms, self.loose)
+        out.terms = terms
         return out
-
-    def restart(self) -> dict:
-        """The terms of `finish`; the accumulator starts again, empty."""
-        terms = _settle(self.terms, self.loose)
-        self.terms = {}
-        self.loose = []
-        return terms
-
-
-def _settle(terms: dict, loose: list) -> dict:
-    """`terms` with each `_Open` value in `loose` put in lowest terms in
-    place and made a Coefficient.  Only an `_Open` can cancel to zero, so
-    the terms are passed over, to drop such words, only when one did."""
-    cancelled = False
-    for c in loose:
-        nums = c.nums
-        if not nums:
-            cancelled = True
-            continue
-        den = c.den
-        if den != 1:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                c.nums = {m: v // g for m, v in nums.items()}
-                c.den = den // g
-        c.__class__ = Coefficient
-    if cancelled:
-        for key in [key for key, c in terms.items() if not c.nums]:
-            del terms[key]
-    return terms
 
 
 def _negated(c: Coefficient) -> Coefficient:

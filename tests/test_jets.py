@@ -1,13 +1,15 @@
 """Jet contexts, total derivatives, and evolutionary fields."""
 
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 
 from cycvar import corpus, jets, words
 from cycvar.errors import BoundExceeded, PreconditionError
-from cycvar.words import FormalSum, Letter, normalize
+from cycvar.words import Coefficient, FormalSum, Letter, normalize
 from cycvar.jets import (
     GeneratingSection,
     JetContext,
@@ -19,12 +21,13 @@ from cycvar.jets import (
     partial_jet,
     total_derivative,
 )
-from cycvar.lang import letter_text, parse_open, parse_operator
+from cycvar.lang import letter_text, parse_cyclic, parse_open, parse_operator
+from cycvar.poisson import is_hamiltonian, jacobi_defect
 from cycvar.operators import DifferentialOperator, from_derivative
-from cycvar.schouten import q_field
-from cycvar.variational import Covector, coupling, euler_derivative, variations
+from cycvar.schouten import normalize_multivector, q_field
+from cycvar.variational import Covector, Functional, coupling, euler_derivative, variations
 
-from oracles import reference_partial_jet
+from oracles import fraction_diff, reference_partial_jet
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -441,7 +444,7 @@ class TestWordTables:
         out = FormalSum(f.cyclic)
         for w, c in f.terms.items():
             if any(mono[d - 1] for mono in c.nums):
-                out.add_word(w, c.diff(d))
+                out.add_word(w, Coefficient(fraction_diff(c, d)))
             for i, letter in enumerate(w):
                 out.add_word(w[:i] + (ctx.shift(letter, d),) + w[i + 1:], c)
         return out
@@ -520,7 +523,9 @@ class TestWordTables:
         ctx = JetContext(fields, directions)
         data = self.inputs(ctx, 80 + 10 * fields + directions)
         first = self.ordered(self.results(ctx, *data))
-        tables = [ctx._canonical_forms, *ctx._images, *ctx._cut_pieces.values()]
+        tables = [
+            ctx._letters, *ctx._shifts, ctx._canonical_forms, *ctx._images, *ctx._cut_pieces.values()
+        ]
         assert max(map(len, tables)) == 8 and all(len(t) <= 8 for t in tables)
         kept = [dict(t) for t in tables]
         more = self.inputs(ctx, 90 + 10 * fields + directions)
@@ -533,6 +538,15 @@ class TestWordTables:
         assert self.ordered(self.results(ctx, *more)) == self.ordered(
             self.results(JetContext(fields, directions), *more)
         )
+        # past the limit a letter is built afresh at each call, and equals
+        # the one a fresh context interns
+        fresh = JetContext(fields, directions)
+        orders = (9,) + (0,) * (directions - 1)
+        assert (True, fields, orders) not in ctx._letters
+        built = [ctx.letter(True, fields, orders) for _ in range(2)]
+        assert built[0] is not built[1] and built == [fresh.letter(True, fields, orders)] * 2
+        for d in range(1, directions + 1):
+            assert ctx.shift(built[0], d) == fresh.shift(built[1], d)
 
     @pytest.mark.parametrize("fields, directions", [(1, 1), (2, 2)])
     def test_warm_context_makes_no_normalize_calls(self, fields, directions, monkeypatch):
@@ -562,3 +576,48 @@ class TestWordTables:
         calls.clear()
         repeat()
         assert calls == []
+
+
+class TestContextLifetime:
+    """No table or cache that the library keeps on a context holds the
+    context, and nothing it keeps elsewhere outlives the call, so a context
+    is freed by its reference count alone, with the cycle collector off,
+    once the caller drops it and the results."""
+
+    CALLS = {
+        "total_derivative": lambda ctx: total_derivative(ctx, parse_cyclic("cyc(a*a_x*a_xx)", ctx)),
+        "euler_derivative-even": lambda ctx: euler_derivative(
+            ctx, parse_cyclic("cyc(a*a_x*b*b_x)", ctx), False, 1, "left"
+        ),
+        "euler_derivative-odd": lambda ctx: euler_derivative(
+            ctx, parse_cyclic("cyc(a*a_x*b*b_x)", ctx), True, 1, "right"
+        ),
+        "evolutionary_apply": lambda ctx: evolutionary_apply(
+            ctx, make_section(ctx, even=(parse_open("a*a_x", ctx),), parity=0), parse_cyclic("cyc(a*a_xx)", ctx)
+        ),
+        "coupling": lambda ctx: coupling(ctx, Covector((parse_open("a_x", ctx),)), (parse_open("a*a", ctx),)),
+        "apply": lambda ctx: parse_operator("op(a*D + D*R(a))", ctx).apply(parse_open("a*a_x", ctx)),
+        "normalize_multivector": lambda ctx: normalize_multivector(ctx, parse_cyclic("cyc(a*b*b_x)", ctx), 2),
+        "is_hamiltonian": lambda ctx: is_hamiltonian(ctx, parse_operator("op(a*D + D*R(a))", ctx)).witness,
+        "jacobi_defect": lambda ctx: jacobi_defect(
+            ctx,
+            parse_operator("op(a*D + D*R(a))", ctx),
+            *(Functional(ctx, parse_cyclic(text, ctx)) for text in ("cyc(a*a)", "cyc(a*a*a)", "cyc(a*a_xx)")),
+        ).density,
+    }
+
+    def test_freed_by_refcount(self):
+        kept = []
+        gc.collect()
+        gc.disable()
+        try:
+            for name, call in self.CALLS.items():
+                ctx = JetContext(1, 1)
+                assert call(ctx), name
+                ref = weakref.ref(ctx)
+                del ctx
+                if ref() is not None:
+                    kept.append(name)
+        finally:
+            gc.enable()
+        assert kept == []
