@@ -19,7 +19,6 @@ from .words import (
     FormalSum,
     Letter,
     close,
-    close_concat,
     concat,
     normalize,
     times,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .words import Coefficient, FormalSum
+from .words import Coefficient, FormalSum, normalize
 from .jets import JetContext
 from .operators import DifferentialOperator
 from .schouten import Multivector, normalize_multivector
@@ -77,9 +77,7 @@ def cyclic_density(
         for _attempt in range(20):
             length = rng.randint(max(odd_degree, 1), max_len)
             w = open_word(rng, ctx, length, odd_degree, max_order)
-            probe = FormalSum(cyclic=True)
-            probe.add_word(w, ctx.one())
-            if probe:
+            if normalize(w)[1]:
                 out.add_word(w, coefficient(rng, ctx, max_x_degree))
                 break
     return out

@@ -49,25 +49,24 @@ class JetContext:
     """Shape of the jet alphabet: number of field pairs, number of base
     directions, and an optional cap on derivative orders.
 
-    A context keeps five memo tables (`_Table`), since the engine meets the
+    A context keeps four memo tables (`_Table`), since the engine meets the
     same few hundred letters and words over and over.  `_letters` interns
     letters: `letter`, `shift`, the operator slot letters and the
     prolongation steps all read the `Letter` it keeps for each (odd, index,
-    orders), and `_shifts` holds per direction each letter's shift.  Letters
-    still compare and hash by value, so identity is only a fast path:
-    letters of another context, equal or not, and letters built by hand mix
-    freely with these.  `_canonical_forms` holds a word's `normalize` result
-    (canonical rotation and sign), `_images` holds per direction the words
-    with one letter shifted (what `total_derivative` adds up), and
-    `_cut_pieces` holds per letter family and side the (orders, open word,
-    sign) pieces of `cuts`.  Words are keys by value, so words of hand-built
-    letters find the same entries.  Each table admits at most `TABLE_LIMIT`
-    entries and then only serves the ones it holds, so the memory a large
-    one-off computation spends on them stays bounded.  The CLI builds one
-    context per invocation.  The context keeps the densities of the witness
-    pool of the Hamiltonian decision the same way (`poisson._witness_pool`),
-    and their covectors by pool index.  Equality, hash and `repr` ignore all
-    of these."""
+    orders).  Letters still compare and hash by value, so identity is only
+    a fast path: letters of another context, equal or not, and letters
+    built by hand mix freely with these.  `_canonical_forms` holds a word's
+    `normalize` result (canonical rotation and sign), `_images` holds per
+    direction the words with one letter shifted (what `total_derivative`
+    adds up), and `_cut_pieces` holds per letter family and side the
+    (orders, open word, sign) pieces of `cuts`.  Words are keys by value,
+    so words of hand-built letters find the same entries.  Each table
+    admits at most `TABLE_LIMIT` entries and then only serves the ones it
+    holds, so the memory a large one-off computation spends on them stays
+    bounded.  The CLI builds one context per invocation.  The context also
+    keeps the witness pool of the Hamiltonian decision, as (density,
+    covector) pairs (`poisson._witness_pool`).  Equality, hash and `repr`
+    ignore all of these."""
 
     fields: int = 1
     directions: int = 1
@@ -81,16 +80,15 @@ class JetContext:
         if self.max_order is not None and self.max_order < 0:
             raise PreconditionError("max_order must be nonnegative")
         letters = _Table(JetContext._intern)
-        shifts = tuple([_Table(partial(_shifted, d, letters, self.max_order)) for d in range(self.directions)])
         # the frozen dataclass takes its tables past `__setattr__`
         self.__dict__.update(
             _witness_pool=(),
-            _witness_covectors={},
             _letters=letters,
-            _shifts=shifts,
             # `normalize` is looked up at each miss, so a wrapped one is seen
             _canonical_forms=_Table(lambda letters: normalize(letters)),
-            _images=tuple([_Table(partial(_images_of, table)) for table in shifts]),
+            _images=tuple([
+                _Table(partial(_images_of, d, letters, self.max_order)) for d in range(self.directions)
+            ]),
             _cut_pieces=_Table(lambda family: _Table(partial(_pieces, *family))),
         )
 
@@ -123,11 +121,6 @@ class JetContext:
             _check_order(sum(orders), self.max_order)
         return orders
 
-    def check_order(self, order: int) -> None:
-        """Raise BoundExceeded for an order over the cap."""
-        if self.max_order is not None:
-            _check_order(order, self.max_order)
-
     def check_direction(self, direction: int) -> None:
         if not 1 <= direction <= self.directions:
             raise PreconditionError(
@@ -136,12 +129,10 @@ class JetContext:
 
     def shift(self, letter: Letter, direction: int) -> Letter:
         """The interned letter with one more derivative along a 1-based
-        direction, kept per letter and direction.  A context's cap never
-        changes, so it is compared only when a new entry is built, and an
-        over-cap shift raises every time.  The direction is checked first,
-        so no bad one reads or fills a table."""
+        direction; an over-cap shift raises.  The direction is checked
+        first, so no bad one reads or fills a table."""
         self.check_direction(direction)
-        return self._shifts[direction - 1][letter]
+        return _shifted(direction - 1, self._letters, self.max_order, letter)
 
     # -- coefficients ----------------------------------------------------
 
@@ -178,10 +169,14 @@ def _shifted(d: int, letters: _Table, cap: int | None, letter: Letter) -> Letter
     return letters[letter.odd, letter.index, orders[:d] + (orders[d] + 1,) + orders[d + 1:]]
 
 
-def _images_of(shifts: _Table, letters: Word) -> tuple[Word, ...]:
-    """The words of `letters` with one letter shifted through `shifts`, in
-    position order; an over-cap order raises before anything is kept."""
-    return tuple([letters[:i] + (shifts[letter],) + letters[i + 1:] for i, letter in enumerate(letters)])
+def _images_of(d: int, interned: _Table, cap: int | None, letters: Word) -> tuple[Word, ...]:
+    """The words of `letters` with one letter shifted along 0-based
+    direction d, in position order; an over-cap order raises before
+    anything is kept."""
+    return tuple([
+        letters[:i] + (_shifted(d, interned, cap, letter),) + letters[i + 1:]
+        for i, letter in enumerate(letters)
+    ])
 
 
 def _pieces(odd_kind: bool, index: int, right: bool, letters: Word) -> tuple:

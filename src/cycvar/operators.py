@@ -83,16 +83,17 @@ class DifferentialOperator:
             and self.words == other.words
         )
 
-    def __hash__(self):
-        raise TypeError("DifferentialOperator is not hashable")
-
     def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
+        if not isinstance(other, DifferentialOperator):
+            return NotImplemented
         return DifferentialOperator(self.ctx, self.words + other.words)
 
     def __neg__(self) -> "DifferentialOperator":
         return DifferentialOperator(self.ctx, -self.words)
 
     def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
+        if not isinstance(other, DifferentialOperator):
+            return NotImplemented
         return DifferentialOperator(self.ctx, self.words - other.words)
 
     def scale(self, factor) -> "DifferentialOperator":

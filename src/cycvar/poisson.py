@@ -52,39 +52,34 @@ def hamiltonian_section(
     return tuple(op.apply(comp) for comp in p.components)
 
 
-def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, functionals, covectors=None):
+def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, covectors):
     """The Jacobi defect density of an index triple (i, j, k) into
-    `functionals`, as a function of the triple: the cyclic sum of
-    {{h_a, h_b}, h_c} over (a, b, c) = (i, j, k), (j, k, i), (k, i, j).
+    `covectors`, the covectors of functionals h, as a function of the
+    triple: the cyclic sum of {{h_a, h_b}, h_c} over (a, b, c) = (i, j, k),
+    (j, k, i), (k, i, j).
 
-    Each functional's covector and operator image, and each inner bracket's
-    covector, is computed once across all triples asked for.  `covectors`,
-    if given, keeps the functionals' covectors by index beyond the call: an
-    entry is read there, or stored once it is computed whole.  The covector
-    of {h_j, h_i} for i < j is taken as minus that of {h_i, h_j}: for a
-    skew operator the two brackets add up to a total divergence, which
-    every variational derivative maps to exactly zero.  No cached function
-    calls itself, so none holds a reference cycle through the context.
+    Each covector's operator image, and each inner bracket's covector, is
+    computed once across all triples asked for.  The covector of
+    {h_j, h_i} for i < j is taken as minus that of {h_i, h_j}: for a skew
+    operator the two brackets add up to a total divergence, which every
+    variational derivative maps to exactly zero.  No cached function calls
+    itself, so none holds a reference cycle through the context.
     Unchecked."""
-    covectors = {} if covectors is None else covectors
 
     @functools.cache
-    def section(i):
-        p = covectors.get(i)
-        if p is None:
-            p = covectors[i] = covector_of(ctx, functionals[i])
-        return p, hamiltonian_section(ctx, op, p)
+    def image(i):
+        return hamiltonian_section(ctx, op, covectors[i])
 
     @functools.cache
     def inner(i, j):
-        return covector_of(ctx, coupling(ctx, section(i)[0], section(j)[1]))
+        return covector_of(ctx, coupling(ctx, covectors[i], image(j)))
 
     def defect(triple) -> FormalSum:
         total = _Accumulator(True)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             i, j = triple[a], triple[b]
             sign = 1 if i <= j else -1
-            _pair(ctx, inner(min(i, j), max(i, j)), section(triple[c])[1], total, sign)
+            _pair(ctx, inner(min(i, j), max(i, j)), image(triple[c]), total, sign)
         return total.finish()
 
     return defect
@@ -111,7 +106,8 @@ def jacobi_defect(
     """Cyclic sum of nested brackets; trivial exactly when the bracket
     satisfies the Jacobi identity on these arguments."""
     _require_skew(op)
-    return Functional(ctx, _jacobi_triples(ctx, op, (h1, h2, h3))((0, 1, 2)))
+    covectors = [covector_of(ctx, h) for h in (h1, h2, h3)]
+    return Functional(ctx, _jacobi_triples(ctx, op, covectors)((0, 1, 2)))
 
 
 def jacobi_defect_expanded(
@@ -197,22 +193,23 @@ class HamiltonianCertificate:
         return "not hamiltonian: master defect is nontrivial"
 
 
-def _witness_pool(ctx: JetContext) -> tuple[Functional, ...]:
+def _witness_pool(ctx: JetContext) -> tuple[tuple[FormalSum, Covector], ...]:
     """Small deterministic family of functionals used to exhibit a Jacobi
-    failure when the master defect is nontrivial.  It does not depend on
-    the operator, so the context keeps the densities; they are stored only
-    once they are built whole, so an order cap that stops the build keeps
-    nothing.  The functionals hold the context, so they are built at each
-    call and never kept on it."""
+    failure when the master defect is nontrivial, as (density, covector)
+    pairs.  It does not depend on the operator, so the context keeps it; it
+    is stored only once it is built whole, so an order cap that stops the
+    build keeps nothing.  Neither part holds the context."""
     if not ctx._witness_pool:
         pool, one, x = [], ctx.one(), ctx.x_power(1, 1)
         for j in range(1, ctx.fields + 1):
             a = ctx.letter(False, j)
             axx = ctx.shift(ctx.shift(a, 1), 1)
             shapes = ((a,), one), ((a, a), one), ((a, a, a), one), ((a,), x), ((a, a), x), ((a, axx), one)
-            pool += (FormalSum.single(True, letters, coeff) for letters, coeff in shapes)
+            for letters, coeff in shapes:
+                density = FormalSum.single(True, letters, coeff)
+                pool.append((density, covector_of(ctx, density)))
         object.__setattr__(ctx, "_witness_pool", tuple(pool))
-    return tuple(Functional(ctx, density) for density in ctx._witness_pool)
+    return ctx._witness_pool
 
 
 def is_hamiltonian(
@@ -253,29 +250,27 @@ def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     with that defect; (None, None) if there is none.  The defects come from
     `_jacobi_triples`, which computes each pool member's image and each
     inner bracket's covector once for the whole search; the pool members'
-    covectors are computed once per context and kept with it.  The
-    covector of {h_i, h_i} is exactly zero and that of {h_k, h_i} is exactly
-    minus that of {h_i, h_k}, so the cyclic sum over a triple with a repeated
-    index cancels term by term to the empty sum.  Such triples are skipped
+    covectors come with the pool, kept on the context.  The covector of
+    {h_i, h_i} is exactly zero and that of {h_k, h_i} is exactly minus that
+    of {h_i, h_k}, so the cyclic sum over a triple with a repeated index
+    cancels term by term to the empty sum.  Such triples are skipped
     without computing anything, but they still count against `budget`, so
     every budget finds the same witness as the plain loop.  Under a
     derivative-order cap only computed triples can exceed it, so a run the
     plain loop ends at a skipped triple finds the uncapped witness instead.
-    A triple that does exceed the cap ends the search with (None, None): the
-    verdict already stands on the master defect, so the cap ends the search,
-    not the run.  Unchecked."""
-    pool = _witness_pool(ctx)
-    # the context keeps its own pool's covectors; they do not depend on `op`
-    own = tuple(h.density for h in pool) == ctx._witness_pool
-    defect = _jacobi_triples(ctx, op, pool, ctx._witness_covectors if own else None)
-    triples = itertools.combinations_with_replacement(range(len(pool)), 3)
+    A triple, or a pool member, that exceeds the cap ends the search with
+    (None, None): the verdict already stands on the master defect, so the
+    cap ends the search, not the run.  Unchecked."""
     try:
+        pool = _witness_pool(ctx)
+        defect = _jacobi_triples(ctx, op, [p for _, p in pool])
+        triples = itertools.combinations_with_replacement(range(len(pool)), 3)
         for triple in itertools.islice(triples, budget):
             if triple[0] == triple[1] or triple[1] == triple[2]:
                 continue
             density = defect(triple)
             if not is_trivial(ctx, density):
-                return tuple(pool[i] for i in triple), density
+                return tuple(Functional(ctx, pool[i][0]) for i in triple), density
     except BoundExceeded:
         pass
     return None, None
@@ -358,10 +353,10 @@ def substitution_harness(
             residual = lhs - rhs
             passed = is_trivial(ctx, residual)
         elif identity == "jacobi-flow":
-            hs = tuple(
-                corpus.functional(rng, ctx, max_len=functional_len) for _ in range(3)
-            )
-            residual = _jacobi_triples(ctx, op, hs)((0, 1, 2))
+            covectors = [
+                covector_of(ctx, corpus.functional(rng, ctx, max_len=functional_len)) for _ in range(3)
+            ]
+            residual = _jacobi_triples(ctx, op, covectors)((0, 1, 2))
             passed = is_trivial(ctx, residual)
         else:  # bivector-alternation
             p = corpus.covector(rng, ctx, jet_dependent=jet)

@@ -17,7 +17,7 @@ from .jets import (
     make_section,
 )
 from .operators import DifferentialOperator
-from .variational import Covector, Functional, _pair, coupling, is_trivial, variations
+from .variational import Functional, _pair, coupling, is_trivial, variations
 
 
 @dataclass(frozen=True)
@@ -162,15 +162,11 @@ def schouten_by_variations(
     return out.finish()
 
 
-def contraction_section(ctx: JetContext, p: Covector) -> GeneratingSection:
-    """The odd insertion field of a covector: odd letters are replaced by the
-    covector components, position letters are untouched."""
-    return make_section(ctx, odd=p.components, parity=1)
-
-
 def evaluate(ctx: JetContext, mv: Multivector, covectors) -> Functional:
-    """Value of a degree-k multivector on k covectors, by iterated insertion;
-    the insertions anticommute, so the result is totally antisymmetric."""
+    """Value of a degree-k multivector on k covectors, by iterated insertion
+    of each covector's odd field, which replaces odd letters by the
+    covector components and leaves position letters untouched; the
+    insertions anticommute, so the result is totally antisymmetric."""
     covectors = tuple(covectors)
     if len(covectors) != mv.degree:
         raise PreconditionError(
@@ -178,7 +174,7 @@ def evaluate(ctx: JetContext, mv: Multivector, covectors) -> Functional:
         )
     density = mv.density
     for p in covectors:
-        density = evolutionary_apply(ctx, contraction_section(ctx, p), density)
+        density = evolutionary_apply(ctx, make_section(ctx, odd=p.components, parity=1), density)
     if density.odd_degrees() - {0}:
         raise PreconditionError("evaluation left odd letters behind")
     return Functional(ctx, density)

@@ -157,6 +157,8 @@ class Coefficient:
         return isinstance(other, Coefficient) and self.den == other.den and self.nums == other.nums
 
     def __add__(self, other: "Coefficient", sign: int = 1) -> "Coefficient":
+        if not isinstance(other, Coefficient):
+            return NotImplemented
         acc = _Accumulator(False, {(): self})
         acc.add((), sign, other)
         return c if (c := acc.finish().terms.get(())) is not None else Coefficient()
@@ -168,6 +170,8 @@ class Coefficient:
         return self.__add__(other, -1)
 
     def __mul__(self, other) -> "Coefficient":
+        if not isinstance(other, (Coefficient, int, Fraction)):
+            return NotImplemented
         one = FormalSum(False)
         if self.nums:
             one.terms[()] = self
@@ -244,9 +248,6 @@ class FormalSum:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("FormalSum is not hashable")
-
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return self._plus(other, 1)
 
@@ -259,6 +260,8 @@ class FormalSum:
         return self._plus(other, -1)
 
     def _plus(self, other: "FormalSum", sign: int) -> "FormalSum":
+        if not isinstance(other, FormalSum):
+            return NotImplemented
         if self.cyclic != other.cyclic:
             raise ValueError("cannot mix cyclic and open sums")
         # keys of a like-flavored sum are already in this sum's form
@@ -395,10 +398,10 @@ class _Accumulator:
     ) -> None:
         """Add sign * c * c2 * (head + w + tail) for each term c2 * w of the
         terms `middle`, a finished sum's.  A cyclic sum takes each key and
-        sign from `canonical`, which must agree with `normalize` (the
-        default); a context passes its table of canonical forms.  A word met
-        first here gets the product straight as a Coefficient when its
-        denominator is 1, else as an `_Open`."""
+        sign from `canonical`, a lookup that agrees with `normalize`: a
+        context's table of canonical forms.  A word met first here gets the
+        product straight as a Coefficient when its denominator is 1, else as
+        an `_Open`."""
         if not middle:
             return
         terms, add, loose = self.terms, self.add, self.loose
@@ -408,8 +411,6 @@ class _Accumulator:
         scalar = n1[zero] if len(n1) == 1 and zero in n1 else 0
         keep = d1 == 1 and (scalar == 1 or scalar == -1)
         cyclic = self.cyclic
-        if cyclic:
-            canonical = canonical or normalize
         for w, c2 in middle.items():
             if cyclic:
                 key, s = canonical(head + w + tail)
@@ -527,21 +528,14 @@ def close(f: FormalSum) -> FormalSum:
     return acc.finish()
 
 
-def concat(f: FormalSum, g: FormalSum, cyclic: bool = False) -> FormalSum:
-    """Concatenation product of open sums, collected in a sum of the given
-    flavor."""
+def concat(f: FormalSum, g: FormalSum) -> FormalSum:
+    """Concatenation product of open sums."""
     if f.cyclic or g.cyclic:
         raise ValueError("concat expects open sums")
-    acc = _Accumulator(cyclic)
+    acc = _Accumulator(False)
     for w1, c1 in f.terms.items():
         acc.add_products(w1, g.terms, (), 1, c1)
     return acc.finish()
-
-
-def close_concat(f: FormalSum, g: FormalSum) -> FormalSum:
-    """`close(concat(f, g))` in one pass: each concatenation goes straight
-    into the cyclic sum, with no intermediate open sum."""
-    return concat(f, g, cyclic=True)
 
 
 def times(f: FormalSum, g: FormalSum) -> FormalSum:

@@ -287,6 +287,13 @@ class TestOperatorOrderCap:
         rc, out, _ = run_cli("normalize", "op(D^99999999999)")
         assert rc == 0 and out.strip() == "op(D^99999999999)"
 
+    def test_cap_under_the_witness_pool_ends_the_search(self):
+        """The witness pool holds a_xx: a cap below it ends the search, not
+        the run, and the verdict stands on the master defect."""
+        rc, out, err = run_cli("--max-order", "1", "--output", "machine", "is-hamiltonian", "op(a*a - R(a*a))")
+        assert rc == 0 and err == ""
+        assert "result: false" in out.splitlines()
+
 
 class TestPlumbing:
     def test_parse_error_exit_code(self):

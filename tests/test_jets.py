@@ -68,12 +68,12 @@ class TestContext:
             pytest.skip("this interpreter converts integers of any length")
         cap = 10**limit
         with pytest.raises(BoundExceeded) as exc:
-            JetContext(max_order=cap).check_order(cap + 1)
+            JetContext(max_order=cap).check_orders((cap + 1,))
         assert str(exc.value) == (
             f"derivative order of more than {limit} digits exceeds cap of more than {limit} digits"
         )
         with pytest.raises(BoundExceeded, match="^derivative order 3 exceeds cap 2$"):
-            JetContext(max_order=2).check_order(3)
+            JetContext(max_order=2).check_orders((3,))
 
     def test_direction_check(self):
         with pytest.raises(PreconditionError):
@@ -524,7 +524,7 @@ class TestWordTables:
         data = self.inputs(ctx, 80 + 10 * fields + directions)
         first = self.ordered(self.results(ctx, *data))
         tables = [
-            ctx._letters, *ctx._shifts, ctx._canonical_forms, *ctx._images, *ctx._cut_pieces.values()
+            ctx._letters, ctx._canonical_forms, *ctx._images, *ctx._cut_pieces.values()
         ]
         assert max(map(len, tables)) == 8 and all(len(t) <= 8 for t in tables)
         kept = [dict(t) for t in tables]

@@ -57,6 +57,11 @@ FAMILY = (D_OP, D3_OP, D_OP + D3_OP, XD_DX)
 NON_SKEW = DifferentialOperator.identity(CTX).compose_left(opn([A])).compose_derivative(1)
 
 
+def witness_pool(ctx):
+    """The functionals of the context's witness pool, in pool order."""
+    return [Functional(ctx, density) for density, _ in P._witness_pool(ctx)]
+
+
 def functional(letters, value=1):
     return Functional(CTX, cyc(letters, value))
 
@@ -173,11 +178,12 @@ class TestWitnessSearch:
     ]
 
     @pytest.mark.parametrize("fields,text", CASES)
-    def test_matches_reference_loop(self, monkeypatch, fields, text):
+    def test_matches_reference_loop(self, fields, text):
         ctx = JetContext(fields=fields, directions=1)
         op = parse_operator(text, ctx)
-        pool = P._witness_pool(ctx)
-        monkeypatch.setattr(P, "_witness_pool", lambda _ctx: pool)
+        pool = witness_pool(ctx)
+        # distinct densities, so a witness's densities name its pool indices
+        assert all(f.density != g.density for f, g in itertools.combinations(pool, 2))
         hamiltonian = is_trivial(ctx, master_defect(ctx, op).density)
         _, found = reference_witness_search(ctx, op, pool, 400)
         budgets = {0, 1, 3, 200}
@@ -199,7 +205,7 @@ class TestWitnessSearch:
             if witness is None:
                 assert cert.witness is None and cert.witness_defect is None
                 continue
-            assert all(got is want for got, want in zip(cert.witness, witness))
+            assert [h.density for h in cert.witness] == [h.density for h in witness]
             assert cert.witness_defect == defect
             assert list(cert.witness_defect.terms) == list(defect.terms)
 
@@ -295,7 +301,7 @@ class TestRepeatedIndexTriples:
     def test_jacobi_density_exactly_zero(self, fields, text):
         ctx = JetContext(fields=fields, directions=1)
         op = parse_operator(text, ctx)
-        pool = P._witness_pool(ctx)
+        pool = witness_pool(ctx)
         cancelled = 0
         for triple in itertools.combinations_with_replacement(range(len(pool)), 3):
             if len(set(triple)) == 3:
@@ -313,7 +319,7 @@ class TestRepeatedIndexTriples:
         capped = JetContext(fields=2, directions=1, max_order=2)
         free = JetContext(fields=2, directions=1)
         op = parse_operator(text, capped)
-        pool = P._witness_pool(capped)
+        pool = witness_pool(capped)
         with pytest.raises(BoundExceeded):
             reference_witness_search(capped, op, pool, 200)
         got = is_hamiltonian(capped, op)
@@ -337,12 +343,27 @@ class TestRepeatedIndexTriples:
         free = JetContext(fields=fields, directions=1)
         op = parse_operator(text, capped)
         with pytest.raises(BoundExceeded):
-            reference_witness_search(capped, op, P._witness_pool(capped), 200)
+            reference_witness_search(capped, op, witness_pool(capped), 200)
         got = is_hamiltonian(capped, op)
         want = is_hamiltonian(free, parse_operator(text, free))
         assert not got.hamiltonian and not want.hamiltonian
         assert got.witness is None and got.witness_defect is None
         assert got.defect_density == want.defect_density
+
+    @pytest.mark.parametrize("cap", [1, 0])
+    def test_order_cap_stops_the_pool_build(self, cap):
+        """Under `max_order` 1 or 0 the pool's letter a_xx is over the cap,
+        while the master defect of an order-0 operator fits: the cap ends
+        the search before any triple, not the run, and keeps no pool."""
+        text = "op(a*a - R(a*a))"
+        capped = JetContext(max_order=cap)
+        free = JetContext()
+        got = is_hamiltonian(capped, parse_operator(text, capped))
+        want = is_hamiltonian(free, parse_operator(text, free))
+        assert not got.hamiltonian and not want.hamiltonian
+        assert got.witness is None and got.witness_defect is None
+        assert got.defect_density == want.defect_density
+        assert capped._witness_pool == ()
 
 
 class TestInnerCovectorAntisymmetry:
@@ -355,7 +376,7 @@ class TestInnerCovectorAntisymmetry:
         ctx = JetContext(fields=fields, directions=1)
         ops = [parse_operator(text, ctx) for f, text in TestWitnessSearch.CASES if f == fields]
         ops += _corpus_skew_parts(ctx, 810 + fields, 4)
-        pool = P._witness_pool(ctx)
+        pool = witness_pool(ctx)
         nonzero = 0
         for op in ops:
             ps = [covector_of(ctx, h) for h in pool]

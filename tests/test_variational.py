@@ -6,7 +6,7 @@ import pytest
 
 from cycvar import corpus
 from cycvar.errors import PreconditionError
-from cycvar.words import FormalSum, close_concat
+from cycvar.words import FormalSum, close, concat
 from cycvar.jets import JetContext, total_derivative
 from cycvar.variational import (
     Covector,
@@ -135,7 +135,7 @@ class TestPeeledTriviality:
                 f = f + corpus.cyclic_density(rng, ctx, degree, words=2, max_len=3)
             for odd_kind, j in f.letters_present():
                 u = FormalSum.single(False, (ctx.letter(odd_kind, j),), ctx.one())
-                closed = close_concat(u, euler_derivative(ctx, f, odd_kind, j))
+                closed = close(concat(u, euler_derivative(ctx, f, odd_kind, j)))
                 counted = FormalSum(cyclic=True)
                 for w, c in f.terms.items():
                     n = sum(1 for l in w if l.odd == odd_kind and l.index == j)

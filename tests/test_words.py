@@ -12,7 +12,6 @@ from cycvar.words import (
     Coefficient,
     FormalSum,
     close,
-    close_concat,
     concat,
     normalize,
     pass_sign,
@@ -322,14 +321,14 @@ class TestCloseConcat:
             pf.add_word(v, c)
             pg.add_word(v, d)
             pg.add_word(u, d * -s)
-            assert normalize(u + v)[0] not in close_concat(pf, pg).terms
+            assert normalize(u + v)[0] not in close(concat(pf, pg)).terms
             f, g = f + pf, g + pg
-        assert close_concat(f, g) == close(concat(f, g))
-        assert close_concat(g, f) == close(concat(g, f))
+        assert _model(close(concat(f, g))) == _model_concat(f, g, True)
+        assert _model(close(concat(g, f))) == _model_concat(g, f, True)
 
     def test_rejects_cyclic_arguments(self):
         with pytest.raises(ValueError):
-            close_concat(single([A]), single([A], cyclic=False))
+            concat(single([A]), single([A], cyclic=False))
 
 
 class TestCut:
@@ -499,9 +498,8 @@ class TestAccumulator:
         check((f + g) - g, _model(f))
         # closure and products, with odd squares that vanish under rotation
         check(close(f + odd), _collect(_model(f + odd).items(), True))
-        check(close_concat(odd, odd), _model_concat(odd, odd, True))
-        for cyclic in (False, True):
-            check(concat(f, g, cyclic), _model_concat(f, g, cyclic))
+        check(close(concat(odd, odd)), _model_concat(odd, odd, True))
+        check(concat(f, g), _model_concat(f, g, False))
         check(close(concat(f, g)), _model(brute_close(ctx, concat(f, g))))
         p = corpus.covector(rng, ctx)
         values = [_fractional(rng, corpus.open_sum(rng, ctx)) for _ in range(ctx.fields)]
@@ -627,7 +625,6 @@ class TestNoAliasing:
             "apply",
             "adjoint",
             "concat",
-            "close_concat",
         ],
     )
     def test_accumulation_loops(self, loop):
@@ -707,10 +704,7 @@ class TestNoAliasing:
                 parse_open("a + a*a_x - a_x/2", ctx),
                 parse_open("(1/2 + x)*a_x*a + 2*a + 3*a*a_x", ctx),
             )
-            if loop == "concat":
-                call = lambda: concat(*operands)
-            else:
-                call = lambda: close_concat(*operands)
+            call = lambda: concat(*operands)
         before = repr(operands)
         out = call()
         assert out
@@ -745,3 +739,36 @@ class TestNoAliasing:
         target.add_word((A,), d)
         target.add_word((A,), -out)
         assert (repr(c), repr(d), repr(out)) == before + (out_before,)
+
+
+FOREIGN_OPERANDS = {
+    "coefficient+int": lambda c, f, op: c + 1,
+    "int-coefficient": lambda c, f, op: 1 - c,
+    "coefficient-sum": lambda c, f, op: c - f,
+    "coefficient*str": lambda c, f, op: c * "1/2",
+    "str*coefficient": lambda c, f, op: "1/2" * c,
+    "coefficient*float": lambda c, f, op: c * 0.5,
+    "coefficient*sum": lambda c, f, op: c * f,
+    "sum+int": lambda c, f, op: f + 1,
+    "sum-coefficient": lambda c, f, op: f - c,
+    "int+sum": lambda c, f, op: 1 + f,
+    "operator+int": lambda c, f, op: op + 1,
+    "operator-sum": lambda c, f, op: op - f,
+    "sum-operator": lambda c, f, op: f - op,
+    "hash-sum": lambda c, f, op: hash(f),
+    "hash-operator": lambda c, f, op: hash(op),
+    "hash-coefficient": lambda c, f, op: hash(c),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_OPERANDS)
+def test_foreign_operands_raise_type_error(case):
+    """Arithmetic of a Coefficient, a sum or an operator with an operand of
+    a type it does not take raises TypeError, and none of them hashes; sums
+    of the two flavors still raise ValueError."""
+    c, f = CTX.const(Fraction(1, 2)), single([A, AX])
+    op = parse_operator("op(a*D + D*R(a))", CTX)
+    with pytest.raises(TypeError):
+        FOREIGN_OPERANDS[case](c, f, op)
+    with pytest.raises(ValueError):
+        f + single([A, AX], cyclic=False)
