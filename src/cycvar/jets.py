@@ -53,9 +53,10 @@ class JetContext:
     same few hundred letters and words over and over.  `_letters` interns
     letters: `letter`, `shift`, the operator slot letters and the
     prolongation steps all read the `Letter` it keeps for each (odd, index,
-    orders).  Letters still compare and hash by value, so identity is only
-    a fast path: letters of another context, equal or not, and letters
-    built by hand mix freely with these.  `_canonical_forms` holds a word's
+    orders).  A letter is an int that packs its fields (`words.Letter`),
+    so letters compare and hash by value, in C, and identity is only a
+    fast path: letters of another context, equal or not, and letters built
+    by hand mix freely with these.  `_canonical_forms` holds a word's
     `normalize` result (canonical rotation and sign), `_images` holds per
     direction the words with one letter shifted (what `total_derivative`
     adds up), and `_cut_pieces` holds per letter family and side the

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -147,7 +148,8 @@ class Parser:
 
     # -- value algebra -----------------------------------------------------
 
-    def _scale(self, value: Value, coeff: Coefficient) -> Value:
+    def _scale(self, value: Value, coeff) -> Value:
+        """The value times a Coefficient or a number."""
         if value.kind == "scalar":
             return Value("scalar", value.payload * coeff)
         if value.kind in ("open", "cyclic", "operator"):
@@ -190,15 +192,16 @@ class Parser:
             )
         raise ParseError(f"cannot multiply {left.kind} with {right.kind}", pos)
 
-    def _div(self, left: Value, right: Value, pos: int) -> Value:
-        if right.kind != "scalar":
+    def _divisor(self, divisor: Value, pos: int) -> Fraction:
+        """The value of a divisor, a nonzero constant."""
+        if divisor.kind != "scalar":
             raise ParseError("division needs a scalar divisor", pos)
-        value = right.payload.constant_value()
+        value = divisor.payload.constant_value()
         if value is None:
             raise ParseError("cannot divide by an x-dependent scalar", pos)
         if value == 0:
             raise ParseError("division by zero", pos)
-        return self._scale(left, Coefficient.constant(1 / value, self.ctx.directions))
+        return value
 
     def _add(self, left: Value, right: Value, subtract: bool, pos: int) -> Value:
         if self._with_operator(left, right):
@@ -223,9 +226,6 @@ class Parser:
     def _promote_scalar(self, value: Value, kind: str) -> Value:
         return Value(kind, FormalSum.single(kind == "cyclic", (), value.payload))
 
-    def _negate(self, value: Value) -> Value:
-        return self._scale(value, Coefficient.constant(-1, self.ctx.directions))
-
     # -- grammar -----------------------------------------------------------
 
     def parse_input(self) -> Value:
@@ -247,37 +247,49 @@ class Parser:
                 return value
 
     def parse_term(self) -> Value:
-        negate = False
+        """A signed product of factors.  Numbers commute with every product
+        here, so the sign, the number factors and the divisors (all
+        constants) are multiplied into one rational, and the product of the
+        other factors is scaled by it once, at the end."""
+        number = 1
         while True:
             tok = self.peek()
             if tok.kind == "sym" and tok.text in "+-":
                 self.take()
                 if tok.text == "-":
-                    negate = not negate
+                    number = -number
             else:
                 break
-        value = self.parse_factor()
+        value, op = None, "*"
         while True:
             tok = self.peek()
-            if tok.kind == "sym" and tok.text in "*/":
+            if tok.kind == "number":
                 self.take()
-                rhs = self.parse_factor()
-                if tok.text == "*":
-                    value = self._mul(value, rhs, tok.pos)
+                n = digits_value(tok.text, tok.pos)
+                if op == "*":
+                    number *= n
+                elif n:
+                    number = Fraction(number, n)
                 else:
-                    value = self._div(value, rhs, tok.pos)
+                    raise ParseError("division by zero", pos)
+            elif op == "/":
+                number = Fraction(number, self._divisor(self.parse_factor(), pos))
+            elif value is None:
+                value = self.parse_factor()
             else:
+                value = self._mul(value, self.parse_factor(), pos)
+            tok = self.peek()
+            if not (tok.kind == "sym" and tok.text in "*/"):
                 break
-        return self._negate(value) if negate else value
+            self.take()
+            op, pos = tok.text, tok.pos
+        if value is None:
+            return Value("scalar", Coefficient.constant(number, self.ctx.directions))
+        return value if number == 1 else self._scale(value, number)
 
     def parse_factor(self) -> Value:
+        """A factor other than a number, which `parse_term` reads itself."""
         tok = self.peek()
-        if tok.kind == "number":
-            self.take()
-            return Value(
-                "scalar",
-                Coefficient.constant(digits_value(tok.text, tok.pos), self.ctx.directions),
-            )
         if tok.kind == "xmono":
             self.take()
             return Value("scalar", _parse_xmono_token(tok.text, tok.pos, self.ctx))

@@ -2,9 +2,11 @@
 
 A word is a tuple of letters.  A letter is either a position symbol (even) or
 its parity-reversed partner (odd); it carries a field index and a derivative
-multi-index with one slot per base direction.  Cyclic words are stored by
-their canonical rotation; the sign bookkeeping for odd letters happens once,
-at normalization time, so every later operation works on plain tuples.
+multi-index with one slot per base direction.  A letter is an int that packs
+these fields in their sort order, so words hash and compare in C, as the
+keys of every table and sum.  Cyclic words are stored by their canonical
+rotation; the sign bookkeeping for odd letters happens once, at
+normalization time, so every later operation works on plain tuples.
 A coefficient keeps integer numerators over one common denominator.  Word
 sums are accumulated the same way: one accumulator adds each word's integer
 numerators in place over a running denominator, and each result word gets
@@ -15,22 +17,83 @@ products are those of sums of the empty word.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add as add_ints
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
-class Letter(NamedTuple):
-    """A single jet symbol.  The fields are in sort order (even before odd,
-    field index, total derivative count `order == sum(orders)`, multi-index),
-    so letters and equal-length words compare as plain tuples;
-    `JetContext.letter` and `JetContext.shift` fill in `order`."""
+_BITS = 64
+_WIDE = 1 << _BITS
 
-    odd: bool
-    index: int
-    order: int
-    orders: tuple[int, ...]
+
+class Letter(int):
+    """A single jet symbol: parity (even before odd), field index, total
+    derivative count `order == sum(orders)` and multi-index, read as the
+    attributes `odd`, `index`, `order` and `orders`; `JetContext.letter` and
+    `JetContext.shift` fill in `order`.
+
+    The int value packs the fields in that sort order: a leading 1 bit, the
+    parity bit, then `index`, `order` and each entry of `orders` in 64 bits
+    each.  So among letters with one number of directions the numeric order
+    is the order of the field tuples, no letter is falsy, and words (tuples
+    of letters) hash and compare in C.  A letter with a field outside
+    0..2**64-1 is a `_WideLetter`, which compares and hashes by its field
+    tuple.  Iterating yields the four fields, so `Letter(*letter)` rebuilds
+    a letter.  A letter is an int: it never equals a tuple, and the
+    coefficient arithmetic refuses it as a number."""
+
+    def __new__(cls, odd, index, order, orders):
+        orders = tuple(orders)
+        value = 2 | odd if odd in (0, 1) else 0
+        for f in (index, order, *orders):
+            if not (value and 0 <= f < _WIDE):
+                self = int.__new__(_WideLetter, 1)
+                break
+            value = value << _BITS | f
+        else:
+            self = int.__new__(Letter, value)
+        self.__dict__.update(odd=odd, index=index, order=order, orders=orders)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a letter is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a letter is immutable")
+
+    def __iter__(self):
+        return iter((self.odd, self.index, self.order, self.orders))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Letter(odd={self.odd!r}, index={self.index!r}, order={self.order!r}, orders={self.orders!r})"
+
+
+def _by_fields(compare):
+    def method(self, other):
+        return compare(tuple(self), tuple(other)) if isinstance(other, Letter) else NotImplemented
+
+    return method
+
+
+class _WideLetter(Letter):
+    """A letter whose fields do not fit the packed value.  It compares and
+    hashes by its field tuple; being a subclass, it also decides its
+    comparisons with packed letters, whichever side it is on."""
+
+    __eq__ = _by_fields(operator.eq)
+    __ne__ = _by_fields(operator.ne)
+    __lt__ = _by_fields(operator.lt)
+    __le__ = _by_fields(operator.le)
+    __gt__ = _by_fields(operator.gt)
+    __ge__ = _by_fields(operator.ge)
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 Word = tuple[Letter, ...]
@@ -135,6 +198,8 @@ class Coefficient:
 
     @classmethod
     def monomial(cls, exponents, value=1) -> "Coefficient":
+        if isinstance(value, Letter):
+            raise TypeError("a letter is not a number")
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         out = object.__new__(cls)
@@ -170,7 +235,7 @@ class Coefficient:
         return self.__add__(other, -1)
 
     def __mul__(self, other) -> "Coefficient":
-        if not isinstance(other, (Coefficient, int, Fraction)):
+        if not isinstance(other, (Coefficient, int, Fraction)) or isinstance(other, Letter):
             return NotImplemented
         one = FormalSum(False)
         if self.nums:
@@ -270,7 +335,7 @@ class FormalSum:
         return acc.finish()
 
     def scale(self, factor) -> "FormalSum":
-        """Multiply by a Coefficient, Fraction, or int."""
+        """Multiply by a Coefficient, Fraction, or int (not a Letter)."""
         if not isinstance(factor, Coefficient):
             # a number is a constant with no exponent slots
             factor = Coefficient.monomial((), factor)

@@ -96,6 +96,45 @@ class TestScalars:
             parse_value("x2", CTX)
 
 
+class TestNumberFolding:
+    """The sign, the number factors and the divisors of a term fold into one
+    rational, so a sum in it is scaled once, or not at all when they
+    multiply to 1."""
+
+    @pytest.mark.parametrize(
+        "text, factor",
+        [
+            ("cyc(a*b_x)", 1),
+            ("-1/2*cyc(a*b_x)", Fraction(-1, 2)),
+            ("--3*cyc(a*b_x)/4*2", Fraction(3, 2)),
+            ("-cyc(a*b_x)/(1/2)", -2),
+            ("2*cyc(a*b_x)/2", 1),
+            ("-2*3*cyc(a*b_x)*0", 0),
+        ],
+    )
+    def test_one_scaling_per_term(self, text, factor, monkeypatch):
+        want = parse_cyclic("cyc(a*b_x)", CTX).scale(factor)
+        calls = []
+        scale = FormalSum.scale
+        monkeypatch.setattr(FormalSum, "scale", lambda f, c: calls.append(c) or scale(f, c))
+        assert parse_cyclic(text, CTX) == want
+        assert len(calls) == (factor != 1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cyc(a)/0", "division by zero (at column 7)"),
+            ("-2/0*cyc(a)", "division by zero (at column 3)"),
+            ("3*cyc(a)/(2 - 2)", "division by zero (at column 9)"),
+            ("2*cyc(a)/x", "cannot divide by an x-dependent scalar (at column 9)"),
+        ],
+    )
+    def test_divisor_errors(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_value(text, CTX)
+        assert str(info.value) == message
+
+
 class TestCyclic:
     def test_rotated_inputs_agree(self):
         assert parse_cyclic("cyc(a*a_x*b)", CTX) == parse_cyclic("cyc(b*a*a_x)", CTX)

@@ -1,8 +1,11 @@
 """Words, coefficients, signed cyclic normalization, and the closed product."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from cycvar.words import (
     Coefficient,
     FormalSum,
+    Letter,
+    _WideLetter,
     close,
     concat,
     normalize,
@@ -202,6 +207,104 @@ class TestLetterOrder:
             assert l.order == sum(l.orders)
         spelled = sorted(letters, key=lambda l: (l.odd, l.index, sum(l.orders), l.orders))
         assert sorted(letters) == spelled
+
+
+# a letter as the tuple of its fields, whose repr is the reference for a
+# letter's repr
+_TupleLetter = namedtuple("Letter", "odd index order orders")
+
+
+_PACKED_MAX = 2**64 - 1
+# field values around both ends of a 64-bit field and past it, up to the
+# longest numbers the CLI reads (4,300 digits)
+_FIELDS = st.sampled_from([0, 1, 2, _PACKED_MAX - 1, _PACKED_MAX, _PACKED_MAX + 1, 10**4299 + 1, 10**4299 + 2])
+
+
+def _letters(n, order_is_sum=False):
+    """Letters with n directions; `order` is drawn on its own unless
+    `order_is_sum`."""
+    return st.builds(
+        lambda odd, index, order, orders: Letter(odd, index, sum(orders) if order_is_sum else order, orders),
+        st.booleans(),
+        _FIELDS,
+        _FIELDS,
+        st.tuples(*[_FIELDS] * n),
+    )
+
+
+def _safe(text):
+    """The text, or the exception type when a field is too long to print."""
+    try:
+        return text()
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestPackedLetters:
+    """A letter is an int that packs its fields in sort order, so words hash
+    and compare in C; a letter with a field past 64 bits compares and hashes
+    by its fields, and both kinds behave as the field tuples did."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(_letters(n), _letters(n))))
+    def test_order_equality_and_hash_follow_the_fields(self, pair):
+        a, b = pair
+        ta, tb = tuple(a), tuple(b)
+        assert (a < b, a <= b, a > b, a >= b) == (ta < tb, ta <= tb, ta > tb, ta >= tb)
+        assert (a == b, a != b) == (ta == tb, ta != tb)
+        if a == b:
+            assert hash(a) == hash(b)
+        for letter in a, b:
+            fields = tuple(letter)
+            assert letter != fields and not letter == fields and fields != letter
+            assert bool(letter)
+            assert _safe(lambda: repr(letter)) == _safe(lambda: repr(_TupleLetter(*fields)))
+            rebuilt = Letter(*letter)
+            assert rebuilt == letter and type(rebuilt) is type(letter)
+            packed = max(fields[1:3] + fields[3]) <= _PACKED_MAX
+            assert type(letter) is (Letter if packed else _WideLetter)
+            if packed:
+                # no Python-level method between two packed letters
+                assert type(letter).__lt__ is int.__lt__ and type(letter).__eq__ is int.__eq__
+                assert type(letter).__hash__ is int.__hash__
+
+    def test_slot_letter_is_true(self):
+        slot = _slot(CTX, (0,))
+        assert slot.index == 0 and slot.order == 0 and bool(slot)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 2)
+        .flatmap(lambda n: st.lists(_letters(n, order_is_sum=True), min_size=1, max_size=3))
+        .flatmap(lambda alphabet: st.lists(st.sampled_from(alphabet), max_size=7).map(tuple))
+    )
+    def test_normalize_on_mixed_words_matches_brute(self, word):
+        assert normalize(word) == brute_normalize(word)
+
+    @pytest.mark.parametrize("orders", [(3,), (2**64,), (0, 10**4299)], ids=["packed", "wide", "long"])
+    def test_copy_and_pickle_round_trip(self, orders):
+        letter = Letter(True, 2, sum(orders), orders)
+        for other in (
+            copy.copy(letter),
+            copy.deepcopy(letter),
+            *(pickle.loads(pickle.dumps(letter, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ):
+            assert other == letter and type(other) is type(letter) and tuple(other) == tuple(letter)
+            assert hash(other) == hash(letter)
+
+    def test_deepcopy_of_a_sum(self):
+        wide = Letter(False, 1, 2**64, (2**64,))
+        f = single([A, AX, B]) + FormalSum.single(True, (wide, A, wide), CTX.const(Fraction(2, 3)))
+        g = copy.deepcopy(f)
+        assert g == f and g.terms is not f.terms
+        assert pickle.loads(pickle.dumps(f)) == f
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            A.odd = True
+        with pytest.raises(AttributeError):
+            del A.orders
+        assert tuple(A) == (False, 1, 0, (0,))
 
 
 class TestNormalize:
@@ -749,6 +852,11 @@ FOREIGN_OPERANDS = {
     "str*coefficient": lambda c, f, op: "1/2" * c,
     "coefficient*float": lambda c, f, op: c * 0.5,
     "coefficient*sum": lambda c, f, op: c * f,
+    # a letter is an int, but not a number
+    "coefficient*letter": lambda c, f, op: c * A,
+    "letter*coefficient": lambda c, f, op: A * c,
+    "sum-scaled-by-letter": lambda c, f, op: f.scale(A),
+    "letter-constant": lambda c, f, op: CTX.const(A),
     "sum+int": lambda c, f, op: f + 1,
     "sum-coefficient": lambda c, f, op: f - c,
     "int+sum": lambda c, f, op: 1 + f,
