@@ -38,9 +38,11 @@ from .poisson import (
 )
 from .selftest import SUITES
 from .lang import (
+    as_sum,
     coefficient_text,
     covector_text,
     digits_value,
+    kind_of,
     number_text,
     operator_text,
     parse_covector,
@@ -367,8 +369,8 @@ def normalize(session, expr):
     ctx = session.ctx
     for text in _expand(expr):
         value = parse_value(text, ctx)
-        kind = "sum" if value.kind in ("open", "cyclic") else value.kind
-        session.emit(kind, value.payload, ctx)
+        kind = kind_of(value)
+        session.emit("sum" if kind in ("open", "cyclic") else kind, value, ctx)
 
 
 @cli.command("times")
@@ -394,15 +396,13 @@ def tderiv(session, expr, direction, order):
         raise PreconditionError(f"--order must be nonnegative, got {order}")
     ctx = session.ctx
     for text in _expand(expr):
-        value = parse_value(text, ctx)
-        if value.kind == "scalar":
-            value.kind = "open"
-            value.payload = FormalSum.single(False, (), value.payload)
-        if value.kind not in ("open", "cyclic"):
-            raise ParseError(f"tderiv expects a word sum, got {value.kind}")
-        out = value.payload
+        out = as_sum(parse_value(text, ctx))
+        if not isinstance(out, FormalSum):
+            raise ParseError(f"tderiv expects a word sum, got {kind_of(out)}")
         for _ in range(order):
             out = total_derivative(ctx, out, direction)
+            if out.is_zero():  # so is every further derivative
+                break
         session.emit("sum", out, ctx)
 
 

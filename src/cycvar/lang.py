@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -118,15 +117,36 @@ def _parse_deriv_token(text: str, pos: int, ctx: JetContext) -> tuple[int, int]:
 # -- parsed values ---------------------------------------------------------
 
 
-@dataclass
-class Value:
-    kind: str  # scalar | open | cyclic | operator | covector | section
-    payload: object
+def kind_of(value) -> str:
+    """The kind of a parsed value as messages and the CLI name it: scalar,
+    open, cyclic, operator, covector or section."""
+    if isinstance(value, Coefficient):
+        return "scalar"
+    if isinstance(value, FormalSum):
+        return "cyclic" if value.cyclic else "open"
+    if isinstance(value, DifferentialOperator):
+        return "operator"
+    return "covector" if isinstance(value, Covector) else "section"
+
+
+def as_sum(value, cyclic: bool = False):
+    """A scalar as that multiple of the empty word, in an open or a cyclic
+    sum; any other value as itself."""
+    if isinstance(value, Coefficient):
+        return FormalSum.single(cyclic, (), value)
+    return value
+
+
+def _components(value) -> tuple[FormalSum, ...]:
+    return value.components if isinstance(value, Covector) else value
+
+
+# the type that cov(...) and sec(...) build from their components
+_TUPLES = {"cov": Covector, "sec": tuple}
 
 
 class Parser:
     def __init__(self, text: str, ctx: JetContext):
-        self.text = text
         self.ctx = ctx
         self.tokens = tokenize(text)
         self.at = 0
@@ -148,94 +168,78 @@ class Parser:
 
     # -- value algebra -----------------------------------------------------
 
-    def _scale(self, value: Value, coeff) -> Value:
+    def _scale(self, value, coeff):
         """The value times a Coefficient or a number."""
-        if value.kind == "scalar":
-            return Value("scalar", value.payload * coeff)
-        if value.kind in ("open", "cyclic", "operator"):
-            return Value(value.kind, value.payload.scale(coeff))
-        if value.kind in ("covector", "section"):
-            comps = tuple(c.scale(coeff) for c in _components(value))
-            return _retuple(value.kind, comps)
-        raise AssertionError(value.kind)
+        if isinstance(value, Coefficient):
+            return value * coeff
+        if isinstance(value, (Covector, tuple)):
+            return type(value)(c.scale(coeff) for c in _components(value))
+        return value.scale(coeff)
 
-    def _operator(self, value: Value) -> Value:
+    def _operator(self, value):
         """A scalar or open word as the operator that multiplies by it on
         the left; an operator as itself."""
-        if value.kind == "scalar":
-            value = self._promote_scalar(value, "open")
-        if value.kind != "open":
+        value = as_sum(value)
+        if kind_of(value) != "open":
             return value
-        return Value(
-            "operator", DifferentialOperator.identity(self.ctx).compose_left(value.payload)
-        )
+        return DifferentialOperator.identity(self.ctx).compose_left(value)
 
-    def _with_operator(self, left: Value, right: Value) -> bool:
-        return self.in_op and "operator" in (left.kind, right.kind)
+    def _with_operator(self, left, right) -> bool:
+        return self.in_op and "operator" in (kind_of(left), kind_of(right))
 
-    def _mul(self, left: Value, right: Value, pos: int) -> Value:
+    def _mul(self, left, right, pos: int):
         if self._with_operator(left, right):
-            return Value(
-                "operator",
-                self._operator(left).payload.compose(self._operator(right).payload),
-            )
-        if left.kind == "scalar":
-            return self._scale(right, left.payload)
-        if right.kind == "scalar":
-            return self._scale(left, right.payload)
-        if left.kind == "open" and right.kind == "open":
-            return Value("open", concat(left.payload, right.payload))
-        if left.kind == "cyclic" or right.kind == "cyclic":
+            return self._operator(left).compose(self._operator(right))
+        if isinstance(left, Coefficient):
+            return self._scale(right, left)
+        if isinstance(right, Coefficient):
+            return self._scale(left, right)
+        kinds = kind_of(left), kind_of(right)
+        if kinds == ("open", "open"):
+            return concat(left, right)
+        if "cyclic" in kinds:
             raise ParseError(
                 "cyclic sums cannot be multiplied inline; use the times command",
                 pos,
             )
-        raise ParseError(f"cannot multiply {left.kind} with {right.kind}", pos)
+        raise ParseError(f"cannot multiply {kinds[0]} with {kinds[1]}", pos)
 
-    def _divisor(self, divisor: Value, pos: int) -> Fraction:
+    def _divisor(self, divisor, pos: int) -> Fraction:
         """The value of a divisor, a nonzero constant."""
-        if divisor.kind != "scalar":
+        if not isinstance(divisor, Coefficient):
             raise ParseError("division needs a scalar divisor", pos)
-        value = divisor.payload.constant_value()
+        value = divisor.constant_value()
         if value is None:
             raise ParseError("cannot divide by an x-dependent scalar", pos)
         if value == 0:
             raise ParseError("division by zero", pos)
         return value
 
-    def _add(self, left: Value, right: Value, subtract: bool, pos: int) -> Value:
+    def _add(self, left, right, subtract: bool, pos: int):
         if self._with_operator(left, right):
             left, right = self._operator(left), self._operator(right)
-        if right.kind == "scalar" and left.kind in ("open", "cyclic"):
-            right = self._promote_scalar(right, left.kind)
-        if left.kind == "scalar" and right.kind in ("open", "cyclic"):
-            left = self._promote_scalar(left, right.kind)
-        if left.kind != right.kind:
-            raise ParseError(f"cannot add {left.kind} and {right.kind}", pos)
-        if left.kind in ("scalar", "open", "cyclic", "operator"):
-            out = left.payload - right.payload if subtract else left.payload + right.payload
-            return Value(left.kind, out)
-        if left.kind in ("covector", "section"):
-            lc, rc = _components(left), _components(right)
-            comps = tuple(
-                (a - b) if subtract else (a + b) for a, b in zip(lc, rc)
-            )
-            return _retuple(left.kind, comps)
-        raise AssertionError(left.kind)
-
-    def _promote_scalar(self, value: Value, kind: str) -> Value:
-        return Value(kind, FormalSum.single(kind == "cyclic", (), value.payload))
+        if isinstance(left, FormalSum):
+            right = as_sum(right, left.cyclic)
+        if isinstance(right, FormalSum):
+            left = as_sum(left, right.cyclic)
+        kind = kind_of(left)
+        if kind != kind_of(right):
+            raise ParseError(f"cannot add {kind} and {kind_of(right)}", pos)
+        if kind in ("covector", "section"):
+            pairs = zip(_components(left), _components(right))
+            return type(left)((a - b) if subtract else (a + b) for a, b in pairs)
+        return left - right if subtract else left + right
 
     # -- grammar -----------------------------------------------------------
 
-    def parse_input(self) -> Value:
+    def parse_input(self):
         value = self.parse_expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.pos)
         return value
 
-    def parse_expr(self) -> Value:
+    def parse_expr(self):
         value = self.parse_term()
         while True:
             tok = self.peek()
@@ -246,7 +250,7 @@ class Parser:
             else:
                 return value
 
-    def parse_term(self) -> Value:
+    def parse_term(self):
         """A signed product of factors.  Numbers commute with every product
         here, so the sign, the number factors and the divisors (all
         constants) are multiplied into one rational, and the product of the
@@ -284,15 +288,15 @@ class Parser:
             self.take()
             op, pos = tok.text, tok.pos
         if value is None:
-            return Value("scalar", Coefficient.constant(number, self.ctx.directions))
+            return Coefficient.constant(number, self.ctx.directions)
         return value if number == 1 else self._scale(value, number)
 
-    def parse_factor(self) -> Value:
+    def parse_factor(self):
         """A factor other than a number, which `parse_term` reads itself."""
         tok = self.peek()
         if tok.kind == "xmono":
             self.take()
-            return Value("scalar", _parse_xmono_token(tok.text, tok.pos, self.ctx))
+            return _parse_xmono_token(tok.text, tok.pos, self.ctx)
         if tok.kind == "letter":
             return self.parse_letters()
         if tok.kind == "kw" and (not self.in_op or tok.text in ("R", "L")):
@@ -305,14 +309,14 @@ class Parser:
                 raise ParseError("derivative factors only make sense inside op(...)", tok.pos)
             self.take()
             direction, power = _parse_deriv_token(tok.text, tok.pos, self.ctx)
-            return Value("operator", from_derivative(self.ctx, direction, power))
+            return from_derivative(self.ctx, direction, power)
         where = " inside op(...)" if self.in_op else ""
         raise ParseError(
             f"unexpected {tok.text!r}{where}" if tok.text else "unexpected end of input",
             tok.pos,
         )
 
-    def parse_letters(self) -> Value:
+    def parse_letters(self) -> FormalSum:
         """A run l1*l2*...*lk of letter factors as one word.  Concatenation
         and composition are associative, so this is the value of the
         left-to-right product.  A letter after the first that does not
@@ -328,9 +332,9 @@ class Parser:
             except CycvarError:
                 break
             self.at += 2
-        return Value("open", FormalSum.single(False, tuple(letters), ctx.one()))
+        return FormalSum.single(False, tuple(letters), ctx.one())
 
-    def parse_group(self, in_op: bool) -> Value:
+    def parse_group(self, in_op: bool):
         """An expression and its closing parenthesis, parsed with the
         operator flag set to `in_op`."""
         outer, self.in_op = self.in_op, in_op
@@ -339,11 +343,11 @@ class Parser:
         self.expect_sym(")")
         return value
 
-    def parse_keyword(self) -> Value:
+    def parse_keyword(self):
         tok = self.take()
         name = tok.text
         self.expect_sym("(")
-        if name in ("cov", "sec"):
+        if name in _TUPLES:
             comps = [self.parse_component(tok.pos)]
             while self.peek().kind == "sym" and self.peek().text == ";":
                 self.take()
@@ -354,51 +358,35 @@ class Parser:
                     f"{name}(...) needs {self.ctx.fields} components, got {len(comps)}",
                     tok.pos,
                 )
-            kind = "covector" if name == "cov" else "section"
-            return _retuple(kind, tuple(comps))
+            return _TUPLES[name](comps)
         if name == "op":
             return self._operator(self.parse_group(True))
         if name != "cyc" and not self.in_op:
             raise ParseError(f"{name}(...) only makes sense inside op(...)", tok.pos)
-        inner = self.parse_group(False)
-        if inner.kind == "scalar":
-            inner = self._promote_scalar(inner, "open")
-        if inner.kind != "open":
+        inner = as_sum(self.parse_group(False))
+        if kind_of(inner) != "open":
             raise ParseError(f"{name}(...) needs an open-word expression", tok.pos)
         if name == "cyc":
-            return Value("cyclic", close(inner.payload))
+            return close(inner)
         if name == "L":
             return self._operator(inner)
-        return Value(
-            "operator", DifferentialOperator.identity(self.ctx).compose_right(inner.payload)
-        )
+        return DifferentialOperator.identity(self.ctx).compose_right(inner)
 
     def parse_component(self, pos: int) -> FormalSum:
-        value = self.parse_expr()
-        if value.kind == "scalar":
-            value = self._promote_scalar(value, "open")
-        if value.kind != "open":
+        value = as_sum(self.parse_expr())
+        if kind_of(value) != "open":
             raise ParseError("tuple components must be open-word expressions", pos)
-        return value.payload
-
-
-def _components(value: Value) -> tuple[FormalSum, ...]:
-    payload = value.payload
-    if isinstance(payload, Covector):
-        return payload.components
-    return payload
-
-
-def _retuple(kind: str, comps: tuple[FormalSum, ...]) -> Value:
-    if kind == "covector":
-        return Value("covector", Covector(comps))
-    return Value("section", comps)
+        return value
 
 
 # -- public parse helpers --------------------------------------------------
 
 
-def parse_value(text: str, ctx: JetContext) -> Value:
+def parse_value(text: str, ctx: JetContext):
+    """The value an expression denotes, as the library object itself: a
+    Coefficient for a scalar, a FormalSum for an open or a cyclic sum, a
+    DifferentialOperator, a Covector, or a tuple of open sums for a
+    section."""
     try:
         return Parser(text, ctx).parse_input()
     except RecursionError:
@@ -406,52 +394,47 @@ def parse_value(text: str, ctx: JetContext) -> Value:
 
 
 def parse_cyclic(text: str, ctx: JetContext) -> FormalSum:
-    value = parse_value(text, ctx)
-    if value.kind == "scalar":
-        return FormalSum.single(True, (), value.payload)
-    if value.kind == "open":
+    value = as_sum(parse_value(text, ctx), cyclic=True)
+    kind = kind_of(value)
+    if kind == "open":
         raise ParseError("expected a cyclic expression; wrap words in cyc(...)")
-    if value.kind != "cyclic":
-        raise ParseError(f"expected a cyclic expression, got {value.kind}")
-    return value.payload
-
-
-def _open_payload(value: Value) -> FormalSum:
-    """The open sum of a value; a scalar is a multiple of the empty word."""
-    if value.kind == "scalar":
-        return FormalSum.single(False, (), value.payload)
-    if value.kind != "open":
-        raise ParseError(f"expected an open-word expression, got {value.kind}")
-    return value.payload
+    if kind != "cyclic":
+        raise ParseError(f"expected a cyclic expression, got {kind}")
+    return value
 
 
 def parse_open(text: str, ctx: JetContext) -> FormalSum:
-    return _open_payload(parse_value(text, ctx))
+    value = as_sum(parse_value(text, ctx))
+    if kind_of(value) != "open":
+        raise ParseError(f"expected an open-word expression, got {kind_of(value)}")
+    return value
 
 
 def parse_operator(text: str, ctx: JetContext) -> DifferentialOperator:
     value = parse_value(text, ctx)
-    if value.kind != "operator":
-        raise ParseError(f"expected op(...), got {value.kind}")
-    return value.payload
+    if not isinstance(value, DifferentialOperator):
+        raise ParseError(f"expected op(...), got {kind_of(value)}")
+    return value
+
+
+def _parse_tuple(text: str, ctx: JetContext, name: str):
+    """A cov(...) or sec(...) value; with one field, a scalar or open-word
+    expression stands for the tuple of itself."""
+    value = parse_value(text, ctx)
+    build = _TUPLES[name]
+    if isinstance(value, build):
+        return value
+    if ctx.fields == 1 and kind_of(value) in ("scalar", "open"):
+        return build((as_sum(value),))
+    raise ParseError(f"expected {name}(...), got {kind_of(value)}")
 
 
 def parse_covector(text: str, ctx: JetContext) -> Covector:
-    value = parse_value(text, ctx)
-    if value.kind == "covector":
-        return value.payload
-    if ctx.fields == 1 and value.kind in ("scalar", "open"):
-        return Covector((_open_payload(value),))
-    raise ParseError(f"expected cov(...), got {value.kind}")
+    return _parse_tuple(text, ctx, "cov")
 
 
 def parse_section_tuple(text: str, ctx: JetContext) -> tuple[FormalSum, ...]:
-    value = parse_value(text, ctx)
-    if value.kind == "section":
-        return value.payload
-    if ctx.fields == 1 and value.kind in ("scalar", "open"):
-        return (_open_payload(value),)
-    raise ParseError(f"expected sec(...), got {value.kind}")
+    return _parse_tuple(text, ctx, "sec")
 
 
 # -- printer ---------------------------------------------------------------

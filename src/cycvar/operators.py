@@ -5,9 +5,8 @@ A term  coeff * left * D^orders(argument) * right  is the open word
 left + (slot,) + right, where the slot letter is the even letter of the
 reserved field index 0 with derivative multi-index `orders`.  An operator is
 stored as the open word sum of its terms, so the word-sum calculus serves it
-too: sums and scalings are those of the words, composing D after the
-operator is the total derivative of the words (shifting the slot letter
-raises `orders`), and multiplying by words on either side is concatenation.
+too: sums and scalings are those of the words, and multiplying by words on
+either side is concatenation.
 `terms()` reads the sum back as ((left, orders, right), coeff) pairs.
 """
 
@@ -24,7 +23,7 @@ from .words import (
     odd_count,
     word_key,
 )
-from .jets import JetContext, _horner, _prolongation, total_derivative
+from .jets import JetContext, _horner, _prolongation
 
 # Field index 0 is reserved for the argument-slot letter; real letters are
 # 1-based.
@@ -127,11 +126,6 @@ class DifferentialOperator:
         return out.finish()
 
     # -- composition building blocks ------------------------------------
-
-    def compose_derivative(self, direction: int = 1) -> "DifferentialOperator":
-        """D composed after this operator (differentiate the whole output):
-        the total derivative of the words, slot letter included."""
-        return DifferentialOperator(self.ctx, total_derivative(self.ctx, self.words, direction))
 
     def compose_left(self, words: FormalSum) -> "DifferentialOperator":
         """Left multiplication by an open-word sum, composed after this."""

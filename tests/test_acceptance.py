@@ -84,9 +84,11 @@ def test_c04_bracket_antisymmetry():
         # independent oracle: degree-2 evaluation equals the pairing form
         d_op = from_derivative(CTX)
         shift = (
-            DifferentialOperator.identity(CTX)
-            .compose_left(FormalSum.single(False, (CTX.letter(False, 1),), CTX.one()))
-            .compose_derivative(1)
+            d_op.compose(
+                DifferentialOperator.identity(CTX).compose_left(
+                    FormalSum.single(False, (CTX.letter(False, 1),), CTX.one())
+                )
+            )
             + from_derivative(CTX).compose_right(
                 FormalSum.single(False, (CTX.letter(False, 1),), CTX.one())
             )

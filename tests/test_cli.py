@@ -179,6 +179,21 @@ class TestRejectedInputs:
         rc, out, _ = run_cli("tderiv", "--order", "0", "cyc(a*a)")
         assert rc == 0 and out.strip() == "cyc(a*a)"
 
+    def test_tderiv_stops_at_the_zero_sum(self, monkeypatch):
+        # D(x) = 1 and D(1) = 0: a huge order needs only two steps
+        derivative, calls = C.total_derivative, []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 10, "tderiv kept differentiating the zero sum"
+            return derivative(*args)
+
+        monkeypatch.setattr(C, "total_derivative", counted)
+        rc, out, err = run_in_process("--output", "machine", "tderiv", "--order", "1000000000000", "x")
+        assert (rc, err) == (0, "")
+        assert out == "status: ok\nkind: open-sum\ncount: 0\n"
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_subst_check_needs_a_trial(self, trials):
         rc, out, err = run_cli("subst-check", "zero", "--trials", trials)

@@ -16,8 +16,10 @@ from cycvar.words import FormalSum, close, concat
 from cycvar.jets import JetContext
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.lang import (
+    as_sum,
     coefficient_text,
     covector_text,
+    kind_of,
     operator_text,
     parse_covector,
     parse_cyclic,
@@ -74,8 +76,8 @@ class TestLetters:
 class TestScalars:
     def test_polynomial_arithmetic(self):
         v = parse_value("3/2*x^2 - x + 1", CTX)
-        assert v.kind == "scalar"
-        assert coefficient_text(v.payload, CTX) == "1 - x + 3/2*x^2"
+        assert kind_of(v) == "scalar"
+        assert coefficient_text(v, CTX) == "1 - x + 3/2*x^2"
 
     def test_division_by_polynomial_rejected(self):
         with pytest.raises(ParseError):
@@ -85,15 +87,41 @@ class TestScalars:
 
     def test_unary_minus_chains(self):
         v = parse_value("--3", CTX)
-        assert v.payload.constant_value() == 3
+        assert v.constant_value() == 3
         v = parse_value("-+-+-3", CTX)
-        assert v.payload.constant_value() == -3
+        assert v.constant_value() == -3
 
     def test_second_direction_coordinate(self):
         v = parse_value("x2^3", CTX22)
-        assert v.payload.terms == {(0, 3): Fraction(1)}
+        assert v.terms == {(0, 3): Fraction(1)}
         with pytest.raises(ParseError):
             parse_value("x2", CTX)
+
+
+class TestValues:
+    """A parse result is the library object itself."""
+
+    @pytest.mark.parametrize(
+        "text, kind, cls",
+        [
+            ("3/2*x", "scalar", Coefficient),
+            ("a*b", "open", FormalSum),
+            ("cyc(a)", "cyclic", FormalSum),
+            ("op(D)", "operator", DifferentialOperator),
+            ("cov(a)", "covector", Covector),
+            ("sec(b)", "section", tuple),
+        ],
+    )
+    def test_kind_of(self, text, kind, cls):
+        value = parse_value(text, CTX)
+        assert isinstance(value, cls) and kind_of(value) == kind
+
+    def test_as_sum_promotes_scalars_only(self):
+        three = parse_value("3", CTX)
+        assert as_sum(three) == FormalSum.single(False, (), three)
+        assert as_sum(three, cyclic=True) == parse_cyclic("3", CTX)
+        d = parse_operator("op(D)", CTX)
+        assert as_sum(d) is d
 
 
 class TestNumberFolding:
@@ -302,6 +330,25 @@ class TestTuples:
         assert parse_covector(covector_text(p, CTX22), CTX22) == p
         s = parse_section_tuple("sec(a1; x2*a2_{x^1,1})", CTX22)
         assert parse_section_tuple(section_text(s, CTX22), CTX22) == s
+
+    def test_arithmetic_is_componentwise(self):
+        a, a_x, b = (CTX.letter(odd, 1, (k,)) for odd, k in ((False, 0), (False, 1), (True, 0)))
+
+        def word(letters, value=1, x=0):
+            coeff = CTX.x_power(1, x) if x else Coefficient.constant(value, 1)
+            return FormalSum.single(False, letters, coeff)
+
+        assert parse_covector("2*cov(a)", CTX) == Covector((word((a,), 2),))
+        assert parse_covector("cov(a) - cov(a_x)/2", CTX) == Covector(
+            (word((a,)) + word((a_x,), Fraction(-1, 2)),)
+        )
+        assert parse_section_tuple("sec(b) + sec(a*b)", CTX) == (word((b,)) + word((a, b)),)
+        assert parse_section_tuple("x*sec(a)", CTX) == (word((a,), x=1),)
+
+    def test_covector_and_section_do_not_add(self):
+        with pytest.raises(ParseError) as info:
+            parse_value("cov(a) + sec(a)", CTX)
+        assert str(info.value) == "cannot add covector and section (at column 8)"
 
 
 class TestErrors:
@@ -635,7 +682,7 @@ class TestProductChains:
         ctx = JetContext(fields=shape[0], directions=shape[1])
         text, (kind, want) = _Fold(ctx).chain(chain)
         value = parse_value(text, ctx)
-        assert (value.kind, value.payload) == (kind, want), text
+        assert (kind_of(value), value) == (kind, want), text
 
     @settings(max_examples=300, deadline=None)
     @given(SHAPES, _OP_CHAINS)

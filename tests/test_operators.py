@@ -59,7 +59,7 @@ class TestAction:
     def test_left_then_derivative_orders(self):
         # (a.) after D: multiply the derivative; D after (a.): differentiate
         # the product
-        a_then_d = word_op([A]).compose_derivative(1)
+        a_then_d = D.compose(word_op([A]))
         d_then_a = D.compose_left(opn([A]))
         p = opn([B])
         assert d_then_a.apply(p) == opn([A, BX])
@@ -109,7 +109,7 @@ class TestCompose:
             word_op([A]),
             word_op([B], side="right"),
             D3.scale(X_COEFF),
-            word_op([A, B]).compose_derivative(1),
+            D.compose(word_op([A, B])),
         ]
         probes = [opn([B]), opn([A, AX]), opn([B, BX]), opn([], 2)]
         for _ in range(12):
@@ -132,9 +132,7 @@ class TestAdjoint:
         assert word_op([A]).adjoint() == word_op([A], side="right")
 
     def test_coordinate_symbol(self):
-        xd_dx = D.scale(X_COEFF) + DifferentialOperator.identity(CTX).scale(
-            X_COEFF
-        ).compose_derivative(1)
+        xd_dx = D.scale(X_COEFF) + D.compose(DifferentialOperator.identity(CTX).scale(X_COEFF))
         assert xd_dx.adjoint() == -xd_dx
 
     def test_odd_sandwich_is_skew(self):
@@ -148,7 +146,7 @@ class TestAdjoint:
             D3,
             word_op([A, AX]),
             word_op([B]),
-            word_op([B]).compose_right(opn([B, A])).compose_derivative(1),
+            D.compose(word_op([B]).compose_right(opn([B, A]))),
             D.scale(X_COEFF) + word_op([A]),
         ]
         for op in samples:
@@ -185,7 +183,7 @@ class TestSlotSumAlgebra:
         ctx, _, ops, probes = self.draws(fields, directions)
         for op in ops:
             for d in range(1, directions + 1):
-                after = op.compose_derivative(d)
+                after = from_derivative(ctx, d).compose(op)
                 for p in probes:
                     assert after.apply(p) == total_derivative(ctx, op.apply(p), d)
 

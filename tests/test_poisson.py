@@ -48,13 +48,13 @@ def opn(letters, value=1):
 D_OP = from_derivative(CTX)
 D3_OP = from_derivative(CTX, 1, 3)
 X = Coefficient.monomial((1,), 1)
-XD_DX = D_OP.scale(X) + DifferentialOperator.identity(CTX).scale(X).compose_derivative(1)
+XD_DX = D_OP.scale(X) + D_OP.compose(DifferentialOperator.identity(CTX).scale(X))
 SHIFT_OP = (
-    DifferentialOperator.identity(CTX).compose_left(opn([A])).compose_derivative(1)
+    D_OP.compose(DifferentialOperator.identity(CTX).compose_left(opn([A])))
     + from_derivative(CTX).compose_right(opn([A]))
 )
 FAMILY = (D_OP, D3_OP, D_OP + D3_OP, XD_DX)
-NON_SKEW = DifferentialOperator.identity(CTX).compose_left(opn([A])).compose_derivative(1)
+NON_SKEW = D_OP.compose(DifferentialOperator.identity(CTX).compose_left(opn([A])))
 
 
 def witness_pool(ctx):
@@ -76,7 +76,7 @@ class TestPoissonBracket:
         assert out.density == cyc([A, A, AX], 2)
 
     def test_requires_skew(self):
-        lopsided = DifferentialOperator.identity(CTX).compose_left(opn([A])).compose_derivative(1)
+        lopsided = D_OP.compose(DifferentialOperator.identity(CTX).compose_left(opn([A])))
         with pytest.raises(PreconditionError):
             poisson_bracket(CTX, lopsided, functional([A, A]), functional([A]))
 

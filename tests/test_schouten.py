@@ -52,7 +52,7 @@ def opn(letters, value=1):
 
 D_OP = from_derivative(CTX)
 SHIFT_OP = (
-    DifferentialOperator.identity(CTX).compose_left(opn([A])).compose_derivative(1)
+    D_OP.compose(DifferentialOperator.identity(CTX).compose_left(opn([A])))
     + from_derivative(CTX).compose_right(opn([A]))
 )
 
