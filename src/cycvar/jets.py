@@ -150,6 +150,24 @@ class JetContext:
         return Coefficient.monomial(exps, value)
 
 
+def _kept(value, name: str, ctx: JetContext, compute, *args):
+    """What `value` keeps in its field `name` for the context value of
+    `ctx`: `compute(*args)`, computed on the first call under that context
+    value and kept as (context value, result).  A call under another
+    context value computes afresh and replaces the entry, so a different
+    order cap is never bypassed.  The key is the context's (fields,
+    directions, max_order), never the context itself, so nothing kept on a
+    value holds a context alive; a compute that raises keeps nothing.
+    Only intermediates are kept this way, never a decision or a result."""
+    key = (ctx.fields, ctx.directions, ctx.max_order)
+    entry = getattr(value, name)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    result = compute(*args)
+    object.__setattr__(value, name, (key, result))
+    return result
+
+
 def _check_order(order: int, cap: int) -> None:
     """Raise BoundExceeded for an order over a cap; callers pass a cap only
     when there is one.  An order or a cap longer than the interpreter
@@ -336,16 +354,18 @@ class GeneratingSection:
     have the opposite parity (the odd slot itself absorbs one parity flip).
 
     `evolutionary_apply` keeps the prolongation it computes in `_prolonged`:
-    the context it was computed under, and for each letter it met, D^orders
-    of the matching component.  A call under another context starts a new
-    table, so a different order cap is never bypassed.  Equality and `repr`
-    ignore the table.
+    for each letter it met, D^orders of the matching component, keyed by
+    the context value it was computed under (see `_kept`).  A call under
+    another context value starts a new table, so a different order cap is
+    never bypassed.  The components are not written after the section is
+    built, the rule for every sum a value is built from.  Equality and
+    `repr` ignore the table.
     """
 
     even: tuple[FormalSum, ...]
     odd: tuple[FormalSum, ...]
     parity: int
-    _prolonged: tuple[JetContext, dict[Letter, FormalSum]] | None = field(
+    _prolonged: tuple[tuple, dict[Letter, FormalSum]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -427,7 +447,7 @@ def evolutionary_apply(
     The field is a graded derivation: each letter occurrence is replaced by
     the matching component, differentiated to the letter's multi-index, with
     a sign when an odd field passes the odd part of the prefix.  Each
-    D^orders of a component is computed once per section and context and
+    D^orders of a component is computed once per section and context value and
     kept on the section (see `GeneratingSection`), so repeated calls with one
     field reuse its prolongation.  On a cyclic sum each product word's
     canonical form comes from the context's table.
@@ -441,9 +461,7 @@ def _act(
     ctx: JetContext, section: GeneratingSection, f: FormalSum, out: _Accumulator, sign: int = 1
 ) -> None:
     """Add sign times `evolutionary_apply(ctx, section, f)` into `out`."""
-    if section._prolonged is None or section._prolonged[0] != ctx:
-        object.__setattr__(section, "_prolonged", (ctx, {}))
-    table = section._prolonged[1]
+    table = _kept(section, "_prolonged", ctx, dict)
     canonical = ctx._canonical_forms.__getitem__
     add_products = out.add_products
     for w, c in f.terms.items():

@@ -23,7 +23,7 @@ from .words import (
     odd_count,
     word_key,
 )
-from .jets import JetContext, _horner, _prolongation
+from .jets import JetContext, _horner, _kept, _prolongation
 
 # Field index 0 is reserved for the argument-slot letter; real letters are
 # 1-based.
@@ -48,13 +48,19 @@ class DifferentialOperator:
     """Sum of terms  coeff * left * D^orders(argument) * right  acting on
     open-word sums, held as the open sum `words` of the words
     left + slot + right.  `left` and `right` are words; the x-dependence
-    lives in the coefficient."""
+    lives in the coefficient.
 
-    __slots__ = ("ctx", "words")
+    `is_skew` keeps its verdict in `_skew`, keyed by the value of `ctx`
+    (see `jets._kept`).  `add_term`, the one method that writes the words,
+    drops it.  No other code writes `words` once the operator is built from
+    it, the rule for every sum a value is built from."""
+
+    __slots__ = ("ctx", "words", "_skew")
 
     def __init__(self, ctx: JetContext, words: FormalSum | None = None):
         self.ctx = ctx
         self.words = FormalSum(cyclic=False) if words is None else words
+        self._skew = None
 
     @classmethod
     def identity(cls, ctx: JetContext) -> "DifferentialOperator":
@@ -62,6 +68,7 @@ class DifferentialOperator:
 
     def add_term(self, left: Word, orders, right: Word, coeff: Coefficient) -> None:
         self.words.add_word(tuple(left) + (_slot(self.ctx, orders),) + tuple(right), coeff)
+        self._skew = None
 
     def terms(self):
         """The terms as ((left, orders, right), coeff) pairs."""
@@ -113,8 +120,13 @@ class DifferentialOperator:
         first, as `jets._prolongation` does for a field's components."""
         if p.cyclic:
             raise PreconditionError("operators act on open sums")
+        return self._apply(p, {})
+
+    def _apply(self, p: FormalSum, images: dict[Letter, FormalSum]) -> FormalSum:
+        """`apply` to an open sum whose D^sigma are read from, and added to,
+        `images`, a prolongation table of `p` under this operator's context
+        value (a `Covector` keeps one per component)."""
         ctx = self.ctx
-        images: dict[Letter, FormalSum] = {}
         out = _Accumulator(False)
         for letters, c in self.words.terms.items():
             left, slot, right = _split(letters)
@@ -169,10 +181,16 @@ class DifferentialOperator:
         return DifferentialOperator(ctx, _horner(ctx, carriers).finish())
 
     def is_skew(self) -> bool:
-        return self.adjoint() == -self
+        """Whether the adjoint is minus this operator; kept in `_skew`."""
+        return _kept(self, "_skew", self.ctx, _skewness, self)
 
     def __repr__(self):
         return f"DifferentialOperator({self.sorted_terms()!r})"
+
+
+def _skewness(op: DifferentialOperator) -> bool:
+    """`is_skew`, computed afresh."""
+    return op.adjoint() == -op
 
 
 def from_derivative(ctx: JetContext, direction: int = 1, power: int = 1) -> DifferentialOperator:

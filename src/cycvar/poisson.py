@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import corpus
 from .errors import BoundExceeded, PreconditionError
 from .words import FormalSum, _Accumulator
-from .jets import JetContext, _act, evolutionary_apply, make_section, total_derivative
+from .jets import JetContext, _act, _kept, evolutionary_apply, make_section, total_derivative
 from .operators import DifferentialOperator, from_derivative
 from .variational import (
     Covector,
@@ -48,8 +48,19 @@ def _require_skew(op: DifferentialOperator) -> None:
 def hamiltonian_section(
     ctx: JetContext, op: DifferentialOperator, p: Covector
 ) -> tuple[FormalSum, ...]:
-    """Componentwise image of a covector under the operator (diagonal action)."""
-    return tuple(op.apply(comp) for comp in p.components)
+    """Componentwise image of a covector under the operator (diagonal
+    action).  Each D^sigma of a component is read from, or added to, the
+    prolongation tables the covector keeps for the value of the operator's
+    context (see `Covector`), so a covector met again is not prolonged
+    again."""
+    tables = _kept(p, "_prolonged", op.ctx, _new_tables, p)
+    return tuple(op._apply(comp, table) for comp, table in zip(p.components, tables))
+
+
+def _new_tables(p: Covector) -> tuple[dict, ...]:
+    """A covector's prolongation tables under a new context value: one empty
+    table per component."""
+    return tuple({} for _ in p.components)
 
 
 def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, covectors):
@@ -118,17 +129,17 @@ def jacobi_defect_expanded(
     """Independent route to the Jacobi defect: the alternating sum over all
     orderings of flowing one half-pairing along the operator image of the
     third covector.  Agrees with `jacobi_defect` up to a total divergence
-    when the covectors are the variations of the functionals."""
+    when the covectors are the variations of the functionals.  Each
+    covector's image and flow section is computed once for all six
+    orderings."""
     _require_skew(op)
+    images = [hamiltonian_section(ctx, op, p) for p in covectors]
+    flows = [make_section(ctx, even=image, parity=0) for image in images]
     total = _Accumulator(True)
     # the sign of each permutation, in `permutations` order
-    for perm, sign in zip(itertools.permutations((0, 1, 2)), (1, -1, -1, 1, 1, -1)):
-        p1, p2, p3 = (covectors[i] for i in perm)
-        half = coupling(ctx, p1, hamiltonian_section(ctx, op, p2)).scale(
-            Fraction(1, 2)
-        )
-        flow = make_section(ctx, even=hamiltonian_section(ctx, op, p3), parity=0)
-        _act(ctx, flow, half, total, sign)
+    for (i, j, k), sign in zip(itertools.permutations((0, 1, 2)), (1, -1, -1, 1, 1, -1)):
+        half = coupling(ctx, covectors[i], images[j]).scale(Fraction(1, 2))
+        _act(ctx, flows[k], half, total, sign)
     return total.finish()
 
 

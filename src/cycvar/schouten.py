@@ -12,6 +12,7 @@ from .words import FormalSum, _Accumulator
 from .jets import (
     GeneratingSection,
     JetContext,
+    _kept,
     evolutionary_apply,
     graded_commutator,
     make_section,
@@ -27,13 +28,15 @@ class Multivector:
 
     It stores the density alone: `bivector_operator` extracts the one-slot
     operator of a degree-2 multivector on request.  `q_field` keeps its
-    result in `_field`, which equality and `repr` ignore.
+    result in `_field`, keyed by the context value it was computed under
+    (see `jets._kept`), which equality and `repr` ignore.  The density is
+    not written after the multivector is built.
     """
 
     ctx: JetContext
     degree: int
     density: FormalSum
-    _field: tuple[JetContext, GeneratingSection] | None = field(
+    _field: tuple[tuple, GeneratingSection] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -122,15 +125,17 @@ def q_field(ctx: JetContext, mv: Multivector) -> GeneratingSection:
     the right variation along the odd letters (negated), odd components from
     the variation along the position letters.
 
-    Computed once per multivector and context and kept on `mv`; the field
-    depends only on the class of the density up to total divergences."""
-    if mv._field is not None and mv._field[0] == ctx:
-        return mv._field[1]
+    Computed once per multivector and context value and kept on `mv` (see
+    `Multivector`); the field depends only on the class of the density up
+    to total divergences."""
+    return _kept(mv, "_field", ctx, _field_of, ctx, mv)
+
+
+def _field_of(ctx: JetContext, mv: Multivector) -> GeneratingSection:
+    """`q_field`, computed afresh."""
     even = tuple(-v for v in variations(ctx, mv.density, odd_kind=True, side="right"))
     odd = variations(ctx, mv.density, odd_kind=False)
-    section = make_section(ctx, even=even, odd=odd, parity=(mv.degree - 1) % 2)
-    object.__setattr__(mv, "_field", (ctx, section))
-    return section
+    return make_section(ctx, even=even, odd=odd, parity=(mv.degree - 1) % 2)
 
 
 def schouten_bracket(ctx: JetContext, xi: Multivector, eta: Multivector) -> Multivector:

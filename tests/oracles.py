@@ -229,8 +229,9 @@ def reference_jacobi_terms(ctx: JetContext, op: DifferentialOperator, hs) -> lis
     """The three nested brackets {{h_a, h_b}, h_c} of the Jacobi cyclic sum
     over (a, b, c) = (0, 1, 2), (1, 2, 0), (2, 0, 1), for one triple of
     functionals: each inner bracket's covector is computed from the
-    covectors and operator images of its own arguments."""
-    ps = [covector_of(ctx, h) for h in hs]
+    covectors and operator images of its own arguments, never read from
+    what a functional keeps."""
+    ps = [covector_of(ctx, h.density) for h in hs]
     images = [tuple(op.apply(c) for c in p.components) for p in ps]
     return [
         coupling(ctx, covector_of(ctx, coupling(ctx, ps[a], images[b])), images[c])

@@ -22,7 +22,7 @@ from cycvar.jets import (
     total_derivative,
 )
 from cycvar.lang import letter_text, parse_cyclic, parse_open, parse_operator
-from cycvar.poisson import is_hamiltonian, jacobi_defect
+from cycvar.poisson import is_hamiltonian, jacobi_defect, poisson_bracket
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.schouten import normalize_multivector, q_field
 from cycvar.variational import Covector, Functional, coupling, euler_derivative, variations
@@ -578,6 +578,14 @@ class TestWordTables:
         assert calls == []
 
 
+def _bracket_keeps_covectors(ctx):
+    """A `poisson_bracket` of two functionals that then keep their
+    covectors; whether they do."""
+    f, g = (Functional(ctx, parse_cyclic(text, ctx)) for text in ("cyc(a*a_x*a_x)", "cyc(a*a*a)"))
+    poisson_bracket(ctx, parse_operator("op(a*D + D*R(a))", ctx), f, g)
+    return f._covector is not None and g._covector is not None
+
+
 class TestContextLifetime:
     """No table or cache that the library keeps on a context holds the
     context, and nothing it keeps elsewhere outlives the call, so a context
@@ -599,6 +607,13 @@ class TestContextLifetime:
         "apply": lambda ctx: parse_operator("op(a*D + D*R(a))", ctx).apply(parse_open("a*a_x", ctx)),
         "normalize_multivector": lambda ctx: normalize_multivector(ctx, parse_cyclic("cyc(a*b*b_x)", ctx), 2),
         "is_hamiltonian": lambda ctx: is_hamiltonian(ctx, parse_operator("op(a*D + D*R(a))", ctx)).witness,
+        # a rejection leaves prolongation tables on the pool's covectors,
+        # which the context keeps
+        "is_hamiltonian-pool-prolonged": lambda ctx: (
+            not is_hamiltonian(ctx, parse_operator("op(a*a*D + D*R(a*a))", ctx)).hamiltonian
+            and any(p._prolonged is not None for _, p in ctx._witness_pool)
+        ),
+        "poisson_bracket-kept-covectors": lambda ctx: _bracket_keeps_covectors(ctx),
         "jacobi_defect": lambda ctx: jacobi_defect(
             ctx,
             parse_operator("op(a*D + D*R(a))", ctx),

@@ -9,12 +9,12 @@ import cycvar.poisson as P
 from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import Coefficient, FormalSum
-from cycvar.jets import JetContext
+from cycvar.jets import JetContext, d_power
 from cycvar.lang import parse_operator
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.selftest import hamiltonian_family
 from cycvar.schouten import multivector_from_operator, normalize_multivector, schouten_bracket
-from cycvar.variational import Functional, coupling, covector_of, is_trivial
+from cycvar.variational import Covector, Functional, coupling, covector_of, is_trivial
 from cycvar.poisson import (
     IDENTITY_NAMES,
     involutivity_witness,
@@ -407,6 +407,108 @@ class TestJacobiDefectReference:
             assert got == reference_jacobi_defect(ctx, op, hs)
             nonzero += not got.is_zero()
         assert nonzero >= 2
+
+
+def _outcome(call):
+    """What `call()` returns, or BoundExceeded if the order cap stops it."""
+    try:
+        return call()
+    except BoundExceeded:
+        return BoundExceeded
+
+
+class TestKeptValues:
+    """A functional keeps its covector, a covector one prolongation table
+    per component under the value of an operator's context, and an operator
+    its skewness verdict.  Each must equal a fresh computation; a capped
+    context must stop exactly where it stops a fresh value, whichever
+    context used the value first; and `add_term` must drop a kept
+    verdict."""
+
+    SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+    @staticmethod
+    def draws(ctx, seed):
+        """Seeded functionals, covectors, and operators both skew and not."""
+        rng = random.Random(seed)
+        functionals = [corpus.functional(rng, ctx) for _ in range(6)]
+        covectors = [corpus.covector(rng, ctx) for _ in range(6)]
+        ops = [corpus.operator(rng, ctx, terms=1, max_word=1) for _ in range(3)]
+        return functionals, covectors, ops + [op - op.adjoint() for op in ops]
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_kept_equals_fresh(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        functionals, covectors, ops = self.draws(ctx, 850 + 10 * fields + directions)
+        for f in functionals:
+            kept = covector_of(ctx, f)
+            assert covector_of(ctx, f) is kept
+            assert kept == covector_of(ctx, f.density) == covector_of(ctx, Functional(ctx, f.density))
+        prolonged = 0
+        for op in ops:
+            for p in covectors:
+                fresh = tuple(op.apply(c) for c in p.components)
+                for _ in ("filling the tables", "reading them"):
+                    assert P.hamiltonian_section(ctx, op, p) == fresh
+                for comp, table in zip(p.components, p._prolonged[1]):
+                    for slot, value in table.items():
+                        assert value == d_power(ctx, comp, slot.orders)
+                        prolonged += bool(slot.order and value)
+        assert prolonged
+        verdicts = []
+        for op in ops:
+            verdict = op.is_skew()
+            assert op.is_skew() is verdict
+            assert verdict == (op.adjoint() == -op) == DifferentialOperator(ctx, op.words).is_skew()
+            verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_cap_stops_where_it_stops_a_fresh_value(self, fields, directions):
+        """Each value is used under the uncapped and a capped context in
+        turn, starting with either; every call must give what a fresh
+        computation gives under that context."""
+        free = JetContext(fields=fields, directions=directions)
+        functionals, covectors, ops = self.draws(free, 870 + 10 * fields + directions)
+        turns = ((0, 1, 0, 1), (1, 0, 1, 0))
+        stopped = set()
+        for cap in range(5):
+            capped = JetContext(fields=fields, directions=directions, max_order=cap)
+            ctxs = (free, capped)
+            for f in functionals:
+                want = [_outcome(lambda: covector_of(c, f.density)) for c in ctxs]
+                for turn in turns:
+                    kept = Functional(free, f.density)
+                    for i in turn:
+                        assert _outcome(lambda: covector_of(ctxs[i], kept)) == want[i]
+                stopped.add(want[1] is BoundExceeded)
+            for op in ops:
+                sides = (op, DifferentialOperator(capped, op.words))
+                for p in covectors:
+                    want = [_outcome(lambda: tuple(o.apply(c) for c in p.components)) for o in sides]
+                    for turn in turns:
+                        kept = Covector(p.components)
+                        for i in turn:
+                            got = _outcome(lambda: P.hamiltonian_section(sides[i].ctx, sides[i], kept))
+                            assert got == want[i]
+                    stopped.add(want[1] is BoundExceeded)
+        assert stopped == {True, False}
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_add_term_drops_the_verdict(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        _, _, ops = self.draws(ctx, 890 + 10 * fields + directions)
+        verdicts = []
+        for skew in ops[3:]:
+            built = DifferentialOperator(ctx)
+            for (left, orders, right), c in skew.terms():
+                built.is_skew()
+                built.add_term(left, orders, right, c)
+                verdict = built.is_skew()
+                assert verdict == DifferentialOperator(ctx, built.words).is_skew()
+                verdicts.append(verdict)
+            assert built.is_skew()
+        assert set(verdicts) == {True, False}
 
 
 class TestSkewCheckedAtEveryEntry:
