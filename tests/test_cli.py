@@ -324,14 +324,68 @@ class TestPlumbing:
         assert rc == 4 and "cap" in err
 
     def test_usage_error_exit_code(self):
+        subst_metavar = "{zero|adjoint-pairing|jacobi-flow|bivector-alternation}"
         for args, message in [
             (("no-such-command",), "No such command 'no-such-command'."),
             (("normalize", "a", "b"), "Got unexpected extra argument (b)"),
             (("--output", "machine"), "Missing command."),
+            (("normalize",), "Missing argument 'EXPR'."),
+            (("times", "a"), "Missing argument 'RIGHT'."),
+            (("normalize", "--ordr", "1", "x"), "No such option '--ordr'."),
+            (("tderiv", "--order", "abc", "x"),
+             "Invalid value for '--order': 'abc' is not a valid integer."),
+            (("euler", "--side", "up", "x"),
+             "Invalid value for '--side': 'up' is not one of 'left', 'right'."),
+            (("--output", "fancy", "normalize", "x"),
+             "Invalid value for '--output': 'fancy' is not one of 'pretty', 'machine'."),
+            (("subst-check", "nope"),
+             f"Invalid value for '{subst_metavar}': 'nope' is not one of 'zero',"
+             " 'adjoint-pairing', 'jacobi-flow', 'bivector-alternation'."),
+            (("--m",), "Option '--m' requires an argument."),
+            (("is-hamiltonian", "--witness=1", "op(D)"), "Option '--witness' does not take a value."),
+            (("jacobi", "op(D)", "a", "b"), "Argument 'functionals' takes 3 values."),
+            (("jacobi", "op(D)", "a", "--help"), "Argument 'functionals' takes 3 values."),
+            (("subst-check",), f"Missing argument '{subst_metavar}'. Choose from:\n\tzero,"
+             "\n\tadjoint-pairing,\n\tjacobi-flow,\n\tbivector-alternation"),
+            (("normalize", "a", "b", "c"), "Got unexpected extra arguments (b c)"),
+            (("normalize", "-xy"), "No such option '-x'."),
+            (("normalise", "x"), "No such command 'normalise'. Did you mean 'normalize'?"),
+            (("selftest", "--suite", "1"), "No such option '--suite'. Did you mean '--suites'?"),
+            (("is-hamiltonian", "--witnes", "3", "x"), "No such option '--witnes'. (Did you mean"
+             " one of: '--no-witness', '--witness', '--witness-budget'?)"),
+            # options are read in the order given, before the arguments
+            (("tderiv", "--direction", "y", "--order", "x"),
+             "Invalid value for '--direction': 'y' is not a valid integer."),
+            # the settings are checked before the command reads its own
+            (("--m", "0", "normalize", "--help"), "--m must be at least 1"),
         ]:
-            rc, out, err = run_cli(*args)
-            assert rc == 2 and out == ""
+            rc, out, err = run_in_process(*args)
+            assert (rc, out) == (2, ""), args
             assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, wanted",
+        [
+            (("--output=machine", "normalize", "cyc(a)"),
+             "status: ok\nkind: cyclic-sum\ncount: 1\nterm: 1 | a\n"),
+            # options may follow the positional arguments
+            (("tderiv", "cyc(a*a_x)", "--order", "2"), "cyc(a*a_xxx) + 3*cyc(a_x*a_xx)\n"),
+        ],
+    )
+    def test_option_spellings(self, args, wanted):
+        assert run_in_process(*args) == (0, wanted, "")
+
+    def test_help_is_eager(self):
+        page = run_in_process("normalize", "--help")
+        assert page[1].startswith("Usage: cycvar normalize [OPTIONS] EXPR\n")
+        assert run_in_process("normalize", "--help", "extra") == page == (0, page[1], "")
+
+    def test_ctrl_c_exits_130(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(C, "parse_value", interrupted)
+        assert run_in_process("normalize", "cyc(a)") == (130, "", "\n")
 
     def test_batch_file(self, tmp_path):
         batch = tmp_path / "batch.txt"
