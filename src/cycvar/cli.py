@@ -5,22 +5,32 @@ in exact rational arithmetic, and prints either human-oriented text (pretty)
 or stable line-oriented records (machine).  Machine output is deterministic:
 identical invocations produce identical bytes.
 
+The command line is read by a small dispatcher on the standard library.
+One table, `COMMANDS`, gives each command its function, its positional
+arguments and its options; the parser and the help pages both read it.
+Options go before or after the arguments, as `--opt value` or
+`--opt=value`; `--` ends them, and `--help` wins over any later error.
+Usage errors and help pages have a fixed wording and an 80-column layout,
+so what a script or a golden transcript reads does not depend on the
+terminal width or the Python version.
+
 Exit codes: 0 success, 1 malformed expression, 2 violated precondition or
 command-line usage error, 3 failed identity check (selftest, subst-check),
-4 exceeded configured bound.
+4 exceeded configured bound, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-
-import click
+from typing import Callable, NamedTuple
 
 from .errors import CycvarError, IdentityFailure, ParseError, PreconditionError
 from .words import FormalSum, times
@@ -292,9 +302,9 @@ class Session:
         lines = itertools.chain(head, _KINDS[kind][self.machine](*payload))
         if kind == "selftest":
             for line in lines:
-                click.echo(line)
+                print(line, flush=True)
         else:
-            click.echo("\n".join(lines))
+            print("\n".join(lines))
 
 
 def _expand(arg: str) -> list[str]:
@@ -326,40 +336,64 @@ def _expand_one(arg: str) -> str:
 
 
 # -- commands --------------------------------------------------------------
+#
+# Each command is a plain function of the session and its parameters, and
+# `command` enters it in COMMANDS with its arguments and options.
 
 
-class _Integer(click.types.IntParamType):
-    """click's INTEGER, naming a digit string too long for int() by its length."""
+class Argument(NamedTuple):
+    """A positional argument: `nargs` values (-1: all that remain), each one
+    of `choices` when given."""
 
-    def convert(self, value, param, ctx):
-        try:
-            return super().convert(value, param, ctx)
-        except click.BadParameter:
-            digits = str(value).strip().lstrip("+-")
-            if not digits.isdecimal():
-                raise
-            self.fail(f"number with {len(digits)} digits is too long", param, ctx)
+    name: str
+    nargs: int = 1
+    choices: tuple[str, ...] = ()
 
-
-@click.group(name="cycvar")
-@click.option("--m", type=_Integer(), default=None, help="Letter families per parity (default 1).")
-@click.option("--n", type=_Integer(), default=None, help="Base directions (default 1).")
-@click.option("--max-order", type=_Integer(), default=None, help="Cap on derivative orders; exceeding it exits 4.")
-@click.option("--seed", type=_Integer(), default=None, help="Seed for randomized commands (default 0).")
-@click.option("--output", type=click.Choice(["pretty", "machine"]), default=None, help="Output style (default pretty).")
-@click.option("--config", "config_path", type=str, default=None, help="JSON file with defaults for m, n, max_order, seed, output.")
-@click.pass_context
-def cli(click_ctx, config_path, **flags):
-    """Exact calculus on cyclic words: normal forms, products, variational
-    derivatives, adjoints, graded brackets, and Hamiltonian checks."""
-    settings = {} if config_path is None else _load_config(config_path)
-    settings.update((key, value) for key, value in flags.items() if value is not None)
-    click_ctx.obj = Session(**settings)
+    @property
+    def metavar(self) -> str:
+        var = "{" + "|".join(self.choices) + "}" if self.choices else self.name.upper()
+        if self.nargs < 0:
+            var = f"[{var}]"
+        return var if self.nargs == 1 else var + "..."
 
 
-@cli.command()
-@click.argument("expr")
-@click.pass_obj
+class Option(NamedTuple):
+    """`--name VALUE`, its value an int, a str or one of a tuple of choices;
+    `kind` bool makes the flag pair `--name/--no-name`."""
+
+    name: str
+    kind: object = str
+    default: object = None
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    run: Callable
+    arguments: tuple[Argument, ...]
+    options: tuple[Option, ...]
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name: str, *params):
+    """Enter the decorated function in COMMANDS; a str parameter names a
+    one-value argument."""
+    arguments = tuple(Argument(p) if isinstance(p, str) else p for p in params if not isinstance(p, Option))
+    options = tuple(p for p in params if isinstance(p, Option))
+
+    def enter(run):
+        COMMANDS[name] = Command(run, arguments, options)
+        return run
+
+    return enter
+
+
+@command("normalize", "expr")
 def normalize(session, expr):
     """Parse any expression and print its canonical form.
 
@@ -373,10 +407,7 @@ def normalize(session, expr):
         session.emit("sum" if kind in ("open", "cyclic") else kind, value, ctx)
 
 
-@cli.command("times")
-@click.argument("left")
-@click.argument("right")
-@click.pass_obj
+@command("times", "left", "right")
 def times_cmd(session, left, right):
     """Multiply two cyclic sums with the closed product."""
     ctx = session.ctx
@@ -385,11 +416,11 @@ def times_cmd(session, left, right):
     session.emit("sum", times(f, g), ctx)
 
 
-@cli.command()
-@click.argument("expr")
-@click.option("--direction", type=_Integer(), default=1, show_default=True)
-@click.option("--order", type=_Integer(), default=1, show_default=True, help="How many times to differentiate.")
-@click.pass_obj
+@command(
+    "tderiv", "expr",
+    Option("--direction", int, 1),
+    Option("--order", int, 1, "How many times to differentiate."),
+)
 def tderiv(session, expr, direction, order):
     """Total derivative of a word sum (cyclic or open).  Supports @FILE."""
     if order < 0:
@@ -407,8 +438,6 @@ def tderiv(session, expr, direction, order):
 
 
 def _parse_family(wrt: str, ctx: JetContext) -> tuple[bool, int]:
-    import re
-
     m = re.fullmatch(r"([ab])([0-9]*)", wrt)
     if m is None:
         raise ParseError(f"--wrt expects a letter family like a, b, a2; got {wrt!r}")
@@ -418,11 +447,11 @@ def _parse_family(wrt: str, ctx: JetContext) -> tuple[bool, int]:
     return m.group(1) == "b", index
 
 
-@cli.command()
-@click.argument("expr")
-@click.option("--wrt", default="a", show_default=True, help="Letter family: a, b, a2, b3, ...")
-@click.option("--side", type=click.Choice(["left", "right"]), default="left", show_default=True)
-@click.pass_obj
+@command(
+    "euler", "expr",
+    Option("--wrt", str, "a", "Letter family: a, b, a2, b3, ..."),
+    Option("--side", ("left", "right"), "left"),
+)
 def euler(session, expr, wrt, side):
     """Variational derivative of a cyclic sum along one letter family.
 
@@ -435,9 +464,7 @@ def euler(session, expr, wrt, side):
         session.emit("sum", euler_derivative(ctx, f, odd_kind, index, side=side), ctx)
 
 
-@cli.command("is-trivial")
-@click.argument("expr")
-@click.pass_obj
+@command("is-trivial", "expr")
 def is_trivial_cmd(session, expr):
     """Decide whether a cyclic sum is a total divergence.  Supports @FILE."""
     ctx = session.ctx
@@ -445,9 +472,7 @@ def is_trivial_cmd(session, expr):
         session.emit("decision", is_trivial(ctx, parse_cyclic(text, ctx)))
 
 
-@cli.command()
-@click.argument("expr")
-@click.pass_obj
+@command("adjoint", "expr")
 def adjoint(session, expr):
     """Adjoint of an operator with respect to the closed pairing.
 
@@ -458,10 +483,7 @@ def adjoint(session, expr):
         session.emit("operator", parse_operator(text, ctx).adjoint(), ctx)
 
 
-@cli.command()
-@click.argument("covector")
-@click.argument("section")
-@click.pass_obj
+@command("couple", "covector", "section")
 def couple(session, covector, section):
     """Closed pairing of a covector with a section (componentwise, summed)."""
     ctx = session.ctx
@@ -470,9 +492,7 @@ def couple(session, covector, section):
     session.emit("sum", coupling(ctx, p, v), ctx)
 
 
-@cli.command()
-@click.argument("expr")
-@click.pass_obj
+@command("qfield", "expr")
 def qfield(session, expr):
     """Generating section of the odd flow attached to a cyclic density.
 
@@ -484,10 +504,7 @@ def qfield(session, expr):
         session.emit("generating-section", q_field(ctx, mv), ctx)
 
 
-@cli.command()
-@click.argument("first")
-@click.argument("second")
-@click.pass_obj
+@command("schouten", "first", "second")
 def schouten(session, first, second):
     """Graded bracket of two multivector densities (cyclic sums)."""
     ctx = session.ctx
@@ -498,10 +515,7 @@ def schouten(session, first, second):
     session.emit("sum", out.density, ctx, [("degree", out.degree)])
 
 
-@cli.command("evaluate")
-@click.argument("expr")
-@click.argument("covectors", nargs=-1)
-@click.pass_obj
+@command("evaluate", "expr", Argument("covectors", nargs=-1))
 def evaluate_cmd(session, expr, covectors):
     """Evaluate a degree-k multivector density on k covectors."""
     ctx = session.ctx
@@ -510,11 +524,7 @@ def evaluate_cmd(session, expr, covectors):
     session.emit("sum", evaluate_multivector(ctx, mv, covs).density, ctx)
 
 
-@cli.command()
-@click.argument("operator")
-@click.argument("first")
-@click.argument("second")
-@click.pass_obj
+@command("poisson", "operator", "first", "second")
 def poisson(session, operator, first, second):
     """Bracket of two functionals induced by a skew operator."""
     ctx = session.ctx
@@ -524,10 +534,7 @@ def poisson(session, operator, first, second):
     session.emit("sum", poisson_bracket(ctx, op, f, g).density, ctx)
 
 
-@cli.command()
-@click.argument("operator")
-@click.argument("functionals", nargs=3)
-@click.pass_obj
+@command("jacobi", "operator", Argument("functionals", nargs=3))
 def jacobi(session, operator, functionals):
     """Cyclic Jacobi defect of three functionals under a skew operator."""
     ctx = session.ctx
@@ -539,27 +546,23 @@ def jacobi(session, operator, functionals):
     session.emit("sum", out.density, ctx, [("trivial", _true(out.is_trivial()))])
 
 
-@cli.command("is-hamiltonian")
-@click.argument("operator")
-@click.option("--witness/--no-witness", "find_witness", default=True, show_default=True, help="Search for a functional triple breaking Jacobi on a negative verdict.")
-@click.option("--witness-budget", type=_Integer(), default=200, show_default=True)
-@click.pass_obj
-def is_hamiltonian_cmd(session, operator, find_witness, witness_budget):
+@command(
+    "is-hamiltonian", "operator",
+    Option("--witness", bool, True, "Search for a functional triple breaking Jacobi on a negative verdict."),
+    Option("--witness-budget", int, 200),
+)
+def is_hamiltonian_cmd(session, operator, witness, witness_budget):
     """Decide whether a skew operator is Hamiltonian.  Supports @FILE."""
     ctx = session.ctx
     for text in _expand(operator):
         cert = is_hamiltonian(
             ctx, parse_operator(text, ctx),
-            find_witness=find_witness, witness_budget=witness_budget,
+            find_witness=witness, witness_budget=witness_budget,
         )
         session.emit("certificate", cert, ctx)
 
 
-@cli.command()
-@click.argument("operator")
-@click.argument("first")
-@click.argument("second")
-@click.pass_obj
+@command("witness", "operator", "first", "second")
 def witness(session, operator, first, second):
     """Componentwise closure residual of an operator on two fixed covectors;
     all components vanish when the operator is Hamiltonian."""
@@ -570,18 +573,18 @@ def witness(session, operator, first, second):
     session.emit("witness", involutivity_witness(ctx, op, p1, p2), ctx)
 
 
-@cli.command("subst-check")
-@click.argument("identity", type=click.Choice(IDENTITY_NAMES))
-@click.option("--trials", type=_Integer(), default=25, show_default=True)
-@click.option("--covectors", "covector_class", type=click.Choice(["jet", "x"]), default="jet", show_default=True, help="Draw jet-dependent or coordinate-only arguments.")
-@click.option("--op", "operator", default=None, help="Operator to probe (default op(D)).")
-@click.pass_obj
-def subst_check(session, identity, trials, covector_class, operator):
+@command(
+    "subst-check", Argument("identity", choices=IDENTITY_NAMES),
+    Option("--trials", int, 25),
+    Option("--covectors", ("jet", "x"), "jet", "Draw jet-dependent or coordinate-only arguments."),
+    Option("--op", str, None, "Operator to probe (default op(D))."),
+)
+def subst_check(session, identity, trials, covectors, op):
     """Run one structural identity on freshly drawn random arguments."""
     ctx = session.ctx
-    op = None if operator is None else parse_operator(_expand_one(operator), ctx)
+    operator = None if op is None else parse_operator(_expand_one(op), ctx)
     result = substitution_harness(
-        ctx, identity, trials, session.seed, covector_class, op
+        ctx, identity, trials, session.seed, covectors, operator
     )
     session.emit("report", result, session.seed)
     if not result.passed:
@@ -589,19 +592,17 @@ def subst_check(session, identity, trials, covector_class, operator):
         raise IdentityFailure(f"{failed} of {len(result.reports)} trials failed")
 
 
-@cli.command()
-@click.option("--suites", "only", default=None, help="Comma-separated suite numbers to run (default: all).")
-@click.pass_obj
-def selftest(session, only):
+@command("selftest", Option("--suites", str, None, "Comma-separated suite numbers to run (default: all)."))
+def selftest(session, suites):
     """Run the built-in identity suites and report one line per suite."""
     chosen = list(range(1, len(SUITES) + 1))
-    if only is not None:
+    if suites is not None:
         try:
-            chosen = sorted({int(part) for part in only.split(",") if part.strip()})
+            chosen = sorted({int(part) for part in suites.split(",") if part.strip()})
         except ValueError as exc:
-            raise ParseError(f"--suites expects numbers like 1,3,9: {only!r}") from exc
+            raise ParseError(f"--suites expects numbers like 1,3,9: {suites!r}") from exc
         if not chosen:
-            raise ParseError(f"--suites names no suite: {only!r}")
+            raise ParseError(f"--suites names no suite: {suites!r}")
         bad = [n for n in chosen if not 1 <= n <= len(SUITES)]
         if bad:
             raise ParseError(f"no such suite: {bad[0]} (valid: 1..{len(SUITES)})")
@@ -623,30 +624,263 @@ def selftest(session, only):
         )
 
 
-def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        cli.main(args=argv, prog_name="cycvar", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.exceptions.Abort:
-        sys.exit(130)
-    except click.UsageError as exc:
-        # with no arguments at all, newer click versions raise the help page
-        # as a usage error; it is shown whole
-        if argv:
-            click.echo(f"error: {exc.format_message()}", err=True)
+# -- the dispatcher ----------------------------------------------------------
+
+ABOUT = """Exact calculus on cyclic words: normal forms, products, variational
+derivatives, adjoints, graded brackets, and Hamiltonian checks."""
+
+GLOBAL_OPTIONS = (
+    Option("--m", int, help="Letter families per parity (default 1)."),
+    Option("--n", int, help="Base directions (default 1)."),
+    Option("--max-order", int, help="Cap on derivative orders; exceeding it exits 4."),
+    Option("--seed", int, help="Seed for randomized commands (default 0)."),
+    Option("--output", ("pretty", "machine"), help="Output style (default pretty)."),
+    Option("--config", str, help="JSON file with defaults for m, n, max_order, seed, output."),
+)
+
+
+class UsageError(CycvarError):
+    """The command line does not fit the command table."""
+
+
+def _no_such(what: str, name: str, known) -> UsageError:
+    """`No such command 'x'.` or `No such option '--x'.`, naming the close
+    matches among `known`."""
+    from difflib import get_close_matches
+
+    close = sorted(get_close_matches(name, known))
+    hint = ", ".join(map(repr, close))
+    if len(close) > 1:
+        hint = f" (Did you mean one of: {hint}?)"
+    elif close:
+        hint = f" Did you mean {hint}?"
+    return UsageError(f"No such {what} {name!r}.{hint}")
+
+
+def _split(argv: list[str], options, interspersed: bool):
+    """Read the options out of `argv`: (raw values by option, in the order
+    first given, the last given winning; the positional arguments; whether
+    --help was given).  `--` ends the options, and so does the first
+    positional argument unless `interspersed`."""
+    by_name = {o.name: o for o in options}
+    by_name.update((f"--no-{o.name[2:]}", o) for o in options if o.kind is bool)
+    given, positional, wants_help = {}, [], False
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":
+            positional.extend(args)
+        elif arg[:1] != "-" or arg == "-":
+            positional.append(arg)
+            if not interspersed:
+                positional.extend(args)
+        elif arg[:2] != "--":
+            raise UsageError(f"No such option {arg[:2]!r}.")
         else:
-            exc.show()
-        sys.exit(2)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
+            name, eq, value = arg.partition("=")
+            option = by_name.get(name)
+            if option is None and name != "--help":
+                raise _no_such("option", name, [*by_name, "--help"])
+            if option is None or option.kind is bool:
+                if eq:
+                    raise UsageError(f"Option {name!r} does not take a value.")
+                if option is None:
+                    wants_help = True
+                    continue
+                value = name == option.name
+            elif not eq:
+                value = next(args, None)
+                if value is None:
+                    raise UsageError(f"Option {name!r} requires an argument.")
+            given[option] = value
+    return given, positional, wants_help
+
+
+def _convert(option: Option, value):
+    """The typed value of one option, or a usage error naming it."""
+    if option.kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            digits = value.strip()
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            if digits.isdecimal():  # int() refuses this many digits
+                problem = f"number with {len(digits)} digits is too long"
+            else:
+                problem = f"{value!r} is not a valid integer."
+    elif isinstance(option.kind, tuple) and value not in option.kind:
+        problem = f"{value!r} is not one of {', '.join(map(repr, option.kind))}."
+    else:
+        return value
+    raise UsageError(f"Invalid value for '{option.name}': {problem}")
+
+
+def _options(given: dict, options) -> dict:
+    """Keyword values of `options`: converted in the order given, then the
+    defaults of those not given."""
+    values = {option.dest: _convert(option, value) for option, value in given.items()}
+    for option in options:
+        values.setdefault(option.dest, option.default)
+    return values
+
+
+def _read_globals(argv: list[str]):
+    """The global options of `argv`, converted, and the rest of `argv`."""
+    given, rest, wants_help = _split(argv, GLOBAL_OPTIONS, interspersed=False)
+    if wants_help:
+        print(_main_help())
+        raise SystemExit(0)
+    return {o.dest: _convert(o, value) for o, value in given.items()}, rest
+
+
+def _read_command(name: str, command: Command, argv: list[str]) -> dict:
+    """The keyword arguments for `command.run` from the command's `argv`."""
+    given, positional, wants_help = _split(argv, command.options, interspersed=True)
+    taken = {}
+    for argument in command.arguments:
+        if argument.nargs < 0:
+            taken[argument], positional = tuple(positional), []
+        elif argument.nargs == 1:
+            taken[argument], positional = positional[:1], positional[1:]
+        else:
+            taken[argument], positional = tuple(positional[:argument.nargs]), positional[argument.nargs:]
+            if 0 < len(taken[argument]) < argument.nargs:
+                raise UsageError(f"Argument {argument.name!r} takes {argument.nargs} values.")
+    if wants_help:
+        print(_command_help(name, command))
+        raise SystemExit(0)
+    values = _options(given, command.options)
+    for argument, value in taken.items():
+        if not value and argument.nargs >= 0:
+            problem = f"Missing argument '{argument.metavar}'."
+            if argument.choices:
+                problem += " Choose from:\n\t" + ",\n\t".join(argument.choices)
+            raise UsageError(problem)
+        if argument.nargs == 1:
+            (value,) = value
+            if argument.choices and value not in argument.choices:
+                raise UsageError(
+                    f"Invalid value for '{argument.metavar}': {value!r} is not one of"
+                    f" {', '.join(map(repr, argument.choices))}."
+                )
+        values[argument.name] = value
+    if positional:
+        s = "s" if len(positional) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(positional)})")
+    return values
+
+
+def main(argv=None):
+    """Run one `cycvar` command line (default: `sys.argv[1:]`) and end with
+    SystemExit carrying the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        if not argv:
+            print(_main_help(), file=sys.stderr)
+            raise SystemExit(2)
+        settings, rest = _read_globals(argv)
+        if not rest:
+            raise UsageError("Missing command.")
+        name, *args = rest
+        command = COMMANDS.get(name)
+        if command is None:
+            if name[:1] == "-":  # an option after `--` is read as one after all
+                _read_globals(rest)
+            raise _no_such("command", name, COMMANDS)
+        config = settings.pop("config", None)
+        session = Session(**{**({} if config is None else _load_config(config)), **settings})
+        command.run(session, **_read_command(name, command, args))
     except CycvarError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exc.exit_code)
-    sys.exit(0)
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(exc.exit_code) from None
+    except KeyboardInterrupt:
+        print(file=sys.stderr)
+        raise SystemExit(130) from None
+    except BrokenPipeError:
+        # stdout's reader has gone (`cycvar ... | head`): exit quietly, and
+        # send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1) from None
+    raise SystemExit(0)
+
+
+# -- help pages, laid out at 80 columns --------------------------------------
+
+_WIDTH = 78
+
+
+def _paragraphs(doc: str | None) -> list[str]:
+    """A docstring's paragraphs, each joined onto one line."""
+    blocks = re.split(r"\n\s*\n", (doc or "").strip())
+    return [" ".join(line.strip() for line in block.splitlines()) for block in blocks if block]
+
+
+def _short_help(doc: str | None, limit: int) -> str:
+    """The first sentence of a docstring, cut to `limit` columns with `...`."""
+    words = (_paragraphs(doc) or [""])[0].split()
+    for i in range(len(words)):
+        line = " ".join(words[: i + 1])
+        if len(line) > limit:
+            break
+        if line.endswith("."):
+            return line
+        if len(line) == limit and i < len(words) - 1:
+            break
+    else:
+        return " ".join(words)
+    while i and len(" ".join(words[:i])) + 3 > limit:
+        i -= 1
+    return " ".join(words[:i]) + "..."
+
+
+def _option_row(option: Option) -> tuple[str, str]:
+    if option.kind is bool:
+        term = f"{option.name} / --no-{option.name[2:]}"
+        default = ("" if option.default else "no-") + option.name[2:]
+    else:
+        metavar = {int: "INTEGER", str: "TEXT"}.get(option.kind) or f"[{'|'.join(option.kind)}]"
+        term, default = f"{option.name} {metavar}", option.default
+    if default is None:
+        return term, option.help
+    return term, f"{option.help}  [default: {default}]".lstrip()
+
+
+def _page(prog: str, usage: str, doc: str | None, sections) -> str:
+    """A help page: the usage line, the docstring's paragraphs, then each
+    titled section as two columns, the second wrapped beside the first."""
+    import textwrap
+
+    prefix = f"Usage: {prog} "
+    lines = [textwrap.fill(usage, _WIDTH, initial_indent=prefix, subsequent_indent=" " * len(prefix))]
+    for paragraph in _paragraphs(doc):
+        lines += ["", textwrap.fill(paragraph, _WIDTH, initial_indent="  ", subsequent_indent="  ")]
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        first = max(len(term) for term, _ in rows) + 2
+        for term, text in rows:
+            wrapped = textwrap.wrap(text, _WIDTH - first - 2) or [""]
+            lines.append(f"  {term:<{first}}{wrapped[0]}".rstrip())
+            lines += [" " * (first + 2) + line for line in wrapped[1:]]
+    return "\n".join(lines)
+
+
+_HELP_ROW = ("--help", "Show this message and exit.")
+
+
+def _main_help() -> str:
+    width = _WIDTH - 6 - max(map(len, COMMANDS))
+    return _page(
+        "cycvar", "[OPTIONS] COMMAND [ARGS]...",
+        ABOUT,
+        [
+            ("Options", [*map(_option_row, GLOBAL_OPTIONS), _HELP_ROW]),
+            ("Commands", [(name, _short_help(COMMANDS[name].run.__doc__, width)) for name in sorted(COMMANDS)]),
+        ],
+    )
+
+
+def _command_help(name: str, command: Command) -> str:
+    usage = " ".join(["[OPTIONS]", *(a.metavar for a in command.arguments)])
+    return _page(f"cycvar {name}", usage, command.run.__doc__, [("Options", [*map(_option_row, command.options), _HELP_ROW])])
 
 
 if __name__ == "__main__":

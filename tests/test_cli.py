@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,6 +387,36 @@ class TestPlumbing:
 
         monkeypatch.setattr(C, "parse_value", interrupted)
         assert run_in_process("normalize", "cyc(a)") == (130, "", "\n")
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # more output than a pipe buffers, so writes fail once the reader is gone
+        batch = tmp_path / "batch.txt"
+        batch.write_text("cyc(a*a_x)\n" * 20000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cycvar.cli", "normalize", f"@{batch}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.read(1)
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+        proc.stderr.close()
+
+    def test_runs_on_the_standard_library(self):
+        """Importing the command line loads no click, and it runs where
+        click cannot be imported at all."""
+        probe = "import sys, cycvar.cli; print('click' in sys.modules)"
+        assert subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        ).stdout == "False\n"
+        blocked = (
+            "import sys; sys.modules['click'] = None; import cycvar.cli;"
+            " cycvar.cli.main(['--output', 'machine', 'normalize', 'cyc(a*a_x)'])"
+        )
+        proc = subprocess.run([sys.executable, "-c", blocked], capture_output=True, text=True, timeout=60)
+        # the first record of the transcript's batch is cyc(a*a_x)
+        transcript = Path(__file__).with_name("cli_transcript.txt").read_text(encoding="utf-8")
+        batch = transcript.split("$ cycvar --output machine normalize @batch.txt\n[exit 0]\n[stdout]\n")[1]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, batch.split("---\n")[0], "")
 
     def test_batch_file(self, tmp_path):
         batch = tmp_path / "batch.txt"

@@ -132,7 +132,7 @@ CASES = [
 ]
 
 # Help pages do not depend on the output mode and run once each.
-HELP_CASES = [[], ["--help"]] + [[name, "--help"] for name in sorted(C.cli.commands)]
+HELP_CASES = [[], ["--help"]] + [[name, "--help"] for name in sorted(C.COMMANDS)]
 
 
 def _mask(text: str) -> str:
@@ -165,9 +165,6 @@ def transcript(workdir: Path) -> str:
     parts = [f"# file {name}\n{text}\n" for name, text in FILES.items()]
     # one pair of buffers for every call, as a process has one stdout
     out, err = io.StringIO(), io.StringIO()
-    # click wraps help text to the terminal width, capped at 80 columns
-    saved = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -178,10 +175,6 @@ def transcript(workdir: Path) -> str:
             parts.append(run_case(args, out, err))
     finally:
         os.chdir(cwd)
-        if saved is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved
     return "".join(parts)
 
 
@@ -199,8 +192,8 @@ def test_transcript_matches(tmp_path):
 
 
 def test_every_command_is_covered():
-    ran = {arg for args in CASES for arg in args if arg in C.cli.commands}
-    assert ran == set(C.cli.commands)
+    ran = {arg for args in CASES for arg in args if arg in C.COMMANDS}
+    assert ran == set(C.COMMANDS)
 
 
 if __name__ == "__main__":
