@@ -342,8 +342,8 @@ def _expand_one(arg: str) -> str:
 
 
 class Argument(NamedTuple):
-    """A positional argument: `nargs` values (-1: all that remain), each one
-    of `choices` when given."""
+    """A positional argument of `nargs` values (-1: all that remain); a
+    one-value argument may be limited to `choices`."""
 
     name: str
     nargs: int = 1
@@ -626,10 +626,10 @@ def selftest(session, suites):
 
 # -- the dispatcher ----------------------------------------------------------
 
-ABOUT = """Exact calculus on cyclic words: normal forms, products, variational
+_ABOUT = """Exact calculus on cyclic words: normal forms, products, variational
 derivatives, adjoints, graded brackets, and Hamiltonian checks."""
 
-GLOBAL_OPTIONS = (
+_GLOBAL_OPTIONS = (
     Option("--m", int, help="Letter families per parity (default 1)."),
     Option("--n", int, help="Base directions (default 1)."),
     Option("--max-order", int, help="Cap on derivative orders; exceeding it exits 4."),
@@ -714,18 +714,9 @@ def _convert(option: Option, value):
     raise UsageError(f"Invalid value for '{option.name}': {problem}")
 
 
-def _options(given: dict, options) -> dict:
-    """Keyword values of `options`: converted in the order given, then the
-    defaults of those not given."""
-    values = {option.dest: _convert(option, value) for option, value in given.items()}
-    for option in options:
-        values.setdefault(option.dest, option.default)
-    return values
-
-
 def _read_globals(argv: list[str]):
     """The global options of `argv`, converted, and the rest of `argv`."""
-    given, rest, wants_help = _split(argv, GLOBAL_OPTIONS, interspersed=False)
+    given, rest, wants_help = _split(argv, _GLOBAL_OPTIONS, interspersed=False)
     if wants_help:
         print(_main_help())
         raise SystemExit(0)
@@ -735,34 +726,31 @@ def _read_globals(argv: list[str]):
 def _read_command(name: str, command: Command, argv: list[str]) -> dict:
     """The keyword arguments for `command.run` from the command's `argv`."""
     given, positional, wants_help = _split(argv, command.options, interspersed=True)
-    taken = {}
+    taken = []
     for argument in command.arguments:
-        if argument.nargs < 0:
-            taken[argument], positional = tuple(positional), []
-        elif argument.nargs == 1:
-            taken[argument], positional = positional[:1], positional[1:]
-        else:
-            taken[argument], positional = tuple(positional[:argument.nargs]), positional[argument.nargs:]
-            if 0 < len(taken[argument]) < argument.nargs:
-                raise UsageError(f"Argument {argument.name!r} takes {argument.nargs} values.")
+        count = len(positional) if argument.nargs < 0 else argument.nargs
+        value, positional = positional[:count], positional[count:]
+        if 1 < argument.nargs and 0 < len(value) < argument.nargs:
+            raise UsageError(f"Argument {argument.name!r} takes {argument.nargs} values.")
+        taken.append((argument, value))
     if wants_help:
         print(_command_help(name, command))
         raise SystemExit(0)
-    values = _options(given, command.options)
-    for argument, value in taken.items():
+    # options are converted in the order given, before the arguments
+    values = {o.dest: o.default for o in command.options}
+    values.update((o.dest, _convert(o, value)) for o, value in given.items())
+    for argument, value in taken:
         if not value and argument.nargs >= 0:
             problem = f"Missing argument '{argument.metavar}'."
             if argument.choices:
                 problem += " Choose from:\n\t" + ",\n\t".join(argument.choices)
             raise UsageError(problem)
-        if argument.nargs == 1:
-            (value,) = value
-            if argument.choices and value not in argument.choices:
-                raise UsageError(
-                    f"Invalid value for '{argument.metavar}': {value!r} is not one of"
-                    f" {', '.join(map(repr, argument.choices))}."
-                )
-        values[argument.name] = value
+        if argument.choices and value[0] not in argument.choices:
+            raise UsageError(
+                f"Invalid value for '{argument.metavar}': {value[0]!r} is not one of"
+                f" {', '.join(map(repr, argument.choices))}."
+            )
+        values[argument.name] = value[0] if argument.nargs == 1 else tuple(value)
     if positional:
         s = "s" if len(positional) > 1 else ""
         raise UsageError(f"Got unexpected extra argument{s} ({' '.join(positional)})")
@@ -815,21 +803,14 @@ def _paragraphs(doc: str | None) -> list[str]:
 
 
 def _short_help(doc: str | None, limit: int) -> str:
-    """The first sentence of a docstring, cut to `limit` columns with `...`."""
+    """The first sentence of a docstring, cut to fit `limit` columns with `...`."""
     words = (_paragraphs(doc) or [""])[0].split()
-    for i in range(len(words)):
-        line = " ".join(words[: i + 1])
-        if len(line) > limit:
-            break
-        if line.endswith("."):
-            return line
-        if len(line) == limit and i < len(words) - 1:
-            break
-    else:
-        return " ".join(words)
-    while i and len(" ".join(words[:i])) + 3 > limit:
-        i -= 1
-    return " ".join(words[:i]) + "..."
+    n = next((i + 1 for i, word in enumerate(words) if word.endswith(".")), len(words))
+    if len(" ".join(words[:n])) <= limit:
+        return " ".join(words[:n])
+    while n and len(" ".join(words[:n])) + 3 > limit:
+        n -= 1
+    return " ".join(words[:n]) + "..."
 
 
 def _option_row(option: Option) -> tuple[str, str]:
@@ -870,9 +851,9 @@ def _main_help() -> str:
     width = _WIDTH - 6 - max(map(len, COMMANDS))
     return _page(
         "cycvar", "[OPTIONS] COMMAND [ARGS]...",
-        ABOUT,
+        _ABOUT,
         [
-            ("Options", [*map(_option_row, GLOBAL_OPTIONS), _HELP_ROW]),
+            ("Options", [*map(_option_row, _GLOBAL_OPTIONS), _HELP_ROW]),
             ("Commands", [(name, _short_help(COMMANDS[name].run.__doc__, width)) for name in sorted(COMMANDS)]),
         ],
     )

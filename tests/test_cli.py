@@ -335,6 +335,9 @@ class TestPlumbing:
             (("normalize", "--ordr", "1", "x"), "No such option '--ordr'."),
             (("tderiv", "--order", "abc", "x"),
              "Invalid value for '--order': 'abc' is not a valid integer."),
+            # a sign and then digits is no over-long number
+            (("tderiv", "--order", "+-5", "x"),
+             "Invalid value for '--order': '+-5' is not a valid integer."),
             (("euler", "--side", "up", "x"),
              "Invalid value for '--side': 'up' is not one of 'left', 'right'."),
             (("--output", "fancy", "normalize", "x"),
