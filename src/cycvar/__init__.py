@@ -30,7 +30,6 @@ from .jets import (
     evolutionary_apply,
     graded_commutator,
     make_section,
-    partial_jet,
     total_derivative,
 )
 from .operators import DifferentialOperator, from_derivative

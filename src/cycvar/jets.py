@@ -1,5 +1,6 @@
-"""Jet-space bookkeeping: contexts, total derivatives, cuts, and the action
-of evolutionary fields on word sums."""
+"""Jet-space bookkeeping: contexts, total derivatives and the (-D)-series
+`_horner`, the cuts `_cut_parts` that the Euler operator reads, and the
+action of evolutionary fields on word sums."""
 
 from __future__ import annotations
 
@@ -60,8 +61,8 @@ class JetContext:
     `normalize` result (canonical rotation and sign), `_images` holds per
     direction the words with one letter shifted (what `total_derivative`
     adds up), and `_cut_pieces` holds per letter family and side the
-    (orders, open word, sign) pieces of `cuts`.  Words are keys by value,
-    so words of hand-built letters find the same entries.  Each table
+    (orders, open word, sign) pieces of `_cut_parts`.  Words are keys by
+    value, so words of hand-built letters find the same entries.  Each table
     admits at most `TABLE_LIMIT` entries and then only serves the ones it
     holds, so the memory a large one-off computation spends on them stays
     bounded.  The CLI builds one context per invocation.  The context also
@@ -199,7 +200,7 @@ def _images_of(d: int, interned: _Table, cap: int | None, letters: Word) -> tupl
 
 
 def _pieces(odd_kind: bool, index: int, right: bool, letters: Word) -> tuple:
-    """The (orders, open word, sign) pieces that `cuts` reads from one
+    """The (orders, open word, sign) pieces that `_cut_parts` reads from one
     cyclic word, for one letter family and side."""
     total_odd = odd_count(letters)
     sign = -1 if right and odd_kind and (total_odd - 1) % 2 else 1
@@ -258,35 +259,27 @@ def d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
     return f
 
 
-def minus_d_series(
-    ctx: JetContext, parts: dict[tuple[int, ...], FormalSum]
-) -> FormalSum:
-    """The sum over multi-indices s of (-D)^s parts[s], for open sums, in
-    Horner form.
+def _horner(ctx: JetContext, parts: dict[tuple[int, ...], _Accumulator]) -> FormalSum:
+    """The (-D)-series: the sum over multi-indices s of (-D)^s parts[s], for
+    open parts, in Horner form.  The parts are unfinished accumulators, and
+    it takes them over and writes to them.
 
     Along one direction, P_0 - D(P_1 - D(P_2 - ...)) differentiates each
     accumulated partial sum once instead of each part k times; the signs are
     put on the odd parts up front, as P_0 + D(-P_1 + D(P_2 + ...)).
     Directions are folded from the last one down: after direction d the keys
-    keep only their first d - 1 slots.  The partial sums are accumulators:
-    their integer numerators are carried from one D step to the next, and
-    each word of the result gets its Coefficient once, at the end.
+    keep only their first d - 1 slots.  The integer numerators of the partial
+    sums are carried from one D step to the next, and each word of the
+    result gets its Coefficient once, at the end.
     """
-    parts = {orders: _Accumulator(False, dict(part.terms)) for orders, part in parts.items()}
-    return _horner(ctx, parts).finish()
-
-
-def _horner(ctx: JetContext, parts: dict[tuple[int, ...], _Accumulator]) -> _Accumulator:
-    """`minus_d_series` on parts that are accumulators, unfinished; it takes
-    them over and writes to them."""
     for d in range(ctx.directions, 1, -1):
         by_prefix: dict[tuple[int, ...], dict[int, _Accumulator]] = {}
         for orders, part in parts.items():
             by_prefix.setdefault(orders[: d - 1], {})[orders[d - 1]] = part
         parts = {prefix: _fold(ctx, by_count, d) for prefix, by_count in by_prefix.items()}
     if not parts:
-        return _Accumulator(False)
-    return _fold(ctx, {orders[0]: part for orders, part in parts.items()}, 1)
+        return FormalSum(cyclic=False)
+    return _fold(ctx, {orders[0]: part for orders, part in parts.items()}, 1).finish()
 
 
 def _fold(ctx: JetContext, by_count: dict[int, _Accumulator], direction: int) -> _Accumulator:
@@ -306,24 +299,17 @@ def _fold(ctx: JetContext, by_count: dict[int, _Accumulator], direction: int) ->
     return acc
 
 
-def cuts(
-    ctx: JetContext, f: FormalSum, odd_kind: bool, index: int, right: bool = False
-) -> dict[tuple[int, ...], FormalSum]:
-    """The cut-open words of one letter family in a cyclic sum, grouped by
-    the multi-index of the removed letter.  Each occurrence cuts the circle
-    there, reading onward from the cut, with the sign of the odd letters
-    passed on the way; `right` moves the removed letter to the other end,
-    which adds a sign per word on odd families only.  The pieces of each
-    word are computed once per context, family and side and kept in
-    `ctx`'s table."""
-    parts = _cut_parts(ctx, f, odd_kind, index, right)
-    return {orders: part.finish() for orders, part in parts.items()}
-
-
 def _cut_parts(
     ctx: JetContext, f: FormalSum, odd_kind: bool, index: int, right: bool
 ) -> dict[tuple[int, ...], _Accumulator]:
-    """`cuts`, each part left unfinished."""
+    """The cut-open words of one letter family in a cyclic sum, grouped by
+    the multi-index of the removed letter, each part unfinished.  Each
+    occurrence cuts the circle there, reading onward from the cut, with the
+    sign of the odd letters passed on the way; `right` moves the removed
+    letter to the other end, which adds a sign per word on odd families
+    only.  The part at a letter's multi-index is the cyclic partial
+    derivative by that letter.  The pieces of each word are computed once
+    per context, family and side and kept in `ctx`'s table."""
     parts: dict[tuple[int, ...], _Accumulator] = {}
     pieces = ctx._cut_pieces[odd_kind, index, right]
     for w, c in f.terms.items():
@@ -333,14 +319,6 @@ def _cut_parts(
                 part = parts[orders] = _Accumulator(False)
             part.add(piece, sign, c)
     return parts
-
-
-def partial_jet(ctx: JetContext, f: FormalSum, target: Letter) -> FormalSum:
-    """Cyclic partial derivative with respect to one exact letter: the
-    `cuts` of its family at its multi-index."""
-    if not f.cyclic:
-        raise PreconditionError("partial_jet expects a cyclic sum")
-    return cuts(ctx, f, target.odd, target.index).get(target.orders, FormalSum(cyclic=False))
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ class DifferentialOperator:
             if part is None:
                 part = carriers[orders] = _Accumulator(False)
             part.add(right + (slot,) + left, -1 if flip else 1, c)
-        return DifferentialOperator(ctx, _horner(ctx, carriers).finish())
+        return DifferentialOperator(ctx, _horner(ctx, carriers))
 
     def is_skew(self) -> bool:
         """Whether the adjoint is minus this operator; kept in `_skew`."""

@@ -17,8 +17,6 @@ from cycvar.jets import (
     evolutionary_apply,
     graded_commutator,
     make_section,
-    minus_d_series,
-    partial_jet,
     total_derivative,
 )
 from cycvar.lang import letter_text, parse_cyclic, parse_open, parse_operator
@@ -43,6 +41,19 @@ def cyc(letters, value=1):
 
 def opn(letters, value=1):
     return FormalSum.single(False, tuple(letters), CTX.const(value))
+
+
+def horner(ctx, parts):
+    """The (-D)-series of finished open parts, by `jets._horner`, which
+    takes over the accumulators it is given."""
+    return jets._horner(ctx, {s: words._Accumulator(False, dict(p.terms)) for s, p in parts.items()})
+
+
+def cut_part(ctx, f, target):
+    """The cyclic partial derivative by one exact letter: the part of
+    `jets._cut_parts` at the letter's family and multi-index."""
+    part = jets._cut_parts(ctx, f, target.odd, target.index, False).get(target.orders)
+    return FormalSum(cyclic=False) if part is None else part.finish()
 
 
 class TestContext:
@@ -203,8 +214,8 @@ class TestTotalDerivative:
 
     def test_d_power_and_negation(self):
         assert d_power(CTX, opn([A]), (2,)) == opn([AXX])
-        assert minus_d_series(CTX, {(1,): opn([A])}) == opn([AX], -1)
-        assert minus_d_series(CTX, {(2,): opn([A])}) == opn([AXX])
+        assert horner(CTX, {(1,): opn([A])}) == opn([AX], -1)
+        assert horner(CTX, {(2,): opn([A])}) == opn([AXX])
 
     def test_minus_d_series_matches_separate_powers(self):
         ctx = JetContext(fields=1, directions=2)
@@ -221,24 +232,25 @@ class TestTotalDerivative:
         for orders, part in parts.items():
             term = d_power(ctx, part, orders)
             want = want + (-term if sum(orders) % 2 else term)
-        assert minus_d_series(ctx, parts) == want
-        assert minus_d_series(ctx, {}) == FormalSum(cyclic=False)
+        assert horner(ctx, parts) == want
+        assert horner(ctx, {}) == FormalSum(cyclic=False)
 
 
 class TestPartialJet:
     def test_even_cuts(self):
         f = cyc([A, AX])
-        assert partial_jet(CTX, f, A) == opn([AX])
-        assert partial_jet(CTX, f, AX) == opn([A])
+        assert cut_part(CTX, f, A) == opn([AX])
+        assert cut_part(CTX, f, AX) == opn([A])
 
     def test_odd_cut_sign(self):
         f = cyc([B, BX])
-        assert partial_jet(CTX, f, B) == opn([BX])
-        assert partial_jet(CTX, f, BX) == opn([B], -1)
+        assert cut_part(CTX, f, B) == opn([BX])
+        assert cut_part(CTX, f, BX) == opn([B], -1)
 
     def test_requires_cyclic(self):
+        # the Euler operator is the public reader of the cuts
         with pytest.raises(PreconditionError):
-            partial_jet(CTX, opn([A]), A)
+            euler_derivative(CTX, opn([A]), False)
 
     @pytest.mark.parametrize("fields", [1, 2])
     @pytest.mark.parametrize("directions", [1, 2])
@@ -251,9 +263,9 @@ class TestPartialJet:
         for _ in range(8):
             for odd_degree in range(4):
                 f = corpus.cyclic_density(rng, ctx, odd_degree, words=3)
-                assert partial_jet(ctx, f, absent).is_zero()
+                assert cut_part(ctx, f, absent).is_zero()
                 for target in sorted({letter for w in f.terms for letter in w}):
-                    got = partial_jet(ctx, f, target)
+                    got = cut_part(ctx, f, target)
                     assert got == reference_partial_jet(f, target)
                     checked += bool(got)
         assert checked
@@ -422,7 +434,7 @@ class TestWordTables:
                     for side in ("left", "right"):
                         out.append(euler_derivative(ctx, f, odd_kind, j, side))
             for letter in sorted({l for w in f.terms for l in w}):
-                out.append(partial_jet(ctx, f, letter))
+                out.append(cut_part(ctx, f, letter))
         for section in sections:
             section = GeneratingSection(section.even, section.odd, section.parity)
             for f in densities + opens:

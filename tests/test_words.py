@@ -15,6 +15,7 @@ from cycvar.words import (
     Coefficient,
     FormalSum,
     Letter,
+    _Accumulator,
     _WideLetter,
     close,
     concat,
@@ -22,14 +23,11 @@ from cycvar.words import (
     pass_sign,
     times,
 )
-from cycvar import corpus
+from cycvar import corpus, jets
 from cycvar.jets import (
     JetContext,
-    cuts,
     evolutionary_apply,
     make_section,
-    minus_d_series,
-    partial_jet,
     total_derivative,
 )
 from cycvar.lang import letter_text, parse_cyclic, parse_open, parse_operator
@@ -62,6 +60,12 @@ BX = CTX.shift(B, 1)
 
 def single(letters, value=1, cyclic=True):
     return FormalSum.single(cyclic, tuple(letters), CTX.const(value))
+
+
+def horner(ctx, parts):
+    """The (-D)-series of finished open parts, by `jets._horner`, which
+    takes over the accumulators it is given."""
+    return jets._horner(ctx, {s: _Accumulator(False, dict(p.terms)) for s, p in parts.items()})
 
 
 class TestCoefficient:
@@ -623,9 +627,9 @@ class TestAccumulator:
         want = {}
         for orders, part in parts.items():
             want = _collect(list(want.items()) + list(_model(minus_d_power(ctx, part, orders)).items()), False)
-        check(minus_d_series(ctx, parts), want)
+        check(horner(ctx, parts), want)
         first = tuple(1 if d == 0 else 0 for d in range(ctx.directions))
-        check(minus_d_series(ctx, {zero: total_derivative(ctx, g, 1), first: g}), {})
+        check(horner(ctx, {zero: total_derivative(ctx, g, 1), first: g}), {})
         # Euler derivatives, and the planted zero E(D h) = 0
         exact = total_derivative(ctx, density, ctx.directions)
         for odd_kind in (False, True):
@@ -723,7 +727,7 @@ class TestNoAliasing:
             "schouten_by_variations",
             "total_derivative",
             "cuts",
-            "partial_jet",
+            "euler_derivative",
             "evolutionary_apply",
             "apply",
             "adjoint",
@@ -748,7 +752,7 @@ class TestNoAliasing:
                 operands[(1, 0)] = base + corpus.open_sum(rng, ctx)
                 operands[(0, 1)] = -base
                 operands[(2, 1)] = base
-            call = lambda: minus_d_series(ctx, operands)
+            call = lambda: horner(ctx, operands)
         elif loop == "coupling":
             operands = (
                 corpus.covector(rng, ctx),
@@ -778,13 +782,14 @@ class TestNoAliasing:
             # short words over few letters, so that the images collide
             operands = (corpus.open_sum(rng, ctx, words=4, max_len=2, max_order=1),)
             call = lambda: total_derivative(ctx, *operands, 2)
-        elif loop in ("cuts", "partial_jet"):
+        elif loop in ("cuts", "euler_derivative"):
             # a density whose cuts meet the same open words more than once
             operands = (parse_cyclic("cyc(a*a*a_x) + 2*cyc(a*a_x*a_x) - cyc(a*a_x*a*a_x)/3", ctx),)
             if loop == "cuts":
-                call = lambda: cuts(ctx, *operands, False, 1)[(0,)]
+                call = lambda: jets._cut_parts(ctx, *operands, False, 1, False)[(0,)].finish()
             else:
-                call = lambda: partial_jet(ctx, *operands, A)
+                # the cut parts go straight into the (-D)-series
+                call = lambda: euler_derivative(ctx, *operands, False, 1)
         elif loop == "evolutionary_apply":
             operands = (
                 make_section(ctx, even=(parse_open("a*a_x + x*a_x*a/2", ctx),), parity=0),
