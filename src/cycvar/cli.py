@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Every command reads expressions in the textual grammar (see lang.py), works
-in exact rational arithmetic, and prints either human-oriented text (pretty)
-or stable line-oriented records (machine).  Machine output is deterministic:
-identical invocations produce identical bytes.
+in exact rational arithmetic, and prints each result as one record: its
+fields in order, each with a key for human-oriented text (pretty) and one
+for stable line-oriented output (machine), or None where that style leaves
+it out.  One renderer writes a record in either style.  Machine output is
+deterministic: identical invocations produce identical bytes.
 
 The command line is read by a small dispatcher on the standard library.
 One table, `COMMANDS`, gives each command its function, its positional
@@ -28,7 +30,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -66,173 +68,145 @@ from .lang import (
 )
 
 
-# -- result kinds: pretty lines, then machine `key: value` lines -----------
+# -- records: each result kind's fields, rendered in either style ----------
 
 
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _true(flag: bool) -> str:
-    return "true" if flag else "false"
+def _render(record, machine: bool):
+    """The lines of a record, fields (pretty key, machine key, value[, j]),
+    in one style.  A function value is called only by a style that prints
+    it.  A flag reads yes/no or true/false, item j of a list reads
+    `  key j: text` or `key: j | text`, a list gives a `key: item` line per
+    item, and the rest read `key: value` (bare under an empty pretty key)."""
+    for pretty, machine_key, value, *number in record:
+        key = machine_key if machine else pretty
+        if key is None:
+            continue
+        value = value() if callable(value) else value
+        if isinstance(value, bool):
+            value = ("true" if value else "false") if machine else ("yes" if value else "no")
+        if number:
+            yield f"{key}: {number[0]} | {value}" if machine else f"  {key} {number[0]}: {value}"
+        elif isinstance(value, list):
+            yield from (f"{key}: {item}" for item in value)
+        else:
+            yield f"{key}: {value}" if key else value
 
 
 def _pass(flag: bool) -> str:
     return "pass" if flag else "fail"
 
 
-def _indented(key: str, sums, ctx: JetContext):
-    for j, f in enumerate(sums, start=1):
-        yield f"  {key} {j}: {sum_text(f, ctx)}"
+def _numbered(pretty: str | None, machine: str, sums, ctx: JetContext):
+    return [(pretty, machine, partial(sum_text, f, ctx), j) for j, f in enumerate(sums, start=1)]
 
 
-def _numbered(key: str, sums, ctx: JetContext):
-    for j, f in enumerate(sums, start=1):
-        yield f"{key}: {j} | {sum_text(f, ctx)}"
-
-
-def _sum_pretty(f: FormalSum, ctx: JetContext, extra=()):
-    for key, value in extra:
-        yield f"{key}: {value}"
-    yield sum_text(f, ctx)
-
-
-def _sum_machine(f: FormalSum, ctx: JetContext, extra=()):
-    yield "kind: cyclic-sum" if f.cyclic else "kind: open-sum"
-    for key, value in extra:
-        yield f"{key}: {value}"
-    yield f"count: {len(f.terms)}"
+def _sum_terms(f: FormalSum, ctx: JetContext) -> list[str]:
     names = {}
-    for letters, coeff in f.sorted_terms():
-        yield f"term: {coefficient_text(coeff, ctx)} | {word_text(letters, ctx, names)}"
+    return [
+        f"{coefficient_text(coeff, ctx)} | {word_text(letters, ctx, names)}"
+        for letters, coeff in f.sorted_terms()
+    ]
 
 
-def _operator_machine(op, ctx: JetContext):
-    yield "kind: operator"
-    yield f"count: {len(op.words.terms)}"
+def _operator_terms(op, ctx: JetContext) -> list[str]:
     names = {}
-    for (left, orders, right), coeff in op.sorted_terms():
-        yield (
-            f"term: {coefficient_text(coeff, ctx)} | {word_text(left, ctx, names)}"
-            f" | {','.join(map(number_text, orders))} | {word_text(right, ctx, names)}"
-        )
+    return [
+        f"{coefficient_text(coeff, ctx)} | {word_text(left, ctx, names)}"
+        f" | {','.join(map(number_text, orders))} | {word_text(right, ctx, names)}"
+        for (left, orders, right), coeff in op.sorted_terms()
+    ]
 
 
-def _generating_pretty(section, ctx: JetContext):
-    yield f"section (parity {section.parity}):"
-    yield from _indented("even", section.even, ctx)
-    yield from _indented("odd", section.odd, ctx)
-
-
-def _generating_machine(section, ctx: JetContext):
-    yield "kind: generating-section"
-    yield f"parity: {section.parity}"
-    yield from _numbered("even", section.even, ctx)
-    yield from _numbered("odd", section.odd, ctx)
-
-
-def _certificate_pretty(cert, ctx: JetContext):
-    yield cert.summary()
-    yield f"  master defect: {sum_text(cert.defect_density, ctx)}"
+def _certificate_record(cert, ctx: JetContext):
+    yield None, "kind", "certificate"
+    yield "", None, cert.summary
+    yield None, "result", cert.hamiltonian
+    yield None, "defect-trivial", cert.hamiltonian
+    yield "  master defect", "defect", partial(sum_text, cert.defect_density, ctx)
     if cert.witness is not None:
-        yield from _indented("witness", [h.density for h in cert.witness], ctx)
-        yield f"  witness defect: {sum_text(cert.witness_defect, ctx)}"
+        yield from _numbered("witness", "witness", [h.density for h in cert.witness], ctx)
+        yield "  witness defect", "witness-defect", partial(sum_text, cert.witness_defect, ctx)
 
 
-def _certificate_machine(cert, ctx: JetContext):
-    yield "kind: certificate"
-    yield f"result: {_true(cert.hamiltonian)}"
-    yield f"defect-trivial: {_true(cert.hamiltonian)}"
-    yield f"defect: {sum_text(cert.defect_density, ctx)}"
-    if cert.witness is not None:
-        yield from _numbered("witness", [h.density for h in cert.witness], ctx)
-        yield f"witness-defect: {sum_text(cert.witness_defect, ctx)}"
-
-
-def _witness_pretty(comps, ctx: JetContext):
-    yield f"all components zero: {_yes(all(c.is_zero() for c in comps))}"
-    yield from _indented("component", comps, ctx)
-
-
-def _witness_machine(comps, ctx: JetContext):
-    yield "kind: witness"
-    yield f"all-zero: {_true(all(c.is_zero() for c in comps))}"
-    yield from _numbered("component", comps, ctx)
-
-
-def _report_pretty(result, seed: int):
-    yield (
-        f"identity {result.identity} ({result.covector_class} arguments,"
-        f" seed {seed}): {len(result.reports)} trials"
-    )
+def _report_record(result, seed: int):
+    yield None, "kind", "report"
+    head = f"identity {result.identity} ({result.covector_class} arguments, seed {seed})"
+    yield head, None, f"{len(result.reports)} trials"
+    yield None, "identity", result.identity
+    yield None, "covector-class", result.covector_class
+    yield None, "seed", seed
+    yield None, "trials", len(result.reports)
     for r in result.reports:
-        if not r.passed:
-            yield f"  trial {r.index}: fail"
-    yield f"result: {_pass(result.passed)}"
+        # pretty names only the trials that failed
+        yield None if r.passed else "trial", "trial", _pass(r.passed), r.index
+    yield "result", "result", _pass(result.passed)
 
 
-def _report_machine(result, seed: int):
-    yield "kind: report"
-    yield f"identity: {result.identity}"
-    yield f"covector-class: {result.covector_class}"
-    yield f"seed: {seed}"
-    yield f"trials: {len(result.reports)}"
-    for r in result.reports:
-        yield f"trial: {r.index} | {_pass(r.passed)}"
-    yield f"result: {_pass(result.passed)}"
+def _selftest_record(seed: int, runs):
+    yield None, "kind", "selftest"
+    yield None, "seed", seed
+    passed = []
+    for r, elapsed in runs:
+        passed.append(r.passed)
+        yield "", None, f"[{r.number}] {r.name}: {_pass(r.passed)} ({elapsed:.2f}s) — {r.detail}"
+        yield None, "suite", f"{r.number} | {r.name} | {_pass(r.passed)} | {r.detail}"
+    yield "", None, f"{sum(passed)}/{len(passed)} suites passed"
+    yield None, "result", _pass(all(passed))
 
 
-def _selftest_pretty(seed: int, runs):
-    count = passed = 0
-    for result, elapsed in runs:
-        count += 1
-        passed += result.passed
-        yield (
-            f"[{result.number}] {result.name}: {_pass(result.passed)}"
-            f" ({elapsed:.2f}s) — {result.detail}"
-        )
-    yield f"{passed}/{count} suites passed"
-
-
-def _selftest_machine(seed: int, runs):
-    yield "kind: selftest"
-    yield f"seed: {seed}"
-    passed = True
-    for result, _ in runs:
-        passed = passed and result.passed
-        yield f"suite: {result.number} | {result.name} | {_pass(result.passed)} | {result.detail}"
-    yield f"result: {_pass(passed)}"
-
-
-# kind -> (pretty lines, machine lines), each a function of the payload
-_KINDS = {
-    "sum": (_sum_pretty, _sum_machine),
-    "operator": (lambda op, ctx: [operator_text(op, ctx)], _operator_machine),
-    "scalar": (
-        lambda c, ctx: [coefficient_text(c, ctx)],
-        lambda c, ctx: ["kind: scalar", f"value: {coefficient_text(c, ctx)}"],
-    ),
-    "covector": (
-        lambda p, ctx: [covector_text(p, ctx)],
-        lambda p, ctx: ["kind: covector", *_numbered("component", p.components, ctx)],
-    ),
-    "section": (
-        lambda comps, ctx: [section_text(comps, ctx)],
-        lambda comps, ctx: ["kind: section", *_numbered("component", comps, ctx)],
-    ),
-    "decision": (
-        lambda verdict: [f"trivial: {_yes(verdict)}"],
-        lambda verdict: ["kind: decision", "question: is-trivial", f"result: {_true(verdict)}"],
-    ),
-    "generating-section": (_generating_pretty, _generating_machine),
-    "certificate": (_certificate_pretty, _certificate_machine),
-    "witness": (_witness_pretty, _witness_machine),
-    "report": (_report_pretty, _report_machine),
-    "selftest": (_selftest_pretty, _selftest_machine),
+# kind -> its record, a function of the payload that `Session.emit` is given
+_RECORDS = {
+    "sum": lambda f, ctx, extra=(): [
+        (None, "kind", "cyclic-sum" if f.cyclic else "open-sum"),
+        *extra,
+        (None, "count", len(f.terms)),
+        ("", None, partial(sum_text, f, ctx)),
+        (None, "term", partial(_sum_terms, f, ctx)),
+    ],
+    "operator": lambda op, ctx: [
+        (None, "kind", "operator"),
+        (None, "count", len(op.words.terms)),
+        ("", None, partial(operator_text, op, ctx)),
+        (None, "term", partial(_operator_terms, op, ctx)),
+    ],
+    "scalar": lambda c, ctx: [
+        (None, "kind", "scalar"),
+        ("", "value", partial(coefficient_text, c, ctx)),
+    ],
+    "covector": lambda p, ctx: [
+        (None, "kind", "covector"),
+        ("", None, partial(covector_text, p, ctx)),
+        *_numbered(None, "component", p.components, ctx),
+    ],
+    "section": lambda comps, ctx: [
+        (None, "kind", "section"),
+        ("", None, partial(section_text, comps, ctx)),
+        *_numbered(None, "component", comps, ctx),
+    ],
+    "decision": lambda verdict: [
+        (None, "kind", "decision"),
+        (None, "question", "is-trivial"),
+        ("trivial", "result", verdict),
+    ],
+    "generating-section": lambda section, ctx: [
+        (None, "kind", "generating-section"),
+        ("", None, f"section (parity {section.parity}):"),
+        (None, "parity", section.parity),
+        *_numbered("even", "even", section.even, ctx),
+        *_numbered("odd", "odd", section.odd, ctx),
+    ],
+    "certificate": _certificate_record,
+    "witness": lambda comps, ctx: [
+        (None, "kind", "witness"),
+        ("all components zero", "all-zero", all(c.is_zero() for c in comps)),
+        *_numbered("component", "component", comps, ctx),
+    ],
+    "report": _report_record,
+    "selftest": _selftest_record,
 }
 
 
-# -- settings and the renderer ---------------------------------------------
+# -- settings and the session ---------------------------------------------
 
 
 # JSON types each config key accepts; null leaves max_order uncapped
@@ -265,8 +239,8 @@ def _load_config(path: str) -> dict:
 @dataclass
 class Session:
     """The settings of one invocation, handed to every command.  Commands
-    print only through `emit`, the one place that picks pretty or machine
-    lines for a result."""
+    print only through `emit`, which renders a result's record in the
+    session's style."""
 
     m: int = 1
     n: int = 1
@@ -299,7 +273,7 @@ class Session:
         self.records += 1
         if self.machine:
             head.append("status: ok")
-        lines = itertools.chain(head, _KINDS[kind][self.machine](*payload))
+        lines = itertools.chain(head, _render(_RECORDS[kind](*payload), self.machine))
         if kind == "selftest":
             for line in lines:
                 print(line, flush=True)
@@ -512,7 +486,7 @@ def schouten(session, first, second):
     eta = normalize_multivector(ctx, parse_cyclic(_expand_one(second), ctx))
     bracket = schouten_bracket(ctx, xi, eta)
     out = normalize_multivector(ctx, bracket.density, bracket.degree)
-    session.emit("sum", out.density, ctx, [("degree", out.degree)])
+    session.emit("sum", out.density, ctx, [("degree", "degree", out.degree)])
 
 
 @command("evaluate", "expr", Argument("covectors", nargs=-1))
@@ -543,7 +517,8 @@ def jacobi(session, operator, functionals):
         Functional(ctx, parse_cyclic(_expand_one(h), ctx)) for h in functionals
     )
     out = jacobi_defect(ctx, op, *hs)
-    session.emit("sum", out.density, ctx, [("trivial", _true(out.is_trivial()))])
+    trivial = str(out.is_trivial()).lower()  # true or false in both styles
+    session.emit("sum", out.density, ctx, [("trivial", "trivial", trivial)])
 
 
 @command(
@@ -741,10 +716,7 @@ def _read_command(name: str, command: Command, argv: list[str]) -> dict:
     values.update((o.dest, _convert(o, value)) for o, value in given.items())
     for argument, value in taken:
         if not value and argument.nargs >= 0:
-            problem = f"Missing argument '{argument.metavar}'."
-            if argument.choices:
-                problem += " Choose from:\n\t" + ",\n\t".join(argument.choices)
-            raise UsageError(problem)
+            raise UsageError(f"Missing argument '{argument.metavar}'.")
         if argument.choices and value[0] not in argument.choices:
             raise UsageError(
                 f"Invalid value for '{argument.metavar}': {value[0]!r} is not one of"

@@ -349,8 +349,8 @@ class TestPlumbing:
             (("is-hamiltonian", "--witness=1", "op(D)"), "Option '--witness' does not take a value."),
             (("jacobi", "op(D)", "a", "b"), "Argument 'functionals' takes 3 values."),
             (("jacobi", "op(D)", "a", "--help"), "Argument 'functionals' takes 3 values."),
-            (("subst-check",), f"Missing argument '{subst_metavar}'. Choose from:\n\tzero,"
-             "\n\tadjoint-pairing,\n\tjacobi-flow,\n\tbivector-alternation"),
+            # the metavar names the identities, so the message is one line
+            (("subst-check",), f"Missing argument '{subst_metavar}'."),
             (("normalize", "a", "b", "c"), "Got unexpected extra arguments (b c)"),
             (("normalize", "-xy"), "No such option '-x'."),
             (("normalise", "x"), "No such command 'normalise'. Did you mean 'normalize'?"),
@@ -366,6 +366,7 @@ class TestPlumbing:
             rc, out, err = run_in_process(*args)
             assert (rc, out) == (2, ""), args
             assert err == f"error: {message}\n"
+            assert err.count("\n") == 1, args
 
     @pytest.mark.parametrize(
         "args, wanted",
@@ -492,6 +493,26 @@ class TestStreaming:
         assert code == 0
         assert seen[0].splitlines()[-1].startswith(first_line)
         assert out.startswith(seen[0]) and "second" not in seen[0]
+
+
+class TestRecords:
+    def test_machine_mode_renders_no_pretty_text(self, monkeypatch):
+        """A text that only pretty output prints is not even written in
+        machine mode: its printer is never called."""
+
+        def refuse(*args):
+            raise AssertionError("machine mode wrote a pretty text")
+
+        for name in ("operator_text", "covector_text", "section_text"):
+            monkeypatch.setattr(C, name, refuse)
+        for expr, kind in [("op(D)", "operator"), ("cov(a)", "covector"), ("sec(a)", "section")]:
+            code, out, err = run_in_process("--output", "machine", "normalize", expr)
+            assert (code, err) == (0, ""), expr
+            assert out.startswith(f"status: ok\nkind: {kind}\n")
+        # the components above are printed by sum_text, a cyclic sum's pretty text
+        monkeypatch.setattr(C, "sum_text", refuse)
+        wanted = "status: ok\nkind: cyclic-sum\ncount: 1\nterm: 1 | a\n"
+        assert run_in_process("--output", "machine", "normalize", "cyc(a)") == (0, wanted, "")
 
 
 # the interpreter's cap on int <-> decimal string conversion; 0 (or a
