@@ -59,3 +59,11 @@ def test_line_counts_chain(n):
     """The change before this one ended at the line count this one starts
     from."""
     assert _load(n - 1)["src_lines"]["change"] == _load(n)["src_lines"]["parent"]
+
+
+def test_newest_record_counts_this_tree():
+    """The newest record's line count is that of the tree it ships with:
+    the newlines of `src/cycvar/*.py`, as `cat src/cycvar/*.py | wc -l`
+    counts them."""
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "cycvar").glob("*.py"))
+    assert _load(max(RECORDS))["src_lines"]["change"] == lines
