@@ -52,23 +52,23 @@ class JetContext:
 
     A context keeps four memo tables (`_Table`), since the engine meets the
     same few hundred letters and words over and over.  `_letters` interns
-    letters: `letter`, `shift`, the operator slot letters and the
-    prolongation steps all read the `Letter` it keeps for each (odd, index,
-    orders).  A letter is an int that packs its fields (`words.Letter`),
-    so letters compare and hash by value, in C, and identity is only a
-    fast path: letters of another context, equal or not, and letters built
-    by hand mix freely with these.  `_canonical_forms` holds a word's
-    `normalize` result (canonical rotation and sign), `_images` holds per
-    direction the words with one letter shifted (what `total_derivative`
-    adds up), and `_cut_pieces` holds per letter family and side the
-    (orders, open word, sign) pieces of `_cut_parts`.  Words are keys by
-    value, so words of hand-built letters find the same entries.  Each table
-    admits at most `TABLE_LIMIT` entries and then only serves the ones it
-    holds, so the memory a large one-off computation spends on them stays
-    bounded.  The CLI builds one context per invocation.  The context also
-    keeps the witness pool of the Hamiltonian decision, as (density,
-    covector) pairs (`poisson._witness_pool`).  Equality, hash and `repr`
-    ignore all of these."""
+    letters: `letter`, `shift` and the operator slot letters all read the
+    `Letter` it keeps for each (odd, index, orders).  A letter is an int
+    that packs its fields (`words.Letter`), so letters compare and hash by
+    value, in C, and identity is only a fast path: letters of another
+    context, equal or not, and letters built by hand mix freely with these.
+    `_canonical_forms` holds a word's `normalize` result (canonical rotation
+    and sign), `_images` holds per direction the words with one letter
+    shifted (what `total_derivative` adds up), and `_cut_pieces` holds per
+    letter family and side the (orders, open word, sign) pieces of
+    `_cut_parts`.  Words are keys by value, so words of hand-built letters
+    find the same entries.  Each table admits at most `TABLE_LIMIT` entries
+    and then only serves the ones it holds, so the memory a large one-off
+    computation spends on them stays bounded.  The CLI builds one context
+    per invocation.  The context also keeps the witness pool of the
+    Hamiltonian decision, its densities (`poisson._witness_pool`), and its
+    value as `_key`, under which `_kept` files what a sum keeps.  Equality,
+    hash and `repr` ignore all of these."""
 
     fields: int = 1
     directions: int = 1
@@ -84,6 +84,7 @@ class JetContext:
         letters = _Table(JetContext._intern)
         # the frozen dataclass takes its tables past `__setattr__`
         self.__dict__.update(
+            _key=(self.fields, self.directions, self.max_order),
             _witness_pool=(),
             _letters=letters,
             # `normalize` is looked up at each miss, so a wrapped one is seen
@@ -151,21 +152,28 @@ class JetContext:
         return Coefficient.monomial(exps, value)
 
 
-def _kept(value, name: str, ctx: JetContext, compute, *args):
-    """What `value` keeps in its field `name` for the context value of
+def _kept(value: FormalSum, kind, ctx: JetContext, compute, *args):
+    """What the sum `value` keeps of one kind for the context value of
     `ctx`: `compute(*args)`, computed on the first call under that context
-    value and kept as (context value, result).  A call under another
-    context value computes afresh and replaces the entry, so a different
-    order cap is never bypassed.  The key is the context's (fields,
-    directions, max_order), never the context itself, so nothing kept on a
-    value holds a context alive; a compute that raises keeps nothing.
-    Only intermediates are kept this way, never a decision or a result."""
-    key = (ctx.fields, ctx.directions, ctx.max_order)
-    entry = getattr(value, name)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    value and kept in `value._derived[kind]` as (context value, result).
+    A call under another context value computes afresh and replaces the
+    entry, so a different order cap is never bypassed.  The key is the
+    context's (fields, directions, max_order), never the context itself, so
+    nothing kept on a sum holds a context alive; a compute that raises
+    keeps nothing.  `FormalSum.add_word` drops every entry, so a sum
+    written after a value was derived from it derives afresh.  The kinds:
+    a multi-index (`_prolongation`), "covector" (`covector_of`), ("field",
+    degree) (`q_field`) and "skew" (`DifferentialOperator.is_skew`)."""
+    key = ctx._key
+    derived = value._derived
+    if derived is None:
+        derived = value._derived = {}
+    else:
+        entry = derived.get(kind)
+        if entry is not None and entry[0] == key:
+            return entry[1]
     result = compute(*args)
-    object.__setattr__(value, name, (key, result))
+    derived[kind] = (key, result)
     return result
 
 
@@ -331,21 +339,16 @@ class GeneratingSection:
     must have parity equal to the field parity; words in an odd component must
     have the opposite parity (the odd slot itself absorbs one parity flip).
 
-    `evolutionary_apply` keeps the prolongation it computes in `_prolonged`:
-    for each letter it met, D^orders of the matching component, keyed by
-    the context value it was computed under (see `_kept`).  A call under
-    another context value starts a new table, so a different order cap is
-    never bypassed.  The components are not written after the section is
-    built, the rule for every sum a value is built from.  Equality and
-    `repr` ignore the table.
+    Each D^orders of a component is kept on the component (see `_kept`);
+    the section keeps only `_index`, which `evolutionary_apply` reads for
+    each letter it meets (see `_letter_index`).  Equality and `repr` ignore
+    the index.
     """
 
     even: tuple[FormalSum, ...]
     odd: tuple[FormalSum, ...]
     parity: int
-    _prolonged: tuple[tuple, dict[Letter, FormalSum]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.even) and all(
@@ -392,29 +395,49 @@ def make_section(
     return GeneratingSection(even, odd, parity % 2)
 
 
-def _prolongation(
-    ctx: JetContext, value: FormalSum, table: dict[Letter, FormalSum], letter: Letter
-) -> FormalSum:
-    """D^orders of `value`, the component that `letter` stands for, kept in
-    `table` under `letter`.
+def _prolongation(ctx: JetContext, f: FormalSum, orders: tuple[int, ...]) -> FormalSum:
+    """D^orders of `f`, kept on `f` under the multi-index (see `_kept`);
+    D^0 is `f` itself.
 
     The steps are those of `d_power`, direction 1 first, and each step is
-    kept too, under the interned letter of its multi-index, so a letter of
-    higher order builds on the steps already there.  Once a step gives zero,
-    every later step is zero and none is taken."""
-    orders = [0] * len(letter.orders)
-    for d, count in enumerate(letter.orders):
+    kept too, under its own multi-index, so a multi-index of higher order
+    builds on the steps already there.  Once a step gives zero, every later
+    step is zero and none is taken."""
+    if not any(orders):
+        return f
+    return _kept(f, orders, ctx, _steps, ctx, f, orders)
+
+
+def _steps(ctx: JetContext, f: FormalSum, orders: tuple[int, ...]) -> FormalSum:
+    """`_prolongation`, computed step by step on the kept steps."""
+    value, steps = f, [0] * len(orders)
+    for d, count in enumerate(orders):
         for _ in range(count if value else 0):
-            orders[d] += 1
-            step = ctx._letters[letter.odd, letter.index, tuple(orders)]
-            known = table.get(step)
-            if known is None:
-                known = table[step] = total_derivative(ctx, value, d + 1)
-            value = known
+            steps[d] += 1
+            value = _kept(f, tuple(steps), ctx, total_derivative, ctx, value, d + 1)
             if not value:
                 break
-    table[letter] = value
     return value
+
+
+def _letter_index(ctx: JetContext, section: GeneratingSection) -> dict[Letter, FormalSum]:
+    """The section's index from letters to the D^orders of their components
+    kept under the context value of `ctx`.  It notes each component's
+    `_derived` dict, so a new context value, or a component that `add_word`
+    wrote since, starts a new index."""
+    kept = section._index
+    if kept is not None and kept[0] == ctx._key:
+        for c, derived in kept[1]:
+            if c._derived is not derived:
+                break
+        else:
+            return kept[2]
+    for c in section.even + section.odd:
+        if c._derived is None:
+            c._derived = {}
+    kept = (ctx._key, [(c, c._derived) for c in section.even + section.odd], {})
+    object.__setattr__(section, "_index", kept)
+    return kept[2]
 
 
 def evolutionary_apply(
@@ -425,10 +448,10 @@ def evolutionary_apply(
     The field is a graded derivation: each letter occurrence is replaced by
     the matching component, differentiated to the letter's multi-index, with
     a sign when an odd field passes the odd part of the prefix.  Each
-    D^orders of a component is computed once per section and context value and
-    kept on the section (see `GeneratingSection`), so repeated calls with one
-    field reuse its prolongation.  On a cyclic sum each product word's
-    canonical form comes from the context's table.
+    D^orders of a component is computed once per component and context
+    value and kept on the component (see `GeneratingSection`), so repeated
+    calls with one field reuse its prolongation.  On a cyclic sum each
+    product word's canonical form comes from the context's table.
     """
     out = _Accumulator(f.cyclic)
     _act(ctx, section, f, out)
@@ -439,16 +462,16 @@ def _act(
     ctx: JetContext, section: GeneratingSection, f: FormalSum, out: _Accumulator, sign: int = 1
 ) -> None:
     """Add sign times `evolutionary_apply(ctx, section, f)` into `out`."""
-    table = _kept(section, "_prolonged", ctx, dict)
+    index = _letter_index(ctx, section)
     canonical = ctx._canonical_forms.__getitem__
     add_products = out.add_products
     for w, c in f.terms.items():
         s = sign
         for i, letter in enumerate(w):
-            value = table.get(letter)
+            value = index.get(letter)
             if value is None:
                 component = (section.odd if letter.odd else section.even)[letter.index - 1]
-                value = _prolongation(ctx, component, table, letter)
+                value = index[letter] = _prolongation(ctx, component, letter.orders)
             if value.terms:
                 add_products(w[:i], value.terms, w[i + 1:], s, c, canonical)
             if letter.odd and section.parity:

@@ -50,17 +50,14 @@ class DifferentialOperator:
     left + slot + right.  `left` and `right` are words; the x-dependence
     lives in the coefficient.
 
-    `is_skew` keeps its verdict in `_skew`, keyed by the value of `ctx`
-    (see `jets._kept`).  `add_term`, the one method that writes the words,
-    drops it.  No other code writes `words` once the operator is built from
-    it, the rule for every sum a value is built from."""
+    `is_skew` keeps its verdict on `words` (see `jets._kept`), so a write
+    to the words, by `add_term` or by `add_word` on the sum, drops it."""
 
-    __slots__ = ("ctx", "words", "_skew")
+    __slots__ = ("ctx", "words")
 
     def __init__(self, ctx: JetContext, words: FormalSum | None = None):
         self.ctx = ctx
         self.words = FormalSum(cyclic=False) if words is None else words
-        self._skew = None
 
     @classmethod
     def identity(cls, ctx: JetContext) -> "DifferentialOperator":
@@ -68,7 +65,6 @@ class DifferentialOperator:
 
     def add_term(self, left: Word, orders, right: Word, coeff: Coefficient) -> None:
         self.words.add_word(tuple(left) + (_slot(self.ctx, orders),) + tuple(right), coeff)
-        self._skew = None
 
     def terms(self):
         """The terms as ((left, orders, right), coeff) pairs."""
@@ -114,25 +110,16 @@ class DifferentialOperator:
     # -- action ----------------------------------------------------------
 
     def apply(self, p: FormalSum) -> FormalSum:
-        """Apply to an open-word sum.  The argument is prolonged once per
-        call: each D^sigma of it is computed once, keyed by the slot letter
-        of sigma and built forward on the steps already taken, direction 1
-        first, as `jets._prolongation` does for a field's components."""
+        """Apply to an open-word sum.  Each D^sigma of the argument is kept
+        on it (see `jets._prolongation`), so a sum met again, such as a
+        covector component, is not prolonged again."""
         if p.cyclic:
             raise PreconditionError("operators act on open sums")
-        return self._apply(p, {})
-
-    def _apply(self, p: FormalSum, images: dict[Letter, FormalSum]) -> FormalSum:
-        """`apply` to an open sum whose D^sigma are read from, and added to,
-        `images`, a prolongation table of `p` under this operator's context
-        value (a `Covector` keeps one per component)."""
         ctx = self.ctx
         out = _Accumulator(False)
         for letters, c in self.words.terms.items():
             left, slot, right = _split(letters)
-            image = images.get(slot)
-            if image is None:
-                image = _prolongation(ctx, p, images, slot)
+            image = _prolongation(ctx, p, slot.orders)
             if image.terms:
                 out.add_products(left, image.terms, right, 1, c)
         return out.finish()
@@ -181,8 +168,8 @@ class DifferentialOperator:
         return DifferentialOperator(ctx, _horner(ctx, carriers))
 
     def is_skew(self) -> bool:
-        """Whether the adjoint is minus this operator; kept in `_skew`."""
-        return _kept(self, "_skew", self.ctx, _skewness, self)
+        """Whether the adjoint is minus this operator; kept on `words`."""
+        return _kept(self.words, "skew", self.ctx, _skewness, self)
 
     def __repr__(self):
         return f"DifferentialOperator({self.sorted_terms()!r})"

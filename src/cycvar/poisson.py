@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import corpus
 from .errors import BoundExceeded, PreconditionError
 from .words import FormalSum, _Accumulator
-from .jets import JetContext, _act, _kept, evolutionary_apply, make_section, total_derivative
+from .jets import JetContext, _act, evolutionary_apply, make_section, total_derivative
 from .operators import DifferentialOperator, from_derivative
 from .variational import (
     Covector,
@@ -49,18 +49,10 @@ def hamiltonian_section(
     ctx: JetContext, op: DifferentialOperator, p: Covector
 ) -> tuple[FormalSum, ...]:
     """Componentwise image of a covector under the operator (diagonal
-    action).  Each D^sigma of a component is read from, or added to, the
-    prolongation tables the covector keeps for the value of the operator's
-    context (see `Covector`), so a covector met again is not prolonged
+    action).  Each D^sigma of a component is kept on the component (see
+    `DifferentialOperator.apply`), so a covector met again is not prolonged
     again."""
-    tables = _kept(p, "_prolonged", op.ctx, _new_tables, p)
-    return tuple(op._apply(comp, table) for comp, table in zip(p.components, tables))
-
-
-def _new_tables(p: Covector) -> tuple[dict, ...]:
-    """A covector's prolongation tables under a new context value: one empty
-    table per component."""
-    return tuple({} for _ in p.components)
+    return tuple(op.apply(c) for c in p.components)
 
 
 def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, covectors):
@@ -204,12 +196,13 @@ class HamiltonianCertificate:
         return "not hamiltonian: master defect is nontrivial"
 
 
-def _witness_pool(ctx: JetContext) -> tuple[tuple[FormalSum, Covector], ...]:
-    """Small deterministic family of functionals used to exhibit a Jacobi
-    failure when the master defect is nontrivial, as (density, covector)
-    pairs.  It does not depend on the operator, so the context keeps it; it
-    is stored only once it is built whole, so an order cap that stops the
-    build keeps nothing.  Neither part holds the context."""
+def _witness_pool(ctx: JetContext) -> tuple[FormalSum, ...]:
+    """Small deterministic family of functional densities used to exhibit a
+    Jacobi failure when the master defect is nontrivial.  It does not
+    depend on the operator, so the context keeps it, and each density keeps
+    its covector (see `covector_of`); it is stored only once it is built
+    whole, so an order cap that stops the build keeps nothing.  No density
+    holds the context."""
     if not ctx._witness_pool:
         pool, one, x = [], ctx.one(), ctx.x_power(1, 1)
         for j in range(1, ctx.fields + 1):
@@ -217,8 +210,7 @@ def _witness_pool(ctx: JetContext) -> tuple[tuple[FormalSum, Covector], ...]:
             axx = ctx.shift(ctx.shift(a, 1), 1)
             shapes = ((a,), one), ((a, a), one), ((a, a, a), one), ((a,), x), ((a, a), x), ((a, axx), one)
             for letters, coeff in shapes:
-                density = FormalSum.single(True, letters, coeff)
-                pool.append((density, covector_of(ctx, density)))
+                pool.append(FormalSum.single(True, letters, coeff))
         object.__setattr__(ctx, "_witness_pool", tuple(pool))
     return ctx._witness_pool
 
@@ -257,31 +249,31 @@ def is_hamiltonian(
 
 def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):
     """First of at most `budget` triples of `_witness_pool` functionals, in
-    `combinations_with_replacement` order, whose Jacobi defect is nontrivial,
-    with that defect; (None, None) if there is none.  The defects come from
-    `_jacobi_triples`, which computes each pool member's image and each
-    inner bracket's covector once for the whole search; the pool members'
-    covectors come with the pool, kept on the context.  The covector of
-    {h_i, h_i} is exactly zero and that of {h_k, h_i} is exactly minus that
-    of {h_i, h_k}, so the cyclic sum over a triple with a repeated index
-    cancels term by term to the empty sum.  Such triples are skipped
-    without computing anything, but they still count against `budget`, so
-    every budget finds the same witness as the plain loop.  Under a
-    derivative-order cap only computed triples can exceed it, so a run the
-    plain loop ends at a skipped triple finds the uncapped witness instead.
-    A triple, or a pool member, that exceeds the cap ends the search with
-    (None, None): the verdict already stands on the master defect, so the
-    cap ends the search, not the run.  Unchecked."""
+    `combinations_with_replacement` order, whose Jacobi defect is
+    nontrivial, with that defect; (None, None) if there is none.  The
+    defects come from `_jacobi_triples`, which computes each pool member's
+    image and each inner bracket's covector once for the whole search; the
+    pool members' covectors are kept on their densities, which the context
+    keeps.  The covector of {h_i, h_i} is exactly zero and that of
+    {h_k, h_i} is exactly minus that of {h_i, h_k}, so the cyclic sum over
+    a triple with a repeated index cancels term by term to the empty sum.
+    Such triples are skipped without computing anything, but they still
+    count against `budget`, so every budget finds the same witness as the
+    plain loop.  Under a derivative-order cap only computed triples can
+    exceed it, so a run the plain loop ends at a skipped triple finds the
+    uncapped witness instead.  A triple, or a pool member, that exceeds the
+    cap ends the search with (None, None): the verdict already stands on the
+    master defect, so the cap ends the search, not the run.  Unchecked."""
     try:
         pool = _witness_pool(ctx)
-        defect = _jacobi_triples(ctx, op, [p for _, p in pool])
+        defect = _jacobi_triples(ctx, op, [covector_of(ctx, density) for density in pool])
         triples = itertools.combinations_with_replacement(range(len(pool)), 3)
         for triple in itertools.islice(triples, budget):
             if triple[0] == triple[1] or triple[1] == triple[2]:
                 continue
             density = defect(triple)
             if not is_trivial(ctx, density):
-                return tuple(Functional(ctx, pool[i][0]) for i in triple), density
+                return tuple(Functional(ctx, pool[i]) for i in triple), density
     except BoundExceeded:
         pass
     return None, None

@@ -4,7 +4,7 @@ identity checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -27,18 +27,13 @@ class Multivector:
     considered up to total divergences.
 
     It stores the density alone: `bivector_operator` extracts the one-slot
-    operator of a degree-2 multivector on request.  `q_field` keeps its
-    result in `_field`, keyed by the context value it was computed under
-    (see `jets._kept`), which equality and `repr` ignore.  The density is
-    not written after the multivector is built.
+    operator of a degree-2 multivector on request, and `q_field` keeps the
+    field on the density.
     """
 
     ctx: JetContext
     degree: int
     density: FormalSum
-    _field: tuple[tuple, GeneratingSection] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def is_zero(self) -> bool:
         return self.density.is_zero()
@@ -125,17 +120,17 @@ def q_field(ctx: JetContext, mv: Multivector) -> GeneratingSection:
     the right variation along the odd letters (negated), odd components from
     the variation along the position letters.
 
-    Computed once per multivector and context value and kept on `mv` (see
-    `Multivector`); the field depends only on the class of the density up
-    to total divergences."""
-    return _kept(mv, "_field", ctx, _field_of, ctx, mv)
+    Computed once per density, degree and context value and kept on the
+    density (see `jets._kept`); the field depends only on the class of the
+    density up to total divergences."""
+    return _kept(mv.density, ("field", mv.degree), ctx, _field_of, ctx, mv.density, mv.degree)
 
 
-def _field_of(ctx: JetContext, mv: Multivector) -> GeneratingSection:
+def _field_of(ctx: JetContext, density: FormalSum, degree: int) -> GeneratingSection:
     """`q_field`, computed afresh."""
-    even = tuple(-v for v in variations(ctx, mv.density, odd_kind=True, side="right"))
-    odd = variations(ctx, mv.density, odd_kind=False)
-    return make_section(ctx, even=even, odd=odd, parity=(mv.degree - 1) % 2)
+    even = tuple(-v for v in variations(ctx, density, odd_kind=True, side="right"))
+    odd = variations(ctx, density, odd_kind=False)
+    return make_section(ctx, even=even, odd=odd, parity=(degree - 1) % 2)
 
 
 def schouten_bracket(ctx: JetContext, xi: Multivector, eta: Multivector) -> Multivector:

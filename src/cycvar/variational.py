@@ -3,10 +3,10 @@ sections, functionals, and the induced motion of covectors along a flow."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .words import FormalSum, Letter, _Accumulator
+from .words import FormalSum, _Accumulator
 from .jets import JetContext, _cut_parts, _horner, _kept
 
 
@@ -74,20 +74,14 @@ def is_trivial(ctx: JetContext, f: FormalSum) -> bool:
 @dataclass(frozen=True)
 class Covector:
     """An m-tuple of open-word sums, to be coupled against section components.
-    Components must have evenly many odd letters per word.
+    Components must have evenly many odd letters per word; they are
+    checked when the covector is built.
 
-    `poisson.hamiltonian_section` keeps in `_prolonged` one prolongation
-    table per component: D^sigma of the component for each sigma an
-    operator asked for, keyed by the slot letter of sigma, all under one
-    context value, that of the operator's context (see `jets._kept`).
-    Operators of equal contexts share the tables.  The components are not
-    written after the covector is built.  Equality and `repr` ignore the
-    tables."""
+    An operator applied to a component keeps each D^sigma it asked for on
+    the component (see `DifferentialOperator.apply`), so the images of a
+    covector met again reuse them."""
 
     components: tuple[FormalSum, ...]
-    _prolonged: tuple[tuple, tuple[dict[Letter, FormalSum], ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -126,18 +120,12 @@ def _pair(ctx: JetContext, p, values, out: _Accumulator, sign: int = 1) -> None:
 
 @dataclass(frozen=True)
 class Functional:
-    """A cyclic density considered up to total divergences.
-
-    `covector_of` keeps the functional's covector in `_covector`, keyed by
-    the context value it was computed under (see `jets._kept`), which
-    equality and `repr` ignore.  The density is not written after the
-    functional is built."""
+    """A cyclic density considered up to total divergences, checked when
+    the functional is built.  Its covector is kept on the density (see
+    `covector_of`)."""
 
     ctx: JetContext
     density: FormalSum
-    _covector: tuple[tuple, Covector] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not self.density.cyclic:
@@ -151,8 +139,11 @@ class Functional:
 
 def covector_of(ctx: JetContext, f) -> Covector:
     """The covector of variational derivatives of a functional (or density)
-    along the position families.  A functional keeps it (see
-    `Functional`); a density's is computed afresh."""
-    if isinstance(f, Functional):
-        return _kept(f, "_covector", ctx, covector_of, ctx, f.density)
-    return Covector(variations(ctx, f, odd_kind=False))
+    along the position families, kept on the density (see `jets._kept`)."""
+    density = f.density if isinstance(f, Functional) else f
+    return _kept(density, "covector", ctx, _covector, ctx, density)
+
+
+def _covector(ctx: JetContext, density: FormalSum) -> Covector:
+    """`covector_of`, computed afresh."""
+    return Covector(variations(ctx, density, odd_kind=False))

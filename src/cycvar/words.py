@@ -268,14 +268,17 @@ class FormalSum:
     when the sum is finished; a returned sum is never written again by the
     library.  `add_word`, for callers that build a sum term by term, goes
     through the same accumulator.  Sums may share their operands'
-    Coefficient objects.
+    Coefficient objects.  What the library derives from a sum is kept in
+    `_derived` (see `jets._kept`), which `add_word`, the one public writer,
+    drops; equality and `repr` ignore it.
     """
 
-    __slots__ = ("cyclic", "terms")
+    __slots__ = ("cyclic", "terms", "_derived")
 
     def __init__(self, cyclic: bool):
         self.cyclic = cyclic
         self.terms: dict[Word, Coefficient] = {}
+        self._derived = None
 
     @classmethod
     def single(cls, cyclic: bool, letters: Word, coeff: Coefficient) -> "FormalSum":
@@ -291,6 +294,7 @@ class FormalSum:
         # `nums` is tested directly: `__bool__` would add a Python-level call
         if not coeff.nums:
             return
+        self._derived = None
         acc = _Accumulator(self.cyclic, self.terms)
         letters = tuple(letters)
         if self.cyclic:
@@ -571,6 +575,7 @@ class _Accumulator:
         out = object.__new__(FormalSum)
         out.cyclic = self.cyclic
         out.terms = terms
+        out._derived = None
         return out
 
 

@@ -38,6 +38,14 @@ from cycvar.operators import SLOT_INDEX, DifferentialOperator
 from cycvar.schouten import Multivector, normalize_multivector, q_field
 
 
+def copy_sum(f: FormalSum) -> FormalSum:
+    """A new sum with the terms of `f` and nothing derived from it kept, so
+    what the library derives from it is computed afresh."""
+    out = FormalSum(f.cyclic)
+    out.terms = dict(f.terms)
+    return out
+
+
 def block_rotations(letters):
     """Every rotation of a word with its sign, each sign computed as one
     block move: the r leading letters hop over the n-r trailing ones, and

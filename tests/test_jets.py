@@ -25,7 +25,7 @@ from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.schouten import normalize_multivector, q_field
 from cycvar.variational import Covector, Functional, coupling, euler_derivative, variations
 
-from oracles import fraction_diff, reference_partial_jet
+from oracles import copy_sum, fraction_diff, reference_partial_jet
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -145,10 +145,11 @@ class TestInterning:
         section = make_section(ctx, even=[FormalSum.single(False, (a, a), ctx.one())] * fields)
         target = ctx.letter(False, fields, (2,) + (1,) * (directions - 1))
         evolutionary_apply(ctx, section, FormalSum.single(False, (target,), ctx.one()))
-        table = section._prolonged[1]
-        assert len(table) == target.order
-        for key in table:
-            assert ctx.letter(key.odd, key.index, key.orders) is key
+        # one step kept per order on the component, and the section's index
+        # holds the interned letter met
+        assert len(kept_steps(section.even[-1])) == target.order
+        (key,) = section._index[2]
+        assert key is target and section._index[2][key] is kept_steps(section.even[-1])[target.orders]
 
     @pytest.mark.parametrize("fields, directions", SHAPES)
     def test_equal_contexts_agree(self, fields, directions):
@@ -322,6 +323,12 @@ class TestEvolutionaryApply:
         assert z.odd[0].is_zero()
 
 
+def kept_steps(f):
+    """The D^orders that `f` keeps, by multi-index, whatever context value
+    each was kept under."""
+    return {kind: value for kind, (_, value) in (f._derived or {}).items() if kind and isinstance(kind[0], int)}
+
+
 def apply_or_none(ctx, section, f):
     """The action of `section` on `f`, or None if the order cap stops it."""
     try:
@@ -332,7 +339,8 @@ def apply_or_none(ctx, section, f):
 
 class TestProlongation:
     """`evolutionary_apply` keeps each D^orders of a section's components on
-    the section, tied to the context it was computed under."""
+    the component, and an index of them by letter on the section, each tied
+    to the context it was computed under."""
 
     CONTEXTS = [CTX, JetContext(fields=2, directions=2)]
 
@@ -352,17 +360,23 @@ class TestProlongation:
 
     @staticmethod
     def fresh(section):
-        return GeneratingSection(section.even, section.odd, section.parity)
+        """The section on copies of its components, which keep nothing."""
+        return GeneratingSection(
+            tuple(map(copy_sum, section.even)), tuple(map(copy_sum, section.odd)), section.parity
+        )
 
     @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
     def test_kept_steps_equal_d_power(self, ctx):
         kept = 0
         for section, f in self.cases(ctx, 10):
             evolutionary_apply(ctx, section, f)
-            for letter, value in section._prolonged[1].items():
+            for comp in section.even + section.odd:
+                for orders, value in kept_steps(comp).items():
+                    assert value == d_power(ctx, comp, orders)
+                    kept += bool(value)
+            for letter, value in section._index[2].items():
                 comp = (section.odd if letter.odd else section.even)[letter.index - 1]
                 assert value == d_power(ctx, comp, letter.orders)
-                kept += bool(letter.order and value)
         assert kept
 
     @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
@@ -388,9 +402,13 @@ class TestProlongation:
         for section, f in self.cases(CTX, 13):
             fresh = self.fresh(section)
             evolutionary_apply(CTX, section, f)
-            assert section._prolonged is not None and fresh._prolonged is None
+            assert section._index is not None and fresh._index is None
+            assert any(map(kept_steps, section.even + section.odd))
+            assert not any(comp._derived for comp in fresh.even + fresh.odd)
             assert section == fresh and fresh == section
             assert repr(section) == repr(fresh)
+            for comp, twin in zip(section.even + section.odd, fresh.even + fresh.odd):
+                assert comp == twin and repr(comp) == repr(twin)
 
     def test_writing_to_a_result_leaves_later_results(self):
         for section, f in self.cases(CTX, 14):
@@ -595,7 +613,7 @@ def _bracket_keeps_covectors(ctx):
     covectors; whether they do."""
     f, g = (Functional(ctx, parse_cyclic(text, ctx)) for text in ("cyc(a*a_x*a_x)", "cyc(a*a*a)"))
     poisson_bracket(ctx, parse_operator("op(a*D + D*R(a))", ctx), f, g)
-    return f._covector is not None and g._covector is not None
+    return all("covector" in h.density._derived for h in (f, g))
 
 
 class TestContextLifetime:
@@ -619,11 +637,11 @@ class TestContextLifetime:
         "apply": lambda ctx: parse_operator("op(a*D + D*R(a))", ctx).apply(parse_open("a*a_x", ctx)),
         "normalize_multivector": lambda ctx: normalize_multivector(ctx, parse_cyclic("cyc(a*b*b_x)", ctx), 2),
         "is_hamiltonian": lambda ctx: is_hamiltonian(ctx, parse_operator("op(a*D + D*R(a))", ctx)).witness,
-        # a rejection leaves prolongation tables on the pool's covectors,
-        # which the context keeps
+        # a rejection leaves covectors on the pool's densities, which the
+        # context keeps, and D^sigma on the covectors' components
         "is_hamiltonian-pool-prolonged": lambda ctx: (
             not is_hamiltonian(ctx, parse_operator("op(a*a*D + D*R(a*a))", ctx)).hamiltonian
-            and any(p._prolonged is not None for _, p in ctx._witness_pool)
+            and any(kept_steps(c) for d in ctx._witness_pool for c in d._derived["covector"][1].components)
         ),
         "poisson_bracket-kept-covectors": lambda ctx: _bracket_keeps_covectors(ctx),
         "jacobi_defect": lambda ctx: jacobi_defect(

@@ -9,11 +9,17 @@ import cycvar.poisson as P
 from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import Coefficient, FormalSum
-from cycvar.jets import JetContext, d_power
+from cycvar.jets import JetContext, d_power, evolutionary_apply, make_section
 from cycvar.lang import parse_operator
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.selftest import hamiltonian_family
-from cycvar.schouten import multivector_from_operator, normalize_multivector, schouten_bracket
+from cycvar.schouten import (
+    Multivector,
+    multivector_from_operator,
+    normalize_multivector,
+    q_field,
+    schouten_bracket,
+)
 from cycvar.variational import Covector, Functional, coupling, covector_of, is_trivial
 from cycvar.poisson import (
     IDENTITY_NAMES,
@@ -28,7 +34,7 @@ from cycvar.poisson import (
 
 import random
 
-from oracles import reference_jacobi_defect, reference_jacobi_terms, reference_witness_search
+from oracles import copy_sum, reference_jacobi_defect, reference_jacobi_terms, reference_witness_search
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -59,7 +65,7 @@ NON_SKEW = D_OP.compose(DifferentialOperator.identity(CTX).compose_left(opn([A])
 
 def witness_pool(ctx):
     """The functionals of the context's witness pool, in pool order."""
-    return [Functional(ctx, density) for density, _ in P._witness_pool(ctx)]
+    return [Functional(ctx, density) for density in P._witness_pool(ctx)]
 
 
 def functional(letters, value=1):
@@ -417,13 +423,18 @@ def _outcome(call):
         return BoundExceeded
 
 
+def fresh_covector(p):
+    """The covector on copies of its components, which keep nothing."""
+    return Covector(tuple(map(copy_sum, p.components)))
+
+
 class TestKeptValues:
-    """A functional keeps its covector, a covector one prolongation table
-    per component under the value of an operator's context, and an operator
-    its skewness verdict.  Each must equal a fresh computation; a capped
-    context must stop exactly where it stops a fresh value, whichever
-    context used the value first; and `add_term` must drop a kept
-    verdict."""
+    """A density keeps its covector, each component of a covector the
+    D^sigma an operator asked for under the value of the operator's
+    context, and an operator's words its skewness verdict.  Each must equal
+    a fresh computation; a capped context must stop exactly where it stops
+    a fresh value, whichever context used the value first; and `add_term`
+    must drop a kept verdict."""
 
     SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -443,23 +454,24 @@ class TestKeptValues:
         for f in functionals:
             kept = covector_of(ctx, f)
             assert covector_of(ctx, f) is kept
-            assert kept == covector_of(ctx, f.density) == covector_of(ctx, Functional(ctx, f.density))
+            assert covector_of(ctx, f.density) is kept and covector_of(ctx, Functional(ctx, f.density)) is kept
+            assert kept == covector_of(ctx, copy_sum(f.density))
         prolonged = 0
         for op in ops:
             for p in covectors:
-                fresh = tuple(op.apply(c) for c in p.components)
-                for _ in ("filling the tables", "reading them"):
+                fresh = P.hamiltonian_section(ctx, op, fresh_covector(p))
+                for _ in ("filling the kept steps", "reading them"):
                     assert P.hamiltonian_section(ctx, op, p) == fresh
-                for comp, table in zip(p.components, p._prolonged[1]):
-                    for slot, value in table.items():
-                        assert value == d_power(ctx, comp, slot.orders)
-                        prolonged += bool(slot.order and value)
+                for comp in p.components:
+                    for orders, (_, value) in (comp._derived or {}).items():
+                        assert value == d_power(ctx, comp, orders)
+                        prolonged += bool(value)
         assert prolonged
         verdicts = []
         for op in ops:
             verdict = op.is_skew()
             assert op.is_skew() is verdict
-            assert verdict == (op.adjoint() == -op) == DifferentialOperator(ctx, op.words).is_skew()
+            assert verdict == (op.adjoint() == -op) == DifferentialOperator(ctx, copy_sum(op.words)).is_skew()
             verdicts.append(verdict)
         assert set(verdicts) == {True, False}
 
@@ -476,18 +488,18 @@ class TestKeptValues:
             capped = JetContext(fields=fields, directions=directions, max_order=cap)
             ctxs = (free, capped)
             for f in functionals:
-                want = [_outcome(lambda: covector_of(c, f.density)) for c in ctxs]
+                want = [_outcome(lambda: covector_of(c, copy_sum(f.density))) for c in ctxs]
                 for turn in turns:
-                    kept = Functional(free, f.density)
+                    kept = Functional(free, copy_sum(f.density))
                     for i in turn:
                         assert _outcome(lambda: covector_of(ctxs[i], kept)) == want[i]
                 stopped.add(want[1] is BoundExceeded)
             for op in ops:
                 sides = (op, DifferentialOperator(capped, op.words))
                 for p in covectors:
-                    want = [_outcome(lambda: tuple(o.apply(c) for c in p.components)) for o in sides]
+                    want = [_outcome(lambda: P.hamiltonian_section(o.ctx, o, fresh_covector(p))) for o in sides]
                     for turn in turns:
-                        kept = Covector(p.components)
+                        kept = fresh_covector(p)
                         for i in turn:
                             got = _outcome(lambda: P.hamiltonian_section(sides[i].ctx, sides[i], kept))
                             assert got == want[i]
@@ -505,10 +517,118 @@ class TestKeptValues:
                 built.is_skew()
                 built.add_term(left, orders, right, c)
                 verdict = built.is_skew()
-                assert verdict == DifferentialOperator(ctx, built.words).is_skew()
+                assert verdict == DifferentialOperator(ctx, copy_sum(built.words)).is_skew()
                 verdicts.append(verdict)
             assert built.is_skew()
         assert set(verdicts) == {True, False}
+
+
+def _write(target: FormalSum, source: FormalSum) -> None:
+    """Add the terms of `source` to `target` through the public writer."""
+    for w, c in source.terms.items():
+        target.add_word(w, c)
+
+
+class TestWritesDropKeptValues:
+    """Every value derived from a sum is kept on that sum, and `add_word`
+    (or `add_term`, which writes through it) drops it: a value read after
+    its sum was written equals one computed on a copy that keeps nothing.
+    Each case writes after the value was read once, so a kept value that
+    outlived the write would show."""
+
+    SHAPES = [(1, 1), (2, 1), (1, 2)]
+
+    def test_functional_covector_after_add_word(self):
+        d = cyc([A, A, A])
+        h = Functional(CTX, d)
+        assert covector_of(CTX, h) == Covector((opn([A, A], 3),))
+        d.add_word((A, A), CTX.one())
+        assert covector_of(CTX, h) == Covector((opn([A], 2) + opn([A, A], 3),))
+
+    def test_skew_verdict_after_add_word(self):
+        words = parse_operator("op(D)", CTX).words
+        op = DifferentialOperator(CTX, words)
+        assert op.is_skew()
+        _write(words, parse_operator("op(a)", CTX).words)
+        assert not op.is_skew()
+        with pytest.raises(PreconditionError, match="not skew"):
+            poisson_bracket(CTX, op, functional([A, A]), functional([A, A, A]))
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_covector(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(950 + 10 * fields + directions)
+        changed = 0
+        for _ in range(6):
+            h = corpus.functional(rng, ctx)
+            before = covector_of(ctx, h)
+            _write(h.density, corpus.functional(rng, ctx).density)
+            after = covector_of(ctx, h)
+            assert after == covector_of(ctx, copy_sum(h.density))
+            changed += after != before
+        assert changed
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_field(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(960 + 10 * fields + directions)
+        changed = 0
+        for degree in (0, 1, 2, 3):
+            mv = corpus.multivector(rng, ctx, degree)
+            before = q_field(ctx, mv)
+            _write(mv.density, corpus.cyclic_density(rng, ctx, degree, words=2))
+            after = q_field(ctx, mv)
+            assert after == q_field(ctx, Multivector(ctx, degree, copy_sum(mv.density)))
+            changed += after != before
+        assert changed
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_skew(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(970 + 10 * fields + directions)
+        changed = 0
+        for _ in range(4):
+            op = corpus.operator(rng, ctx, terms=1, max_word=1)
+            for built in (op - op.adjoint(), DifferentialOperator(ctx, copy_sum(op.words))):
+                before = built.is_skew()
+                _write(built.words, corpus.operator(rng, ctx, terms=1, max_word=1).words)
+                after = built.is_skew()
+                assert after == DifferentialOperator(ctx, copy_sum(built.words)).is_skew()
+                changed += after != before
+        assert changed
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_prolongation_of_a_covector(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(980 + 10 * fields + directions)
+        changed = 0
+        for _ in range(4):
+            op = corpus.operator(rng, ctx, terms=2, max_word=1)
+            p = corpus.covector(rng, ctx)
+            before = P.hamiltonian_section(ctx, op, p)
+            for comp, more in zip(p.components, corpus.covector(rng, ctx).components):
+                _write(comp, more)
+            after = P.hamiltonian_section(ctx, op, p)
+            assert after == P.hamiltonian_section(ctx, op, fresh_covector(p))
+            changed += after != before
+        assert changed
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_prolongation_of_a_section(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(990 + 10 * fields + directions)
+        changed = 0
+        for _ in range(4):
+            section = make_section(ctx, even=corpus.covector(rng, ctx).components, parity=0)
+            f = corpus.cyclic_density(rng, ctx, 0, words=3)
+            before = evolutionary_apply(ctx, section, f)
+            for comp, more in zip(section.even, corpus.covector(rng, ctx).components):
+                _write(comp, more)
+            after = evolutionary_apply(ctx, section, f)
+            fresh = make_section(ctx, even=tuple(map(copy_sum, section.even)), parity=0)
+            assert after == evolutionary_apply(ctx, fresh, f)
+            changed += after != before
+        assert changed
 
 
 class TestSkewCheckedAtEveryEntry:

@@ -27,6 +27,7 @@ from cycvar.schouten import (
 )
 
 from oracles import (
+    copy_sum,
     eager_check_field_morphism,
     eager_check_jacobi,
     eager_check_skew,
@@ -135,9 +136,11 @@ class TestQFieldCache:
     def test_cached_equals_fresh(self):
         mv = multivector_from_operator(CTX, SHIFT_OP)
         cached = q_field(CTX, mv)
-        twin = Multivector(CTX, mv.degree, mv.density)
-        assert twin is not mv
-        assert q_field(CTX, twin) == cached
+        # the field is kept on the density: a twin on the same density
+        # shares it, one on a copy computes afresh
+        assert q_field(CTX, Multivector(CTX, mv.degree, mv.density)) is cached
+        fresh = q_field(CTX, Multivector(CTX, mv.degree, copy_sum(mv.density)))
+        assert fresh is not cached and fresh == cached
 
     def test_other_context_recomputes(self):
         mv = normalize_multivector(CTX, cyc([A, AXX]), 0)
