@@ -254,6 +254,8 @@ class Session:
             raise PreconditionError("--m must be at least 1")
         if self.n < 1:
             raise PreconditionError("--n must be at least 1")
+        if self.max_order is not None and self.max_order < 0:
+            raise PreconditionError("max_order must be nonnegative")
         if self.output not in ("pretty", "machine"):
             raise PreconditionError("output must be pretty or machine")
         self.machine = self.output == "machine"
@@ -517,8 +519,7 @@ def jacobi(session, operator, functionals):
         Functional(ctx, parse_cyclic(_expand_one(h), ctx)) for h in functionals
     )
     out = jacobi_defect(ctx, op, *hs)
-    trivial = str(out.is_trivial()).lower()  # true or false in both styles
-    session.emit("sum", out.density, ctx, [("trivial", "trivial", trivial)])
+    session.emit("sum", out.density, ctx, [("trivial", "trivial", out.is_trivial())])
 
 
 @command(

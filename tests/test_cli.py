@@ -88,6 +88,16 @@ class TestBrackets:
         assert rc == 0
         assert "trivial: true" in out.splitlines()
 
+    def test_jacobi_trivial_flag_pretty(self):
+        """Pretty mode prints the flag as every other flag, yes/no, as
+        `is-trivial` does."""
+        rc, out, _ = run_cli(
+            "--output", "pretty", "jacobi",
+            "op(a*D + D*R(a))", "cyc(a*a)", "cyc(a*a*a)", "cyc(a*a_xx)",
+        )
+        assert rc == 0
+        assert out.splitlines()[0] == "trivial: no"
+
     def test_schouten_degree(self):
         rc, out, _ = run_cli(
             "--output", "machine", "schouten", "cyc(b*b_x)/2", "cyc(a*a*a)"
@@ -229,6 +239,17 @@ class TestRejectedInputs:
         rc, out, err = run_cli("--config", str(cfg), "normalize", "cyc(a)")
         assert rc == 2 and out == ""
         assert err == f"error: config {cfg}: {key} must be {wanted}, got {json.dumps(value)}\n"
+
+    @pytest.mark.parametrize("command", [("selftest", "--suites", "1"), ("normalize", "cyc(a)")])
+    def test_negative_max_order(self, tmp_path, command):
+        """A negative cap is refused before any command runs, from the flag
+        or from a config, selftest included (which builds no context of
+        the session's)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_order": -1}))
+        for settings in (("--max-order", "-1"), ("--config", str(cfg))):
+            rc, out, err = run_cli(*settings, *command)
+            assert (rc, out, err) == (2, "", "error: max_order must be nonnegative\n")
 
     def test_config_null_max_order_means_no_cap(self, tmp_path):
         cfg = tmp_path / "cfg.json"
