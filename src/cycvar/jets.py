@@ -7,6 +7,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from math import gcd, lcm
 
 from .errors import BoundExceeded, PreconditionError
 from .words import (
@@ -54,12 +55,14 @@ class JetContext:
     same few hundred letters and words over and over.  `_letters` interns
     letters: `letter`, `shift` and the operator slot letters all read the
     `Letter` it keeps for each (odd, index, orders).  A letter is an int
-    that packs its fields (`words.Letter`), so letters compare and hash by
-    value, in C, and identity is only a fast path: letters of another
-    context, equal or not, and letters built by hand mix freely with these.
-    `_canonical_forms` holds a word's `normalize` result (canonical rotation
-    and sign), `_images` holds per direction the words with one letter
-    shifted (what `total_derivative` adds up), and `_cut_pieces` holds per
+    that packs its fields, 9 bits each (`words.Letter`), so letters compare
+    and hash by value, in C, and a word of one-direction letters with fields
+    below 512 hashes one small int per letter; identity is only a fast
+    path: letters of another context, equal or not, and letters built by
+    hand mix freely with these.  `_canonical_forms` holds a word's
+    `normalize` result (canonical rotation and sign), `_images` holds per
+    direction the words with one letter shifted (what `total_derivative`
+    and the D steps of `_horner` add up), and `_cut_pieces` holds per
     letter family and side the (orders, open word, sign) pieces of
     `_cut_parts`.  Words are keys by value, so words of hand-built letters
     find the same entries.  Each table admits at most `TABLE_LIMIT` entries
@@ -267,66 +270,112 @@ def d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
     return f
 
 
-def _horner(ctx: JetContext, parts: dict[tuple[int, ...], _Accumulator]) -> FormalSum:
+def _horner(ctx: JetContext, parts: dict[tuple[int, ...], dict], den: int) -> FormalSum:
     """The (-D)-series: the sum over multi-indices s of (-D)^s parts[s], for
-    open parts, in Horner form.  The parts are unfinished accumulators, and
-    it takes them over and writes to them.
+    open parts, in Horner form.  A part is an integer store over the one
+    denominator `den`: {monomial: {open word: int}}, whose entries may be
+    zero.  It takes the parts over and writes to them.
 
     Along one direction, P_0 - D(P_1 - D(P_2 - ...)) differentiates each
-    accumulated partial sum once instead of each part k times; the signs are
-    put on the odd parts up front, as P_0 + D(-P_1 + D(P_2 + ...)).
-    Directions are folded from the last one down: after direction d the keys
-    keep only their first d - 1 slots.  The integer numerators of the partial
-    sums are carried from one D step to the next, and each word of the
-    result gets its Coefficient once, at the end.
+    partial sum once instead of each part k times.  Directions are folded
+    from the last one down: after direction d the keys keep only their
+    first d - 1 slots.  Every D step runs on the integer numerators, and
+    each word of the result gets its Coefficient once, at the end, reduced
+    by the gcd with `den`.
     """
     for d in range(ctx.directions, 1, -1):
-        by_prefix: dict[tuple[int, ...], dict[int, _Accumulator]] = {}
+        by_prefix: dict[tuple[int, ...], dict[int, dict]] = {}
         for orders, part in parts.items():
             by_prefix.setdefault(orders[: d - 1], {})[orders[d - 1]] = part
         parts = {prefix: _fold(ctx, by_count, d) for prefix, by_count in by_prefix.items()}
-    if not parts:
-        return FormalSum(cyclic=False)
-    return _fold(ctx, {orders[0]: part for orders, part in parts.items()}, 1).finish()
+    out = FormalSum(cyclic=False)
+    terms = out.terms
+    if parts:
+        for mono, words in _fold(ctx, {orders[0]: part for orders, part in parts.items()}, 1).items():
+            for w, v in words.items():
+                if v:
+                    c = terms.get(w)
+                    if c is None:
+                        c = terms[w] = object.__new__(Coefficient)
+                        c.nums = {}
+                    c.nums[mono] = v
+    for c in terms.values():
+        g = gcd(den, *c.nums.values()) if den != 1 else 1
+        if g != 1:
+            c.nums = {m: v // g for m, v in c.nums.items()}
+        c.den = den // g
+    return out
 
 
-def _fold(ctx: JetContext, by_count: dict[int, _Accumulator], direction: int) -> _Accumulator:
+def _fold(ctx: JetContext, by_count: dict[int, dict], direction: int) -> dict:
     """The sum over k of (-D)^k by_count[k] along one direction, in Horner
-    form.  Each D step settles the running sum in place, with no new
-    Coefficient, and differentiates it into the same accumulator."""
+    form, as one integer store: each step subtracts D of the running sum
+    from the next part.  A zero entry is skipped, so a word that cancelled
+    is never differentiated and an order cap raises only on the words that
+    are left."""
+    d = direction - 1
+    images = ctx._images[d]
     top = max(by_count)
     acc = by_count[top]
-    if top % 2:
-        acc, part = _Accumulator(False), acc
-        acc.add_terms(part.terms, -1)
     for k in range(top - 1, -1, -1):
-        _derive(ctx, acc.finish().terms, direction, acc)
         part = by_count.get(k)
-        if part is not None:
-            acc.add_terms(part.terms, -1 if k % 2 else 1)
+        new = {} if part is None else part
+        for mono, words in acc.items():
+            out = new.setdefault(mono, {})
+            get = out.get
+            e = mono[d]
+            if e:
+                # the coefficient's derivative lowers the exponent by one
+                lower = new.setdefault(mono[:d] + (e - 1,) + mono[d + 1:], {})
+            for w, v in words.items():
+                if v:
+                    for img in images[w]:
+                        out[img] = get(img, 0) - v
+                    if e:
+                        lower[w] = lower.get(w, 0) - v * e
+        acc = new
     return acc
+
+
+def _common_den(coefficients) -> int:
+    """The lcm of the coefficients' denominators, taken one pair at a time:
+    unpacking them all into one `lcm` call builds an argument tuple as long
+    as the sum on every call, which measurably raised peak memory."""
+    den = 1
+    for c in coefficients:
+        if c.den != 1:
+            den = lcm(den, c.den)
+    return den
+
+
+def _enter(part: dict, word: Word, sign: int, nums: dict) -> None:
+    """Add sign * nums, numerators by monomial, under `word` to the integer
+    store `part` of `_horner`."""
+    for m, v in nums.items():
+        words = part.setdefault(m, {})
+        words[word] = words.get(word, 0) + sign * v
 
 
 def _cut_parts(
     ctx: JetContext, f: FormalSum, odd_kind: bool, index: int, right: bool
-) -> dict[tuple[int, ...], _Accumulator]:
+) -> tuple[dict[tuple[int, ...], dict], int]:
     """The cut-open words of one letter family in a cyclic sum, grouped by
-    the multi-index of the removed letter, each part unfinished.  Each
-    occurrence cuts the circle there, reading onward from the cut, with the
-    sign of the odd letters passed on the way; `right` moves the removed
-    letter to the other end, which adds a sign per word on odd families
-    only.  The part at a letter's multi-index is the cyclic partial
-    derivative by that letter.  The pieces of each word are computed once
-    per context, family and side and kept in `ctx`'s table."""
-    parts: dict[tuple[int, ...], _Accumulator] = {}
+    the multi-index of the removed letter, as the integer stores of
+    `_horner` over one denominator, the lcm of the sum's; returns (parts,
+    denominator).  Each occurrence cuts the circle there, reading onward
+    from the cut, with the sign of the odd letters passed on the way;
+    `right` moves the removed letter to the other end, which adds a sign per
+    word on odd families only.  The part at a letter's multi-index is the
+    cyclic partial derivative by that letter.  The pieces of each word are
+    computed once per context, family and side and kept in `ctx`'s table."""
+    den = _common_den(f.terms.values())
+    parts: dict[tuple[int, ...], dict] = {}
     pieces = ctx._cut_pieces[odd_kind, index, right]
     for w, c in f.terms.items():
+        k = den // c.den
         for orders, piece, sign in pieces[w]:
-            part = parts.get(orders)
-            if part is None:
-                part = parts[orders] = _Accumulator(False)
-            part.add(piece, sign, c)
-    return parts
+            _enter(parts.setdefault(orders, {}), piece, sign * k, c.nums)
+    return parts, den
 
 
 @dataclass(frozen=True)

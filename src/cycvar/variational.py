@@ -22,7 +22,7 @@ def euler_derivative(
     For each occurrence of the family, cut the circle there and apply (-D) to
     the multi-index of the removed letter.  `jets._cut_parts` groups the cut
     words by that multi-index, so `jets._horner` applies the powers of (-D)
-    in Horner form, straight on the cut parts' unfinished numerators.
+    in Horner form, straight on the cut parts' integer numerators.
     `side` chooses on which side of the density the variation is collected;
     the two differ, per word, by a sign on odd families only.
     """
@@ -30,7 +30,7 @@ def euler_derivative(
         raise PreconditionError("euler_derivative expects a cyclic sum")
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    return _horner(ctx, _cut_parts(ctx, f, odd_kind, index, side == "right"))
+    return _horner(ctx, *_cut_parts(ctx, f, odd_kind, index, side == "right"))
 
 
 def variations(

@@ -24,7 +24,9 @@ from operator import add as add_ints
 from typing import Iterable
 
 
-_BITS = 64
+# Nine bits a number keep a one-direction letter (2 + 3 * 9 = 29 bits)
+# below 2**30, one CPython digit, which hashes fastest.
+_BITS = 9
 _WIDE = 1 << _BITS
 
 
@@ -35,14 +37,15 @@ class Letter(int):
     `JetContext.shift` fill in `order`.
 
     The int value packs the fields in that sort order: a leading 1 bit, the
-    parity bit, then `index`, `order` and each entry of `orders` in 64 bits
-    each.  So among letters with one number of directions the numeric order
-    is the order of the field tuples, no letter is falsy, and words (tuples
-    of letters) hash and compare in C.  A letter with a field outside
-    0..2**64-1 is a `_WideLetter`, which compares and hashes by its field
-    tuple.  Iterating yields the four fields, so `Letter(*letter)` rebuilds
-    a letter.  A letter is an int: it never equals a tuple, and the
-    coefficient arithmetic refuses it as a number."""
+    parity bit, then `index`, `order` and each entry of `orders` in 9 bits
+    each, so a letter of one direction is a one-digit int.  Among letters
+    with one number of directions the numeric order is the order of the
+    field tuples, no letter is falsy, and words (tuples of letters) hash and
+    compare in C.  A letter with a field outside 0..2**9-1 (511) is a
+    `_WideLetter`, which compares and hashes by its field tuple.  Iterating
+    yields the four fields, so `Letter(*letter)` rebuilds a letter.  A
+    letter is an int: it never equals a tuple, and the coefficient
+    arithmetic refuses it as a number."""
 
     def __new__(cls, odd, index, order, orders):
         orders = tuple(orders)
@@ -401,10 +404,9 @@ class _Accumulator:
     it as ints, with no gcd and no new object.  `finish` settles each
     `_Open` once, in lowest terms, and drops the words that cancelled; when
     no word was touched twice and every denominator was 1 it has nothing to
-    do.  An `_Open` passed in (by `_derive`, or by `_horner` from an
-    accumulator that is done) is taken over as it is.  `terms` may start as
-    a dict the caller hands over, whose values are Coefficients.  An
-    accumulator never takes its own values as operands."""
+    do.  An `_Open` passed in (by `_derive`) is taken over as it is.
+    `terms` may start as a dict the caller hands over, whose values are
+    Coefficients.  An accumulator never takes its own values as operands."""
 
     __slots__ = ("cyclic", "terms", "loose")
 

@@ -22,6 +22,7 @@ coefficient, constants included, monomial by monomial.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from cycvar.words import (
@@ -31,7 +32,7 @@ from cycvar.words import (
     odd_count,
     pass_sign,
 )
-from cycvar.jets import JetContext, d_power, evolutionary_apply, graded_commutator
+from cycvar.jets import JetContext, d_power, evolutionary_apply, graded_commutator, total_derivative
 from cycvar.lang import letter_text
 from cycvar.variational import Covector, coupling, covector_of, is_trivial
 from cycvar.operators import SLOT_INDEX, DifferentialOperator
@@ -44,6 +45,20 @@ def copy_sum(f: FormalSum) -> FormalSum:
     out = FormalSum(f.cyclic)
     out.terms = dict(f.terms)
     return out
+
+
+def integer_parts(parts) -> tuple[dict, int]:
+    """Open sums by multi-index as the integer stores that `jets._horner`
+    takes, {monomial: {open word: int}} over the lcm of their denominators:
+    (stores, denominator)."""
+    den = math.lcm(*(c.den for f in parts.values() for c in f.terms.values()))
+    stores = {}
+    for orders, f in parts.items():
+        store = stores[orders] = {}
+        for w, c in f.terms.items():
+            for m, v in c.nums.items():
+                store.setdefault(m, {})[w] = v * (den // c.den)
+    return stores, den
 
 
 def block_rotations(letters):
@@ -203,6 +218,54 @@ def reference_euler_derivative(
                     out.add_word(w2, c2)
             sign *= pass_sign(letter, total_odd)
     return out
+
+
+def reference_cut_parts(f: FormalSum, odd_kind: bool, index: int = 1, side: str = "left") -> dict:
+    """The words cut open at each occurrence of one letter family, signed as
+    in `reference_euler_derivative`, added up by the multi-index of the
+    removed letter: {orders: open sum}."""
+    parts: dict[tuple[int, ...], FormalSum] = {}
+    for w, c in f.terms.items():
+        total_odd = odd_count(w)
+        sign = -1 if side == "right" and odd_kind and (total_odd - 1) % 2 else 1
+        for i, letter in enumerate(w):
+            if letter.odd == odd_kind and letter.index == index:
+                parts.setdefault(letter.orders, FormalSum(cyclic=False)).add_word(w[i + 1:] + w[:i], c * sign)
+            sign *= pass_sign(letter, total_odd)
+    return parts
+
+
+def reference_carriers(op: DifferentialOperator) -> dict:
+    """The adjoint's carriers coeff * R * slot * L, signed as in
+    `reference_adjoint`, added up by the multi-index s of their terms:
+    {orders: open sum}."""
+    slot = Letter(False, SLOT_INDEX, 0, op.ctx.zero_orders())
+    parts: dict[tuple[int, ...], FormalSum] = {}
+    for (left, orders, right), c in op.terms():
+        k_left = odd_count(left)
+        sign = -1 if k_left % 2 and (k_left + odd_count(right) - 1) % 2 else 1
+        parts.setdefault(orders, FormalSum(cyclic=False)).add_word(right + (slot,) + left, c * sign)
+    return parts
+
+
+def reference_horner(ctx: JetContext, parts: dict) -> FormalSum:
+    """The (-D)-series of open sums by multi-index, P_0 - D(P_1 - D(...))
+    along each direction, the last direction folded first, with the sums'
+    own arithmetic and `total_derivative`.  Every partial sum is a finished
+    sum, so a word that cancelled is never differentiated, and under an
+    order cap it raises on exactly the words that are left."""
+    for d in range(ctx.directions, 0, -1):
+        grouped: dict[tuple[int, ...], dict[int, FormalSum]] = {}
+        for orders, part in parts.items():
+            grouped.setdefault(orders[: d - 1], {})[orders[d - 1]] = part
+        parts = {}
+        for prefix, by_count in grouped.items():
+            top = max(by_count)
+            acc = by_count[top]
+            for k in range(top - 1, -1, -1):
+                acc = by_count.get(k, FormalSum(cyclic=False)) - total_derivative(ctx, acc, d)
+            parts[prefix] = acc
+    return parts.get((), FormalSum(cyclic=False))
 
 
 def reference_partial_jet(f: FormalSum, target: Letter) -> FormalSum:

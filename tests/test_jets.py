@@ -25,7 +25,7 @@ from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.schouten import normalize_multivector, q_field
 from cycvar.variational import Covector, Functional, coupling, euler_derivative, variations
 
-from oracles import copy_sum, fraction_diff, reference_partial_jet
+from oracles import copy_sum, fraction_diff, integer_parts, reference_partial_jet
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -44,16 +44,18 @@ def opn(letters, value=1):
 
 
 def horner(ctx, parts):
-    """The (-D)-series of finished open parts, by `jets._horner`, which
-    takes over the accumulators it is given."""
-    return jets._horner(ctx, {s: words._Accumulator(False, dict(p.terms)) for s, p in parts.items()})
+    """The (-D)-series of finished open parts, by `jets._horner`, on their
+    integer stores."""
+    return jets._horner(ctx, *integer_parts(parts))
 
 
 def cut_part(ctx, f, target):
     """The cyclic partial derivative by one exact letter: the part of
-    `jets._cut_parts` at the letter's family and multi-index."""
-    part = jets._cut_parts(ctx, f, target.odd, target.index, False).get(target.orders)
-    return FormalSum(cyclic=False) if part is None else part.finish()
+    `jets._cut_parts` at the letter's family and multi-index, read back as
+    a sum by the order-zero series of `jets._horner`."""
+    parts, den = jets._cut_parts(ctx, f, target.odd, target.index, False)
+    part = parts.get(target.orders)
+    return jets._horner(ctx, {} if part is None else {ctx.zero_orders(): part}, den)
 
 
 class TestContext:

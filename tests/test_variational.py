@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycvar import corpus
-from cycvar.errors import PreconditionError
+from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import FormalSum, close, concat
 from cycvar.jets import JetContext, total_derivative
+from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import (
     Covector,
     Functional,
@@ -17,7 +19,13 @@ from cycvar.variational import (
     is_trivial,
 )
 
-from oracles import reference_euler_derivative
+from oracles import (
+    reference_adjoint,
+    reference_carriers,
+    reference_cut_parts,
+    reference_euler_derivative,
+    reference_horner,
+)
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -96,6 +104,74 @@ class TestEulerReference:
                             assert got == want
                             checked += bool(want)
         assert checked
+
+
+def _outcome(call):
+    """The value of `call()`, or BoundExceeded if it raised that."""
+    try:
+        return call()
+    except BoundExceeded:
+        return BoundExceeded
+
+
+class TestIntegerStore:
+    """The (-D)-series runs on integer numerators over one denominator.
+    Drawn over (fields, directions) in {1, 2}^2, coefficients with
+    denominators such as 1/2 and 2/3 and x-monomials (`corpus.coefficient`),
+    and densities and operators whose partial sums cancel, Euler derivatives
+    of both families on both sides and adjoints agree with the references.
+    Under an order cap each raises BoundExceeded exactly where the Horner
+    series on finished sums does, which differentiates only the words left
+    after each cancellation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.integers(0, 2),
+        st.booleans(),
+        st.integers(0, 3),
+    )
+    def test_euler_derivative_matches_references(self, seed, shape, odd_degree, cancel, cap):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        capped = JetContext(fields=shape[0], directions=shape[1], max_order=cap)
+        rng = random.Random(seed)
+        f = corpus.cyclic_density(rng, ctx, odd_degree, words=3, max_order=2)
+        if cancel:
+            # E(D h) = 0, so the partial sums of the series cancel
+            h = corpus.cyclic_density(rng, ctx, odd_degree, words=2, max_order=1)
+            f = f + total_derivative(ctx, h, rng.randint(1, ctx.directions))
+        for odd_kind in (False, True):
+            for index in range(1, ctx.fields + 1):
+                for side in ("left", "right"):
+                    got = euler_derivative(ctx, f, odd_kind, index, side)
+                    assert got == reference_euler_derivative(ctx, f, odd_kind, index, side)
+                    parts = lambda: reference_cut_parts(f, odd_kind, index, side)
+                    want = _outcome(lambda: reference_horner(capped, parts()))
+                    assert _outcome(lambda: euler_derivative(capped, f, odd_kind, index, side)) == want
+                    assert want is BoundExceeded or want == got
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.booleans(),
+        st.integers(0, 4),
+    )
+    def test_adjoint_matches_references(self, seed, shape, cancel, cap):
+        ctx = JetContext(fields=shape[0], directions=shape[1])
+        rng = random.Random(seed)
+        op = corpus.operator(rng, ctx, terms=3)
+        if cancel:
+            # the series of the adjoint of D(op) cancels the words of D(P_k)
+            # against the part P_(k-1)
+            op = from_derivative(ctx, rng.randint(1, ctx.directions)).compose(op)
+        got = op.adjoint()
+        assert got == reference_adjoint(op)
+        capped = DifferentialOperator(JetContext(fields=shape[0], directions=shape[1], max_order=cap), op.words)
+        want = _outcome(lambda: reference_horner(capped.ctx, reference_carriers(op)))
+        assert _outcome(lambda: capped.adjoint().words) == want
+        assert want is BoundExceeded or want == got.words
 
 
 class TestTriviality:
