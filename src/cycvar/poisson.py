@@ -18,6 +18,7 @@ from .operators import DifferentialOperator, from_derivative
 from .variational import (
     Covector,
     Functional,
+    _covector,
     _pair,
     coupling,
     covector_of,
@@ -75,7 +76,8 @@ def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, covectors):
 
     @functools.cache
     def inner(i, j):
-        return covector_of(ctx, coupling(ctx, covectors[i], image(j)))
+        # the coupling is dropped right after, so nothing is kept on it
+        return _covector(ctx, coupling(ctx, covectors[i], image(j)))
 
     def defect(triple) -> FormalSum:
         total = _Accumulator(True)

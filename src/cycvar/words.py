@@ -273,7 +273,7 @@ class FormalSum:
     through the same accumulator.  Sums may share their operands'
     Coefficient objects.  What the library derives from a sum is kept in
     `_derived` (see `jets._kept`), which `add_word`, the one public writer,
-    drops; equality and `repr` ignore it.
+    drops; equality, `repr`, copies and pickles ignore it.
     """
 
     __slots__ = ("cyclic", "terms", "_derived")
@@ -292,6 +292,14 @@ class FormalSum:
             if sign:
                 out.terms[key] = coeff if sign > 0 else -coeff
         return out
+
+    def __getstate__(self):
+        # a copy or pickle carries the terms only, and derives afresh
+        return self.cyclic, self.terms
+
+    def __setstate__(self, state):
+        self.cyclic, self.terms = state
+        self._derived = None
 
     def add_word(self, letters: Word, coeff: Coefficient) -> None:
         # `nums` is tested directly: `__bool__` would add a Python-level call

@@ -33,10 +33,11 @@ from cycvar.lang import letter_text, parse_cyclic, parse_open, parse_operator
 from cycvar.operators import _slot
 from cycvar.poisson import jacobi_defect, jacobi_defect_expanded
 from cycvar.schouten import schouten_by_variations
-from cycvar.variational import Functional, coupling, euler_derivative
+from cycvar.variational import Functional, coupling, covector_of, euler_derivative
 
 from oracles import (
     brute_close,
+    copy_sum,
     brute_normalize,
     exhaustive_words,
     fraction_add,
@@ -302,6 +303,22 @@ class TestPackedLetters:
         g = copy.deepcopy(f)
         assert g == f and g.terms is not f.terms
         assert pickle.loads(pickle.dumps(f)) == f
+
+    def test_copies_and_pickles_carry_the_terms_only(self):
+        """What the library derived from a sum stays with the sum: a copy or
+        a pickle holds its flavor and terms only, and derives afresh."""
+        f = single([A, A, AX], Fraction(2, 3)) + single([A, A]) + FormalSum.single(True, (A, A), X)
+        covector_of(CTX, f)
+        assert f._derived
+        fresh = copy_sum(f)
+        # protocols 0 and 1 cannot pickle the slotted Coefficient
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(f, protocol)
+            assert len(data) == len(pickle.dumps(fresh, protocol))
+            back = pickle.loads(data)
+            assert back == f and back._derived is None
+        deep = copy.deepcopy(f)
+        assert deep == f and deep._derived is None and deep.terms is not f.terms
 
     def test_fields_are_read_only(self):
         with pytest.raises(AttributeError):
