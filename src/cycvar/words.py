@@ -298,7 +298,10 @@ class FormalSum:
         return self.cyclic, self.terms
 
     def __setstate__(self, state):
-        self.cyclic, self.terms = state
+        # a shallow copy gets a dict of its own, so writing it leaves the
+        # original and what the original keeps as they are
+        self.cyclic, terms = state
+        self.terms = dict(terms)
         self._derived = None
 
     def add_word(self, letters: Word, coeff: Coefficient) -> None:

@@ -319,6 +319,13 @@ class TestPackedLetters:
             assert back == f and back._derived is None
         deep = copy.deepcopy(f)
         assert deep == f and deep._derived is None and deep.terms is not f.terms
+        # a shallow copy written afterwards leaves the original and its kept
+        # covector as they were
+        before, kept = repr(f), covector_of(CTX, f)
+        shallow = copy.copy(f)
+        assert shallow == f and shallow._derived is None
+        shallow.add_word((A,), CTX.one())
+        assert repr(f) == before and covector_of(CTX, f) is kept == covector_of(CTX, copy_sum(f))
 
     def test_fields_are_read_only(self):
         with pytest.raises(AttributeError):
