@@ -337,23 +337,26 @@ def _fold(ctx: JetContext, by_count: dict[int, dict], direction: int) -> dict:
     return acc
 
 
-def _common_den(coefficients) -> int:
-    """The lcm of the coefficients' denominators, taken one pair at a time:
-    unpacking them all into one `lcm` call builds an argument tuple as long
-    as the sum on every call, which measurably raised peak memory."""
+def _integer_parts(terms: list) -> tuple[dict[tuple[int, ...], dict], int]:
+    """The integer stores that `_horner` takes, built from (Coefficient,
+    pieces) pairs, each piece a (multi-index, open word, sign) that takes
+    sign times the coefficient, over one denominator, the lcm of theirs:
+    returns (parts, denominator).  The lcm is taken one pair at a time:
+    unpacking every denominator into one `lcm` call builds an argument
+    tuple as long as the terms, which measurably raised peak memory."""
     den = 1
-    for c in coefficients:
+    for c, _ in terms:
         if c.den != 1:
             den = lcm(den, c.den)
-    return den
-
-
-def _enter(part: dict, word: Word, sign: int, nums: dict) -> None:
-    """Add sign * nums, numerators by monomial, under `word` to the integer
-    store `part` of `_horner`."""
-    for m, v in nums.items():
-        words = part.setdefault(m, {})
-        words[word] = words.get(word, 0) + sign * v
+    parts: dict[tuple[int, ...], dict] = {}
+    for c, pieces in terms:
+        k = den // c.den
+        for orders, word, sign in pieces:
+            part = parts.setdefault(orders, {})
+            for m, v in c.nums.items():
+                words = part.setdefault(m, {})
+                words[word] = words.get(word, 0) + sign * k * v
+    return parts, den
 
 
 def _cut_parts(
@@ -361,21 +364,15 @@ def _cut_parts(
 ) -> tuple[dict[tuple[int, ...], dict], int]:
     """The cut-open words of one letter family in a cyclic sum, grouped by
     the multi-index of the removed letter, as the integer stores of
-    `_horner` over one denominator, the lcm of the sum's; returns (parts,
-    denominator).  Each occurrence cuts the circle there, reading onward
-    from the cut, with the sign of the odd letters passed on the way;
-    `right` moves the removed letter to the other end, which adds a sign per
-    word on odd families only.  The part at a letter's multi-index is the
-    cyclic partial derivative by that letter.  The pieces of each word are
-    computed once per context, family and side and kept in `ctx`'s table."""
-    den = _common_den(f.terms.values())
-    parts: dict[tuple[int, ...], dict] = {}
+    `_horner` (see `_integer_parts`).  Each occurrence cuts the circle
+    there, reading onward from the cut, with the sign of the odd letters
+    passed on the way; `right` moves the removed letter to the other end,
+    which adds a sign per word on odd families only.  The part at a
+    letter's multi-index is the cyclic partial derivative by that letter.
+    The pieces of each word are computed once per context, family and side
+    and kept in `ctx`'s table."""
     pieces = ctx._cut_pieces[odd_kind, index, right]
-    for w, c in f.terms.items():
-        k = den // c.den
-        for orders, piece, sign in pieces[w]:
-            _enter(parts.setdefault(orders, {}), piece, sign * k, c.nums)
-    return parts, den
+    return _integer_parts([(c, pieces[w]) for w, c in f.terms.items()])
 
 
 @dataclass(frozen=True)

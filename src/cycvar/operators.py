@@ -23,7 +23,7 @@ from .words import (
     odd_count,
     word_key,
 )
-from .jets import JetContext, _common_den, _enter, _horner, _kept, _prolongation
+from .jets import JetContext, _horner, _integer_parts, _kept, _prolongation
 
 # Field index 0 is reserved for the argument-slot letter; real letters are
 # 1-based.
@@ -152,19 +152,17 @@ class DifferentialOperator:
         coeff * L * D^s(p) * R  transposes to the expansion of
         p -> (-D)^s (coeff * R * p * L), with a sign transporting the graded
         side words past the pairing.  The carriers  coeff * R * slot * L  are
-        grouped by s across terms, as integer stores over the lcm of the
-        coefficients' denominators, and expanded in Horner form; the
-        expansion is already the adjoint's word sum."""
+        grouped by s across terms, as integer stores, and expanded in Horner
+        form; the expansion is already the adjoint's word sum."""
         ctx = self.ctx
         slot = _slot(ctx, ctx.zero_orders())
-        den = _common_den(self.words.terms.values())
-        carriers: dict[tuple[int, ...], dict] = {}
+        carriers = []
         for (left, orders, right), c in self.terms():
             k_left = odd_count(left)
             k_total = k_left + odd_count(right)
-            sign = -1 if k_left % 2 and (k_total - 1) % 2 else 1
-            _enter(carriers.setdefault(orders, {}), right + (slot,) + left, sign * (den // c.den), c.nums)
-        return DifferentialOperator(ctx, _horner(ctx, carriers, den))
+            flip = k_left % 2 and (k_total - 1) % 2
+            carriers.append((c, ((orders, right + (slot,) + left, -1 if flip else 1),)))
+        return DifferentialOperator(ctx, _horner(ctx, *_integer_parts(carriers)))
 
     def is_skew(self) -> bool:
         """Whether the adjoint is minus this operator; kept on `words`."""

@@ -22,7 +22,6 @@ coefficient, constants included, monomial by monomial.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from cycvar.words import (
@@ -45,20 +44,6 @@ def copy_sum(f: FormalSum) -> FormalSum:
     out = FormalSum(f.cyclic)
     out.terms = dict(f.terms)
     return out
-
-
-def integer_parts(parts) -> tuple[dict, int]:
-    """Open sums by multi-index as the integer stores that `jets._horner`
-    takes, {monomial: {open word: int}} over the lcm of their denominators:
-    (stores, denominator)."""
-    den = math.lcm(*(c.den for f in parts.values() for c in f.terms.values()))
-    stores = {}
-    for orders, f in parts.items():
-        store = stores[orders] = {}
-        for w, c in f.terms.items():
-            for m, v in c.nums.items():
-                store.setdefault(m, {})[w] = v * (den // c.den)
-    return stores, den
 
 
 def block_rotations(letters):

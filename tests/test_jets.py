@@ -25,7 +25,7 @@ from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.schouten import normalize_multivector, q_field
 from cycvar.variational import Covector, Functional, coupling, euler_derivative, variations
 
-from oracles import copy_sum, fraction_diff, integer_parts, reference_partial_jet
+from oracles import copy_sum, fraction_diff, reference_partial_jet
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -46,7 +46,8 @@ def opn(letters, value=1):
 def horner(ctx, parts):
     """The (-D)-series of finished open parts, by `jets._horner`, on their
     integer stores."""
-    return jets._horner(ctx, *integer_parts(parts))
+    terms = [(c, ((s, w, 1),)) for s, p in parts.items() for w, c in p.terms.items()]
+    return jets._horner(ctx, *jets._integer_parts(terms))
 
 
 def cut_part(ctx, f, target):

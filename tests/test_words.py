@@ -45,7 +45,6 @@ from oracles import (
     fraction_product,
     fraction_scale,
     fraction_terms,
-    integer_parts,
     minus_d_power,
     reference_adjoint,
     reference_euler_derivative,
@@ -66,7 +65,8 @@ def single(letters, value=1, cyclic=True):
 def horner(ctx, parts):
     """The (-D)-series of finished open parts, by `jets._horner`, on their
     integer stores."""
-    return jets._horner(ctx, *integer_parts(parts))
+    terms = [(c, ((s, w, 1),)) for s, p in parts.items() for w, c in p.terms.items()]
+    return jets._horner(ctx, *jets._integer_parts(terms))
 
 
 class TestCoefficient:
