@@ -24,8 +24,8 @@ from operator import add as add_ints
 from typing import Iterable
 
 
-# Nine bits a number keep a one-direction letter (2 + 3 * 9 = 29 bits)
-# below 2**30, one CPython digit, which hashes fastest.
+# With nine bits per number a one-direction letter (2 + 3 * 9 = 29 bits)
+# stays below 2**30, one CPython digit, which hashes fastest.
 _BITS = 9
 _WIDE = 1 << _BITS
 
