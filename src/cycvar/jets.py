@@ -528,13 +528,14 @@ def graded_commutator(
     ctx: JetContext, x: GeneratingSection, y: GeneratingSection
 ) -> GeneratingSection:
     """Commutator of two evolutionary fields, as a section:
-    [X, Y] = X(Y) - (-1)^{|X||Y|} Y(X), componentwise."""
+    [X, Y] = X(Y) - (-1)^{|X||Y|} Y(X), componentwise, in one accumulator."""
     both_odd = x.parity and y.parity
 
     def component(cx: FormalSum, cy: FormalSum) -> FormalSum:
-        forward = evolutionary_apply(ctx, x, cy)
-        backward = evolutionary_apply(ctx, y, cx)
-        return forward + backward if both_odd else forward - backward
+        out = _Accumulator(cy.cyclic)
+        _act(ctx, x, cy, out)
+        _act(ctx, y, cx, out, 1 if both_odd else -1)
+        return out.finish()
 
     even = tuple(component(cx, cy) for cx, cy in zip(x.even, y.even))
     odd = tuple(component(cx, cy) for cx, cy in zip(x.odd, y.odd))

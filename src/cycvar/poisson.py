@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import corpus
 from .errors import BoundExceeded, PreconditionError
 from .words import FormalSum, _Accumulator
-from .jets import JetContext, _act, evolutionary_apply, make_section, total_derivative
+from .jets import JetContext, _act, make_section, total_derivative
 from .operators import DifferentialOperator, from_derivative
 from .variational import (
     Covector,
@@ -125,16 +125,15 @@ def jacobi_defect_expanded(
     third covector.  Agrees with `jacobi_defect` up to a total divergence
     when the covectors are the variations of the functionals.  Each
     covector's image and flow section is computed once for all six
-    orderings."""
+    orderings, and the flows act linearly, so the half scales the total."""
     _require_skew(op)
     images = [hamiltonian_section(ctx, op, p) for p in covectors]
     flows = [make_section(ctx, even=image, parity=0) for image in images]
     total = _Accumulator(True)
     # the sign of each permutation, in `permutations` order
     for (i, j, k), sign in zip(itertools.permutations((0, 1, 2)), (1, -1, -1, 1, 1, -1)):
-        half = coupling(ctx, covectors[i], images[j]).scale(Fraction(1, 2))
-        _act(ctx, flows[k], half, total, sign)
-    return total.finish()
+        _act(ctx, flows[k], coupling(ctx, covectors[i], images[j]), total, sign)
+    return total.finish().scale(Fraction(1, 2))
 
 
 def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
@@ -173,11 +172,13 @@ def involutivity_witness(
     x2 = make_section(ctx, even=v2, parity=0)
     out = []
     for j in range(ctx.fields):
-        lhs = evolutionary_apply(ctx, x1, v2[j]) - evolutionary_apply(ctx, x2, v1[j])
-        bracket_arg = evolutionary_apply(ctx, x1, p2.components[j]) - evolutionary_apply(
-            ctx, x2, p1.components[j]
-        )
-        out.append(lhs - op.apply(bracket_arg))
+        residual, bracket_arg = _Accumulator(False), _Accumulator(False)
+        _act(ctx, x1, v2[j], residual)
+        _act(ctx, x2, v1[j], residual, -1)
+        _act(ctx, x1, p2.components[j], bracket_arg)
+        _act(ctx, x2, p1.components[j], bracket_arg, -1)
+        residual.add_terms(op.apply(bracket_arg.finish()).terms, -1)
+        out.append(residual.finish())
     return tuple(out)
 
 
@@ -351,12 +352,10 @@ def substitution_harness(
         elif identity == "adjoint-pairing":
             p = corpus.covector(rng, ctx, jet_dependent=jet)
             q = corpus.covector(rng, ctx, jet_dependent=jet)
-            lhs = coupling(ctx, p, hamiltonian_section(ctx, op, q))
-            rhs = coupling(
-                ctx, q, tuple(adj.apply(c) for c in p.components)
-            )
-            residual = lhs - rhs
-            passed = is_trivial(ctx, residual)
+            residual = _Accumulator(True)
+            _pair(ctx, p, hamiltonian_section(ctx, op, q), residual)
+            _pair(ctx, q, (adj.apply(c) for c in p.components), residual, -1)
+            passed = is_trivial(ctx, residual.finish())
         elif identity == "jacobi-flow":
             covectors = [
                 covector_of(ctx, corpus.functional(rng, ctx, max_len=functional_len)) for _ in range(3)

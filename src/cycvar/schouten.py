@@ -12,6 +12,7 @@ from .words import FormalSum, _Accumulator
 from .jets import (
     GeneratingSection,
     JetContext,
+    _act,
     _kept,
     evolutionary_apply,
     graded_commutator,
@@ -152,13 +153,8 @@ def schouten_by_variations(
     primary route by a total divergence only."""
     out = _Accumulator(True)
     _pair(ctx, variations(ctx, xi.density, False), variations(ctx, eta.density, True), out)
-    _pair(
-        ctx,
-        variations(ctx, xi.density, True, side="right"),
-        variations(ctx, eta.density, False),
-        out,
-        -1,
-    )
+    right = variations(ctx, xi.density, True, side="right")
+    _pair(ctx, right, variations(ctx, eta.density, False), out, -1)
     return out.finish()
 
 
@@ -181,22 +177,29 @@ def evaluate(ctx: JetContext, mv: Multivector, covectors) -> Functional:
 
 
 def check_skew(ctx: JetContext, xi: Multivector, eta: Multivector) -> bool:
-    """Graded antisymmetry of the bracket, up to total divergences."""
-    lhs = schouten_bracket(ctx, xi, eta).density
-    rhs = schouten_bracket(ctx, eta, xi).density
+    """Graded antisymmetry of the bracket, up to total divergences; both
+    brackets' field actions are added into one residual."""
     odd = ((xi.degree - 1) * (eta.degree - 1)) % 2
-    return is_trivial(ctx, lhs - rhs if odd else lhs + rhs)
+    out = _Accumulator(True)
+    _act(ctx, q_field(ctx, xi), eta.density, out)
+    _act(ctx, q_field(ctx, eta), xi.density, out, -1 if odd else 1)
+    return is_trivial(ctx, out.finish())
 
 
 def check_jacobi(
     ctx: JetContext, xi: Multivector, eta: Multivector, omega: Multivector
 ) -> bool:
-    """Graded Jacobi identity of the bracket, up to total divergences."""
+    """Graded Jacobi identity of the bracket, up to total divergences; each
+    outer field action, taken after its inner bracket, is added into one residual."""
     odd = ((xi.degree - 1) * (eta.degree - 1)) % 2
-    lhs = schouten_bracket(ctx, xi, schouten_bracket(ctx, eta, omega)).density
-    mid = schouten_bracket(ctx, schouten_bracket(ctx, xi, eta), omega).density
-    rhs = schouten_bracket(ctx, eta, schouten_bracket(ctx, xi, omega)).density
-    return is_trivial(ctx, lhs - mid + rhs if odd else lhs - mid - rhs)
+    out = _Accumulator(True)
+    inner = schouten_bracket(ctx, eta, omega)
+    _act(ctx, q_field(ctx, xi), inner.density, out)
+    inner = schouten_bracket(ctx, xi, eta)
+    _act(ctx, q_field(ctx, inner), omega.density, out, -1)
+    inner = schouten_bracket(ctx, xi, omega)
+    _act(ctx, q_field(ctx, eta), inner.density, out, 1 if odd else -1)
+    return is_trivial(ctx, out.finish())
 
 
 def check_field_morphism(
@@ -204,7 +207,5 @@ def check_field_morphism(
 ) -> bool:
     """The field of a bracket equals the graded commutator of the fields,
     exactly: fields do not see total divergences."""
-    qx = q_field(ctx, xi)
-    qe = q_field(ctx, eta)
-    commutator = graded_commutator(ctx, qx, qe)
+    commutator = graded_commutator(ctx, q_field(ctx, xi), q_field(ctx, eta))
     return q_field(ctx, schouten_bracket(ctx, xi, eta)) == commutator

@@ -195,6 +195,12 @@ class Coefficient:
         self.den = lcm(*(v.denominator for v in values.values()))
         self.nums = {m: v.numerator * (self.den // v.denominator) for m, v in values.items() if v}
 
+    def __getstate__(self):
+        return self.nums, self.den
+
+    def __setstate__(self, state):
+        self.nums, self.den = state
+
     @classmethod
     def constant(cls, value, directions: int) -> "Coefficient":
         return cls.monomial((0,) * directions, value)

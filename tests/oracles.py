@@ -12,7 +12,8 @@ to every occurrence of its letter with a `block_rotations` sign.  The Jacobi def
 time, every inner bracket's covector on its own, {h_k, h_i} as well as
 {h_i, h_k}, and the witness search is the plain loop over it, with nothing
 reused between triples.  The eager Schouten bracket puts every result,
-intermediate ones included, in standard form.
+intermediate ones included, in standard form, and the reference commutator
+of fields joins whole field actions with the sums' `+` and `-`.
 Coefficient arithmetic is redone on plain dicts whose values are all
 Fractions, whole numbers included.  The reference printer names every
 letter occurrence through `letter_text` afresh and prints every
@@ -31,7 +32,7 @@ from cycvar.words import (
     odd_count,
     pass_sign,
 )
-from cycvar.jets import JetContext, d_power, evolutionary_apply, graded_commutator, total_derivative
+from cycvar.jets import GeneratingSection, JetContext, d_power, evolutionary_apply, total_derivative
 from cycvar.lang import letter_text
 from cycvar.variational import Covector, coupling, covector_of, is_trivial
 from cycvar.operators import SLOT_INDEX, DifferentialOperator
@@ -340,8 +341,25 @@ def eager_check_jacobi(
     return is_trivial(ctx, lhs - mid - rhs.scale(sign))
 
 
+def reference_graded_commutator(
+    ctx: JetContext, x: GeneratingSection, y: GeneratingSection
+) -> GeneratingSection:
+    """The commutator X(Y) - (-1)^{|X||Y|} Y(X) of two fields, each component
+    joined from two whole `evolutionary_apply` results by the sums' own `+`
+    and `-`."""
+
+    def component(cx: FormalSum, cy: FormalSum) -> FormalSum:
+        forward = evolutionary_apply(ctx, x, cy)
+        backward = evolutionary_apply(ctx, y, cx)
+        return forward + backward if x.parity and y.parity else forward - backward
+
+    even = tuple(component(cx, cy) for cx, cy in zip(x.even, y.even))
+    odd = tuple(component(cx, cy) for cx, cy in zip(x.odd, y.odd))
+    return GeneratingSection(even, odd, (x.parity + y.parity) % 2)
+
+
 def eager_check_field_morphism(ctx: JetContext, xi: Multivector, eta: Multivector) -> bool:
-    commutator = graded_commutator(ctx, q_field(ctx, xi), q_field(ctx, eta))
+    commutator = reference_graded_commutator(ctx, q_field(ctx, xi), q_field(ctx, eta))
     return q_field(ctx, eager_schouten_bracket(ctx, xi, eta)) == commutator
 
 

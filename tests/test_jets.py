@@ -25,7 +25,7 @@ from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.schouten import normalize_multivector, q_field
 from cycvar.variational import Covector, Functional, coupling, euler_derivative, variations
 
-from oracles import copy_sum, fraction_diff, reference_partial_jet
+from oracles import copy_sum, fraction_diff, reference_graded_commutator, reference_partial_jet
 
 CTX = JetContext(fields=1, directions=1)
 A = CTX.letter(False, 1)
@@ -324,6 +324,29 @@ class TestEvolutionaryApply:
         assert z.parity == 0
         assert z.even[0] == FormalSum.single(False, (A, A), CTX.x_power(1, 1)).scale(-1)
         assert z.odd[0].is_zero()
+
+    @pytest.mark.parametrize("kinds", ["even-even", "odd-even", "odd-odd"])
+    def test_commutator_matches_the_joined_actions(self, kinds):
+        """The commutator adds both actions of each component into one
+        accumulator; it must equal the reference that joins them with `+`
+        and `-`, and every component's backward action is nonzero, so a
+        flipped sign shows."""
+        sections = {
+            "even": (
+                make_section(CTX, even=[opn([A, A])], odd=[opn([A, BX])]),
+                make_section(CTX, even=[FormalSum.single(False, (AX,), CTX.x_power(1, 1))], odd=[opn([B])]),
+            ),
+            "odd": (
+                make_section(CTX, even=[opn([B, A])], odd=[opn([AX])]),
+                make_section(CTX, even=[opn([A, BX], 2)], odd=[opn([A, A])]),
+            ),
+        }
+        first, second = kinds.split("-")
+        x, y = sections[first][0], sections[second][1]
+        assert (x.parity, y.parity) == (first == "odd", second == "odd")
+        for cx in x.even + x.odd:
+            assert evolutionary_apply(CTX, y, cx)
+        assert graded_commutator(CTX, x, y) == reference_graded_commutator(CTX, x, y)
 
 
 def kept_steps(f):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycvar import corpus
+from cycvar import corpus, schouten
 from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import FormalSum
 from cycvar.jets import JetContext, total_derivative
@@ -206,6 +206,89 @@ class TestLazyBracketAgainstEager:
             else:
                 # degree 0 has no standard form, so compare classes
                 assert is_trivial(ctx, lazy.density - eager.density)
+
+
+def _degree_pools():
+    """Per context shape (fields, directions) in {1, 2}^2: the context and one
+    seeded multivector of each degree 0-3, with short words."""
+    for fields, directions in itertools.product((1, 2), repeat=2):
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(30 + 10 * fields + directions)
+        pool = [corpus.multivector(rng, ctx, d, words=2, max_len=3, max_order=1) for d in range(4)]
+        yield pytest.param(ctx, pool, id=f"m{fields}-n{directions}")
+
+
+def _reference_skew(ctx, xi, eta):
+    """The antisymmetry residual joined from two whole brackets; each
+    bracket is returned too."""
+    lhs = schouten_bracket(ctx, xi, eta).density
+    rhs = schouten_bracket(ctx, eta, xi).density
+    odd = ((xi.degree - 1) * (eta.degree - 1)) % 2
+    return (lhs - rhs if odd else lhs + rhs), (lhs, rhs)
+
+
+def _reference_jacobi(ctx, xi, eta, omega):
+    """The Jacobi residual joined from three whole nested brackets, each
+    built inner bracket first; the nested brackets are returned too."""
+    bracket = lambda a, b: schouten_bracket(ctx, a, b)
+    lhs = bracket(xi, bracket(eta, omega)).density
+    mid = bracket(bracket(xi, eta), omega).density
+    rhs = bracket(eta, bracket(xi, omega)).density
+    odd = ((xi.degree - 1) * (eta.degree - 1)) % 2
+    return (lhs - mid + rhs if odd else lhs - mid - rhs), (lhs, mid, rhs)
+
+
+def _outcome(check, *args):
+    """What a check returns, or the message of the order cap that stops it."""
+    try:
+        return check(*args)
+    except BoundExceeded as error:
+        return f"BoundExceeded: {error}"
+
+
+class TestOneResidual:
+    """`check_skew` and `check_jacobi` add every outer bracket's field action
+    into one residual; the residual handed to `is_trivial` must equal the
+    combination of whole brackets exactly.  The degree tuples cover both
+    signs: (|xi| - 1)(|eta| - 1) is odd for (0, 2) and even for (1, 2), and
+    every bracket in the combination is nonzero, so a flipped sign shows."""
+
+    @staticmethod
+    def _residual(monkeypatch, check, *args):
+        seen = []
+        monkeypatch.setattr(schouten, "is_trivial", lambda ctx, f: seen.append(f) or True)
+        assert check(*args) is True
+        (residual,) = seen
+        return residual
+
+    @pytest.mark.parametrize("ctx, pool", _degree_pools())
+    @pytest.mark.parametrize("degrees", [(0, 2), (1, 2)])
+    def test_skew_residual(self, monkeypatch, ctx, pool, degrees):
+        xi, eta = (pool[d] for d in degrees)
+        expected, brackets = _reference_skew(ctx, xi, eta)
+        assert all(brackets)
+        assert self._residual(monkeypatch, check_skew, ctx, xi, eta) == expected
+
+    @pytest.mark.parametrize("ctx, pool", _degree_pools())
+    @pytest.mark.parametrize("degrees", [(0, 2, 1), (1, 2, 0)])
+    def test_jacobi_residual(self, monkeypatch, ctx, pool, degrees):
+        xi, eta, omega = (pool[d] for d in degrees)
+        expected, brackets = _reference_jacobi(ctx, xi, eta, omega)
+        assert all(brackets)
+        assert self._residual(monkeypatch, check_jacobi, ctx, xi, eta, omega) == expected
+
+    @pytest.mark.parametrize("ctx, pool", _degree_pools())
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_capped_jacobi_stops_as_the_nested_brackets_do(self, ctx, pool, cap):
+        """Under an order cap the one-residual check raises the message of
+        the eager oracle and of the nested brackets joined afterwards."""
+        capped = JetContext(ctx.fields, ctx.directions, max_order=cap)
+        for degrees in (0, 2, 1), (1, 2, 0):
+            args = (capped, *(pool[d] for d in degrees))
+            got = _outcome(check_jacobi, *args)
+            assert isinstance(got, str) and got.startswith("BoundExceeded")
+            assert got == _outcome(eager_check_jacobi, *args)
+            assert got == _outcome(lambda *a: is_trivial(capped, _reference_jacobi(*a)[0]), *args)
 
 
 class TestSchoutenBracket:

@@ -306,17 +306,20 @@ class TestPackedLetters:
 
     def test_copies_and_pickles_carry_the_terms_only(self):
         """What the library derived from a sum stays with the sum: a copy or
-        a pickle holds its flavor and terms only, and derives afresh."""
+        a pickle, at every protocol, holds its flavor and terms only, and
+        derives afresh; packed and wide letters both come back."""
+        wide = Letter(False, 600, 0, (0,))
         f = single([A, A, AX], Fraction(2, 3)) + single([A, A]) + FormalSum.single(True, (A, A), X)
+        f += FormalSum.single(True, (wide, A), CTX.const(Fraction(1, 3)))
         covector_of(CTX, f)
-        assert f._derived
+        assert f._derived and type(wide) is _WideLetter
         fresh = copy_sum(f)
-        # protocols 0 and 1 cannot pickle the slotted Coefficient
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             data = pickle.dumps(f, protocol)
             assert len(data) == len(pickle.dumps(fresh, protocol))
             back = pickle.loads(data)
             assert back == f and back._derived is None
+            assert [type(l) for w in back.terms for l in w] == [type(l) for w in f.terms for l in w]
         deep = copy.deepcopy(f)
         assert deep == f and deep._derived is None and deep.terms is not f.terms
         # a shallow copy written afterwards leaves the original and its kept
