@@ -163,18 +163,15 @@ def _kept(value: FormalSum, kind, ctx: JetContext, compute, *args):
     entry, so a different order cap is never bypassed.  The key is the
     context's (fields, directions, max_order), never the context itself, so
     nothing kept on a sum holds a context alive; a compute that raises
-    keeps nothing.  `FormalSum.add_word` drops every entry, so a sum
-    written after a value was derived from it derives afresh.  The kinds:
-    a multi-index (`_prolongation`), "covector" (`covector_of`), ("field",
-    degree) (`q_field`) and "skew" (`DifferentialOperator.is_skew`)."""
+    keeps nothing.  Keeping seals `value` (see `FormalSum`), so no entry
+    goes stale.  The kinds: a multi-index (`_prolongation`), "covector"
+    (`covector_of`), ("field", degree) (`q_field`) and "skew"
+    (`DifferentialOperator.is_skew`)."""
     key = ctx._key
-    derived = value._derived
-    if derived is None:
-        derived = value._derived = {}
-    else:
-        entry = derived.get(kind)
-        if entry is not None and entry[0] == key:
-            return entry[1]
+    derived = value._seal()
+    entry = derived.get(kind)
+    if entry is not None and entry[0] == key:
+        return entry[1]
     result = compute(*args)
     derived[kind] = (key, result)
     return result
@@ -385,16 +382,20 @@ class GeneratingSection:
     must have parity equal to the field parity; words in an odd component must
     have the opposite parity (the odd slot itself absorbs one parity flip).
 
+    The components are sealed when the section is built (see `FormalSum`).
     Each D^orders of a component is kept on the component (see `_kept`);
     the section keeps only `_index`, which `evolutionary_apply` reads for
-    each letter it meets (see `_letter_index`).  Equality and `repr` ignore
-    the index.
+    each letter it meets (see `_letter_index`) and equality and `repr` ignore.
     """
 
     even: tuple[FormalSum, ...]
     odd: tuple[FormalSum, ...]
     parity: int
     _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for c in self.even + self.odd:
+            c._seal()
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.even) and all(
@@ -467,23 +468,13 @@ def _steps(ctx: JetContext, f: FormalSum, orders: tuple[int, ...]) -> FormalSum:
 
 
 def _letter_index(ctx: JetContext, section: GeneratingSection) -> dict[Letter, FormalSum]:
-    """The section's index from letters to the D^orders of their components
-    kept under the context value of `ctx`.  It notes each component's
-    `_derived` dict, so a new context value, or a component that `add_word`
-    wrote since, starts a new index."""
+    """Letter -> D^orders of its component, for the context value of `ctx`
+    (another value starts a new index); the components are sealed."""
     kept = section._index
-    if kept is not None and kept[0] == ctx._key:
-        for c, derived in kept[1]:
-            if c._derived is not derived:
-                break
-        else:
-            return kept[2]
-    for c in section.even + section.odd:
-        if c._derived is None:
-            c._derived = {}
-    kept = (ctx._key, [(c, c._derived) for c in section.even + section.odd], {})
-    object.__setattr__(section, "_index", kept)
-    return kept[2]
+    if kept is None or kept[0] != ctx._key:
+        kept = (ctx._key, {})
+        object.__setattr__(section, "_index", kept)
+    return kept[1]
 
 
 def evolutionary_apply(

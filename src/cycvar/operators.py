@@ -50,8 +50,8 @@ class DifferentialOperator:
     left + slot + right.  `left` and `right` are words; the x-dependence
     lives in the coefficient.
 
-    `is_skew` keeps its verdict on `words` (see `jets._kept`), so a write
-    to the words, by `add_term` or by `add_word` on the sum, drops it."""
+    `is_skew` keeps its verdict on `words` (see `jets._kept`), which seals
+    them: `add_term` refuses an operator whose skewness was read."""
 
     __slots__ = ("ctx", "words")
 

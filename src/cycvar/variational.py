@@ -61,12 +61,10 @@ def is_trivial(ctx: JetContext, f: FormalSum) -> bool:
         odd_kind, index = min(families, key=lambda family: (not family[0], family[1]))
         if euler_derivative(ctx, f, odd_kind, index):
             return False
-        rest = FormalSum(cyclic=True)
-        rest.terms = {
+        f = _Accumulator(True, {
             w: c for w, c in f.terms.items()
             if not any(l.index == index and l.odd == odd_kind for l in w)
-        }
-        f = rest
+        }).finish()
         families = f.letters_present()
     return True
 
@@ -75,7 +73,7 @@ def is_trivial(ctx: JetContext, f: FormalSum) -> bool:
 class Covector:
     """An m-tuple of open-word sums, to be coupled against section components.
     Components must have evenly many odd letters per word; they are
-    checked when the covector is built.
+    checked and sealed when the covector is built (see `FormalSum`).
 
     An operator applied to a component keeps each D^sigma it asked for on
     the component (see `DifferentialOperator.apply`), so the images of a
@@ -90,6 +88,7 @@ class Covector:
                 raise PreconditionError("covector components must be open sums")
             if any(k % 2 for k in comp.odd_degrees()):
                 raise PreconditionError("covector components must be even words")
+            comp._seal()
 
     def __neg__(self) -> "Covector":
         return Covector(tuple(-c for c in self.components))
@@ -120,9 +119,9 @@ def _pair(ctx: JetContext, p, values, out: _Accumulator, sign: int = 1) -> None:
 
 @dataclass(frozen=True)
 class Functional:
-    """A cyclic density considered up to total divergences, checked when
-    the functional is built.  Its covector is kept on the density (see
-    `covector_of`)."""
+    """A cyclic density considered up to total divergences, checked and
+    sealed when the functional is built (see `FormalSum`).  Its covector is
+    kept on the density (see `covector_of`)."""
 
     ctx: JetContext
     density: FormalSum
@@ -132,6 +131,7 @@ class Functional:
             raise PreconditionError("a functional stores a cyclic density")
         if self.density.odd_degrees() - {0}:
             raise PreconditionError("a functional density must be even-kind only")
+        self.density._seal()
 
     def is_trivial(self) -> bool:
         return is_trivial(self.ctx, self.density)

@@ -23,6 +23,8 @@ from math import gcd, lcm
 from operator import add as add_ints
 from typing import Iterable
 
+from .errors import PreconditionError
+
 
 # With nine bits per number a one-direction letter (2 + 3 * 9 = 29 bits)
 # stays below 2**30, one CPython digit, which hashes fastest.
@@ -277,9 +279,10 @@ class FormalSum:
     when the sum is finished; a returned sum is never written again by the
     library.  `add_word`, for callers that build a sum term by term, goes
     through the same accumulator.  Sums may share their operands'
-    Coefficient objects.  What the library derives from a sum is kept in
-    `_derived` (see `jets._kept`), which `add_word`, the one public writer,
-    drops; equality, `repr`, copies and pickles ignore it.
+    Coefficient objects.  A sum is sealed once something is kept on it
+    (`_derived`, see `jets._kept`) or a value checked it when built; then
+    `add_word` refuses it, and `copy.copy` gives an unsealed sum to extend.
+    Equality, `repr`, copies and pickles ignore `_derived`.
     """
 
     __slots__ = ("cyclic", "terms", "_derived")
@@ -311,10 +314,11 @@ class FormalSum:
         self._derived = None
 
     def add_word(self, letters: Word, coeff: Coefficient) -> None:
+        if self._derived is not None:
+            raise PreconditionError("sealed sum: a value was read from or checked on it; extend a copy")
         # `nums` is tested directly: `__bool__` would add a Python-level call
         if not coeff.nums:
             return
-        self._derived = None
         acc = _Accumulator(self.cyclic, self.terms)
         letters = tuple(letters)
         if self.cyclic:
@@ -323,6 +327,11 @@ class FormalSum:
         else:
             acc.add(letters, 1, coeff)
         acc.finish()
+
+    def _seal(self) -> dict:
+        if self._derived is None:
+            self._derived = {}
+        return self._derived
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -151,8 +151,8 @@ class TestInterning:
         # one step kept per order on the component, and the section's index
         # holds the interned letter met
         assert len(kept_steps(section.even[-1])) == target.order
-        (key,) = section._index[2]
-        assert key is target and section._index[2][key] is kept_steps(section.even[-1])[target.orders]
+        (key,) = section._index[1]
+        assert key is target and section._index[1][key] is kept_steps(section.even[-1])[target.orders]
 
     @pytest.mark.parametrize("fields, directions", SHAPES)
     def test_equal_contexts_agree(self, fields, directions):
@@ -400,7 +400,7 @@ class TestProlongation:
                 for orders, value in kept_steps(comp).items():
                     assert value == d_power(ctx, comp, orders)
                     kept += bool(value)
-            for letter, value in section._index[2].items():
+            for letter, value in section._index[1].items():
                 comp = (section.odd if letter.odd else section.even)[letter.index - 1]
                 assert value == d_power(ctx, comp, letter.orders)
         assert kept

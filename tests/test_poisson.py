@@ -1,6 +1,7 @@
 """Functional brackets, the Jacobi defect on two routes, the Hamiltonian
 decision procedure, and the substitution harness."""
 
+import copy
 import itertools
 
 import pytest
@@ -10,7 +11,7 @@ from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import Coefficient, FormalSum
 from cycvar.jets import JetContext, d_power, evolutionary_apply, make_section
-from cycvar.lang import parse_operator
+from cycvar.lang import parse_cyclic, parse_operator
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.selftest import hamiltonian_family
 from cycvar.schouten import (
@@ -434,7 +435,7 @@ class TestKeptValues:
     context, and an operator's words its skewness verdict.  Each must equal
     a fresh computation; a capped context must stop exactly where it stops
     a fresh value, whichever context used the value first; and `add_term`
-    must drop a kept verdict."""
+    must refuse an operator whose verdict was read."""
 
     SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -508,13 +509,22 @@ class TestKeptValues:
 
     @pytest.mark.parametrize("fields,directions", SHAPES)
     def test_add_term_drops_the_verdict(self, fields, directions):
+        """Reading the verdict seals the operator's words, so `add_term`
+        refuses them from then on; a copy of the words, extended term by
+        term, gives the verdict a fresh operator gives."""
         ctx = JetContext(fields=fields, directions=directions)
         _, _, ops = self.draws(ctx, 890 + 10 * fields + directions)
         verdicts = []
         for skew in ops[3:]:
             built = DifferentialOperator(ctx)
             for (left, orders, right), c in skew.terms():
-                built.is_skew()
+                before = built.is_skew()
+                terms = dict(built.words.terms)
+                with pytest.raises(PreconditionError, match="sealed"):
+                    built.add_term(left, orders, right, c)
+                assert built.words.terms == terms and built.is_skew() is before
+                assert before == DifferentialOperator(ctx, copy_sum(built.words)).is_skew()
+                built = DifferentialOperator(ctx, copy.copy(built.words))
                 built.add_term(left, orders, right, c)
                 verdict = built.is_skew()
                 assert verdict == DifferentialOperator(ctx, copy_sum(built.words)).is_skew()
@@ -523,36 +533,85 @@ class TestKeptValues:
         assert set(verdicts) == {True, False}
 
 
-def _write(target: FormalSum, source: FormalSum) -> None:
-    """Add the terms of `source` to `target` through the public writer."""
+def _refused(target: FormalSum, source: FormalSum) -> FormalSum:
+    """Check that writing the terms of `source` to the sealed `target` is
+    refused and leaves its terms and what it keeps as they were; return a
+    copy of `target` with the write made."""
+    terms, kept = dict(target.terms), dict(target._derived)
+    assert source.terms
     for w, c in source.terms.items():
-        target.add_word(w, c)
+        with pytest.raises(PreconditionError, match="sealed"):
+            target.add_word(w, c)
+    assert target.terms == terms and target._derived == kept
+    written = copy.copy(target)
+    for w, c in source.terms.items():
+        written.add_word(w, c)
+    return written
 
 
 class TestWritesDropKeptValues:
-    """Every value derived from a sum is kept on that sum, and `add_word`
-    (or `add_term`, which writes through it) drops it: a value read after
-    its sum was written equals one computed on a copy that keeps nothing.
-    Each case writes after the value was read once, so a kept value that
-    outlived the write would show."""
+    """Every value derived from a sum is kept on that sum, and a value that
+    checks its sum when it is built seals it; `add_word` (or `add_term`,
+    which writes through it) refuses a sealed sum.  Each case writes after
+    a value was read: the write must raise and leave the value equal to a
+    fresh computation, and the same write on a `copy.copy` must give what a
+    fresh computation on that copy gives."""
 
     SHAPES = [(1, 1), (2, 1), (1, 2)]
 
     def test_functional_covector_after_add_word(self):
         d = cyc([A, A, A])
         h = Functional(CTX, d)
-        assert covector_of(CTX, h) == Covector((opn([A, A], 3),))
-        d.add_word((A, A), CTX.one())
-        assert covector_of(CTX, h) == Covector((opn([A], 2) + opn([A, A], 3),))
+        kept = covector_of(CTX, h)
+        assert kept == Covector((opn([A, A], 3),))
+        with pytest.raises(PreconditionError, match="sealed"):
+            d.add_word((A, A), CTX.one())
+        assert d == cyc([A, A, A]) and covector_of(CTX, h) is kept
+        written = copy.copy(d)
+        written.add_word((A, A), CTX.one())
+        assert covector_of(CTX, Functional(CTX, written)) == Covector((opn([A], 2) + opn([A, A], 3),))
+        assert covector_of(CTX, h) is kept
 
     def test_skew_verdict_after_add_word(self):
         words = parse_operator("op(D)", CTX).words
         op = DifferentialOperator(CTX, words)
         assert op.is_skew()
-        _write(words, parse_operator("op(a)", CTX).words)
-        assert not op.is_skew()
+        written = DifferentialOperator(CTX, _refused(words, parse_operator("op(a)", CTX).words))
+        assert op.is_skew() and op == from_derivative(CTX)
+        poisson_bracket(CTX, op, functional([A, A]), functional([A, A, A]))
+        assert not written.is_skew()
         with pytest.raises(PreconditionError, match="not skew"):
-            poisson_bracket(CTX, op, functional([A, A]), functional([A, A, A]))
+            poisson_bracket(CTX, written, functional([A, A]), functional([A, A, A]))
+
+    def test_odd_word_after_the_functional_is_built(self):
+        """The functional's check holds for its life: an odd word written
+        to its density after it was built is refused."""
+        d = parse_cyclic("cyc(a*a)", CTX)
+        h = Functional(CTX, d)
+        with pytest.raises(PreconditionError, match="sealed"):
+            d.add_word((B, CTX.shift(B, 1)), CTX.one())
+        assert d == cyc([A, A]) and covector_of(CTX, h) == Covector((opn([A], 2),))
+        written = copy.copy(d)
+        written.add_word((B, CTX.shift(B, 1)), CTX.one())
+        with pytest.raises(PreconditionError, match="even-kind"):
+            Functional(CTX, written)
+
+    def test_component_of_a_kept_covector(self):
+        h = functional([A, A, A])
+        kept = covector_of(CTX, h)
+        with pytest.raises(PreconditionError, match="sealed"):
+            kept.components[0].add_word((A,), CTX.one())
+        assert covector_of(CTX, h) is kept
+        assert kept == covector_of(CTX, copy_sum(h.density)) == Covector((opn([A, A], 3),))
+
+    def test_component_of_a_kept_field(self):
+        text = "cyc(b*a_x*b_x)"
+        mv = Multivector(CTX, 2, parse_cyclic(text, CTX))
+        kept = q_field(CTX, mv)
+        with pytest.raises(PreconditionError, match="sealed"):
+            kept.odd[0].add_word((B, B), CTX.one())
+        assert q_field(CTX, mv) is kept
+        assert kept == q_field(CTX, Multivector(CTX, 2, parse_cyclic(text, CTX)))
 
     @pytest.mark.parametrize("fields,directions", SHAPES)
     def test_covector(self, fields, directions):
@@ -562,9 +621,11 @@ class TestWritesDropKeptValues:
         for _ in range(6):
             h = corpus.functional(rng, ctx)
             before = covector_of(ctx, h)
-            _write(h.density, corpus.functional(rng, ctx).density)
-            after = covector_of(ctx, h)
-            assert after == covector_of(ctx, copy_sum(h.density))
+            written = _refused(h.density, corpus.functional(rng, ctx).density)
+            assert covector_of(ctx, h) is before
+            assert before == covector_of(ctx, copy_sum(h.density))
+            after = covector_of(ctx, written)
+            assert after == covector_of(ctx, copy_sum(written))
             changed += after != before
         assert changed
 
@@ -576,9 +637,11 @@ class TestWritesDropKeptValues:
         for degree in (0, 1, 2, 3):
             mv = corpus.multivector(rng, ctx, degree)
             before = q_field(ctx, mv)
-            _write(mv.density, corpus.cyclic_density(rng, ctx, degree, words=2))
-            after = q_field(ctx, mv)
-            assert after == q_field(ctx, Multivector(ctx, degree, copy_sum(mv.density)))
+            written = _refused(mv.density, corpus.cyclic_density(rng, ctx, degree, words=2))
+            assert q_field(ctx, mv) is before
+            assert before == q_field(ctx, Multivector(ctx, degree, copy_sum(mv.density)))
+            after = q_field(ctx, Multivector(ctx, degree, written))
+            assert after == q_field(ctx, Multivector(ctx, degree, copy_sum(written)))
             changed += after != before
         assert changed
 
@@ -591,9 +654,11 @@ class TestWritesDropKeptValues:
             op = corpus.operator(rng, ctx, terms=1, max_word=1)
             for built in (op - op.adjoint(), DifferentialOperator(ctx, copy_sum(op.words))):
                 before = built.is_skew()
-                _write(built.words, corpus.operator(rng, ctx, terms=1, max_word=1).words)
-                after = built.is_skew()
-                assert after == DifferentialOperator(ctx, copy_sum(built.words)).is_skew()
+                written = _refused(built.words, corpus.operator(rng, ctx, terms=1, max_word=1).words)
+                assert built.is_skew() is before
+                assert before == DifferentialOperator(ctx, copy_sum(built.words)).is_skew()
+                after = DifferentialOperator(ctx, written).is_skew()
+                assert after == DifferentialOperator(ctx, copy_sum(written)).is_skew()
                 changed += after != before
         assert changed
 
@@ -606,27 +671,35 @@ class TestWritesDropKeptValues:
             op = corpus.operator(rng, ctx, terms=2, max_word=1)
             p = corpus.covector(rng, ctx)
             before = P.hamiltonian_section(ctx, op, p)
-            for comp, more in zip(p.components, corpus.covector(rng, ctx).components):
-                _write(comp, more)
-            after = P.hamiltonian_section(ctx, op, p)
-            assert after == P.hamiltonian_section(ctx, op, fresh_covector(p))
+            written = Covector(tuple(
+                _refused(comp, more) for comp, more in zip(p.components, corpus.covector(rng, ctx).components)
+            ))
+            assert P.hamiltonian_section(ctx, op, p) == before
+            assert before == P.hamiltonian_section(ctx, op, fresh_covector(p))
+            after = P.hamiltonian_section(ctx, op, written)
+            assert after == P.hamiltonian_section(ctx, op, fresh_covector(written))
             changed += after != before
         assert changed
 
     @pytest.mark.parametrize("fields,directions", SHAPES)
     def test_prolongation_of_a_section(self, fields, directions):
+        """The components are copies that keep nothing, so only the
+        section's own seal refuses the writes to those it never prolongs."""
         ctx = JetContext(fields=fields, directions=directions)
         rng = random.Random(990 + 10 * fields + directions)
+        fresh = lambda comps: make_section(ctx, even=tuple(map(copy_sum, comps)), parity=0)
         changed = 0
         for _ in range(4):
-            section = make_section(ctx, even=corpus.covector(rng, ctx).components, parity=0)
+            section = fresh(corpus.covector(rng, ctx).components)
             f = corpus.cyclic_density(rng, ctx, 0, words=3)
             before = evolutionary_apply(ctx, section, f)
-            for comp, more in zip(section.even, corpus.covector(rng, ctx).components):
-                _write(comp, more)
-            after = evolutionary_apply(ctx, section, f)
-            fresh = make_section(ctx, even=tuple(map(copy_sum, section.even)), parity=0)
-            assert after == evolutionary_apply(ctx, fresh, f)
+            written = tuple(
+                _refused(comp, more) for comp, more in zip(section.even, corpus.covector(rng, ctx).components)
+            )
+            assert evolutionary_apply(ctx, section, f) == before
+            assert before == evolutionary_apply(ctx, fresh(section.even), f)
+            after = evolutionary_apply(ctx, make_section(ctx, even=written, parity=0), f)
+            assert after == evolutionary_apply(ctx, fresh(written), f)
             changed += after != before
         assert changed
 
