@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 from .errors import CycvarError, IdentityFailure, ParseError, PreconditionError
 from .words import FormalSum, times
-from .jets import JetContext, total_derivative
+from .jets import JetContext, d_power
 from .variational import Functional, coupling, euler_derivative, is_trivial
 from .schouten import evaluate as evaluate_multivector
 from .schouten import normalize_multivector, q_field, schouten_bracket
@@ -402,15 +402,14 @@ def tderiv(session, expr, direction, order):
     if order < 0:
         raise PreconditionError(f"--order must be nonnegative, got {order}")
     ctx = session.ctx
+    ctx.check_direction(direction)
+    orders = [0] * ctx.directions
+    orders[direction - 1] = order
     for text in _expand(expr):
         out = as_sum(parse_value(text, ctx))
         if not isinstance(out, FormalSum):
             raise ParseError(f"tderiv expects a word sum, got {kind_of(out)}")
-        for _ in range(order):
-            out = total_derivative(ctx, out, direction)
-            if out.is_zero():  # so is every further derivative
-                break
-        session.emit("sum", out, ctx)
+        session.emit("sum", d_power(ctx, out, orders), ctx)
 
 
 def _parse_family(wrt: str, ctx: JetContext) -> tuple[bool, int]:

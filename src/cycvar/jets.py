@@ -164,9 +164,9 @@ def _kept(value: FormalSum, kind, ctx: JetContext, compute, *args):
     context's (fields, directions, max_order), never the context itself, so
     nothing kept on a sum holds a context alive; a compute that raises
     keeps nothing.  Keeping seals `value` (see `FormalSum`), so no entry
-    goes stale.  The kinds: a multi-index (`_prolongation`), "covector"
-    (`covector_of`), ("field", degree) (`q_field`) and "skew"
-    (`DifferentialOperator.is_skew`)."""
+    goes stale.  The kinds: a multi-index (the `d_power` of an operator's
+    argument, `DifferentialOperator.apply`), "covector" (`covector_of`),
+    ("field", degree) (`q_field`) and "skew" (`DifferentialOperator.is_skew`)."""
     key = ctx._key
     derived = value._seal()
     entry = derived.get(kind)
@@ -222,22 +222,14 @@ def _pieces(odd_kind: bool, index: int, right: bool, letters: Word) -> tuple:
 
 def total_derivative(ctx: JetContext, f: FormalSum, direction: int = 1) -> FormalSum:
     """Total derivative along a base direction: acts on the coefficient and on
-    each letter by the product rule (no signs; the derivation is even).
-    The shifted words of each word, and their canonical forms in a cyclic
-    sum, come from the context's tables."""
+    each letter by the product rule (no signs; the derivation is even).  The
+    shifted words of each word and, in a cyclic sum, their canonical forms
+    come from the context's tables; the images share the word's Coefficient."""
     ctx.check_direction(direction)
-    out = _Accumulator(f.cyclic)
-    _derive(ctx, f.terms, direction, out)
-    return out.finish()
-
-
-def _derive(ctx: JetContext, terms: dict, direction: int, out: _Accumulator) -> None:
-    """Add the total derivative of `terms`, a finished sum's terms whose
-    keys are in `out`'s form, along a checked direction into `out`.  Each
-    word's Coefficient is handed as it is to the images of the word."""
     d = direction - 1
+    out = _Accumulator(f.cyclic)
     add, images, canonical = out.add, ctx._images[d], ctx._canonical_forms
-    for w, c in terms.items():
+    for w, c in f.terms.items():
         nums = c.nums
         for mono in nums:
             if mono[d]:
@@ -250,19 +242,28 @@ def _derive(ctx: JetContext, terms: dict, direction: int, out: _Accumulator) -> 
                 diff.den = c.den
                 add(w, 1, diff)
                 break
-        if out.cyclic:
+        if f.cyclic:
             for new in images[w]:
                 key, sign = canonical[new]
                 add(key, sign, c)
         else:
             for new in images[w]:
                 add(new, 1, c)
+    return out.finish()
 
 
 def d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
-    """Iterated total derivative D^orders."""
+    """The iterated total derivative D^orders of `f`, direction 1 first; D^0
+    is `f`.  `orders` needs one nonnegative order per direction; the cap
+    bounds only the steps taken, and once a step gives zero no further step
+    is taken, since each would give zero."""
+    orders = tuple(orders)
+    if len(orders) != ctx.directions or min(orders) < 0:
+        raise PreconditionError(f"bad derivative multi-index {orders}")
     for direction, count in enumerate(orders, start=1):
         for _ in range(count):
+            if not f.terms:
+                return f
             f = total_derivative(ctx, f, direction)
     return f
 
@@ -382,10 +383,10 @@ class GeneratingSection:
     must have parity equal to the field parity; words in an odd component must
     have the opposite parity (the odd slot itself absorbs one parity flip).
 
-    The components are sealed when the section is built (see `FormalSum`).
-    Each D^orders of a component is kept on the component (see `_kept`);
-    the section keeps only `_index`, which `evolutionary_apply` reads for
-    each letter it meets (see `_letter_index`) and equality and `repr` ignore.
+    The components are sealed when the section is built (see `FormalSum`),
+    as the section keeps `_index`: each letter's D^orders of its component,
+    which `evolutionary_apply` reads (see `_letter_index`) and equality and
+    `repr` ignore.  The components keep no D^orders of their own.
     """
 
     even: tuple[FormalSum, ...]
@@ -442,34 +443,11 @@ def make_section(
     return GeneratingSection(even, odd, parity % 2)
 
 
-def _prolongation(ctx: JetContext, f: FormalSum, orders: tuple[int, ...]) -> FormalSum:
-    """D^orders of `f`, kept on `f` under the multi-index (see `_kept`);
-    D^0 is `f` itself.
-
-    The steps are those of `d_power`, direction 1 first, and each step is
-    kept too, under its own multi-index, so a multi-index of higher order
-    builds on the steps already there.  Once a step gives zero, every later
-    step is zero and none is taken."""
-    if not any(orders):
-        return f
-    return _kept(f, orders, ctx, _steps, ctx, f, orders)
-
-
-def _steps(ctx: JetContext, f: FormalSum, orders: tuple[int, ...]) -> FormalSum:
-    """`_prolongation`, computed step by step on the kept steps."""
-    value, steps = f, [0] * len(orders)
-    for d, count in enumerate(orders):
-        for _ in range(count if value else 0):
-            steps[d] += 1
-            value = _kept(f, tuple(steps), ctx, total_derivative, ctx, value, d + 1)
-            if not value:
-                break
-    return value
-
-
 def _letter_index(ctx: JetContext, section: GeneratingSection) -> dict[Letter, FormalSum]:
-    """Letter -> D^orders of its component, for the context value of `ctx`
-    (another value starts a new index); the components are sealed."""
+    """The section's letter index: letter -> `d_power` of its component to
+    the letter's multi-index, filled by `_act` on a miss, for the context
+    value of `ctx` (another value starts a new index).  The components are
+    sealed, so no entry goes stale."""
     kept = section._index
     if kept is None or kept[0] != ctx._key:
         kept = (ctx._key, {})
@@ -485,8 +463,8 @@ def evolutionary_apply(
     The field is a graded derivation: each letter occurrence is replaced by
     the matching component, differentiated to the letter's multi-index, with
     a sign when an odd field passes the odd part of the prefix.  Each
-    D^orders of a component is computed once per component and context
-    value and kept on the component (see `GeneratingSection`), so repeated
+    D^orders of a component is computed once per section and context value
+    and kept in the section's letter index (see `_letter_index`), so repeated
     calls with one field reuse its prolongation.  On a cyclic sum each
     product word's canonical form comes from the context's table.
     """
@@ -508,7 +486,7 @@ def _act(
             value = index.get(letter)
             if value is None:
                 component = (section.odd if letter.odd else section.even)[letter.index - 1]
-                value = index[letter] = _prolongation(ctx, component, letter.orders)
+                value = index[letter] = d_power(ctx, component, letter.orders)
             if value.terms:
                 add_products(w[:i], value.terms, w[i + 1:], s, c, canonical)
             if letter.odd and section.parity:

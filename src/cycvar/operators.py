@@ -23,7 +23,7 @@ from .words import (
     odd_count,
     word_key,
 )
-from .jets import JetContext, _horner, _integer_parts, _kept, _prolongation
+from .jets import JetContext, _horner, _integer_parts, _kept, d_power
 
 # Field index 0 is reserved for the argument-slot letter; real letters are
 # 1-based.
@@ -110,16 +110,17 @@ class DifferentialOperator:
     # -- action ----------------------------------------------------------
 
     def apply(self, p: FormalSum) -> FormalSum:
-        """Apply to an open-word sum.  Each D^sigma of the argument is kept
-        on it (see `jets._prolongation`), so a sum met again, such as a
-        covector component, is not prolonged again."""
+        """Apply to an open-word sum.  Each D^sigma of the argument is its
+        `d_power`, kept on it under sigma (see `jets._kept`), so a sum met
+        again, such as a covector component, is not prolonged again."""
         if p.cyclic:
             raise PreconditionError("operators act on open sums")
         ctx = self.ctx
         out = _Accumulator(False)
         for letters, c in self.words.terms.items():
             left, slot, right = _split(letters)
-            image = _prolongation(ctx, p, slot.orders)
+            orders = slot.orders
+            image = _kept(p, orders, ctx, d_power, ctx, p, orders) if any(orders) else p
             if image.terms:
                 out.add_products(left, image.terms, right, 1, c)
         return out.finish()

@@ -430,7 +430,7 @@ class _Accumulator:
     it as ints, with no gcd and no new object.  `finish` settles each
     `_Open` once, in lowest terms, and drops the words that cancelled; when
     no word was touched twice and every denominator was 1 it has nothing to
-    do.  An `_Open` passed in (by `_derive`) is taken over as it is.
+    do.  An `_Open` passed in (by `total_derivative`) is taken over as it is.
     `terms` may start as a dict the caller hands over, whose values are
     Coefficients.  An accumulator never takes its own values as operands."""
 

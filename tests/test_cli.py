@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cycvar.cli as C
+from cycvar import jets
 from cycvar.selftest import SuiteResult
 
 
@@ -192,18 +193,28 @@ class TestRejectedInputs:
 
     def test_tderiv_stops_at_the_zero_sum(self, monkeypatch):
         # D(x) = 1 and D(1) = 0: a huge order needs only two steps
-        derivative, calls = C.total_derivative, []
+        derivative, calls = jets.total_derivative, []
 
         def counted(*args):
             calls.append(args)
             assert len(calls) <= 10, "tderiv kept differentiating the zero sum"
             return derivative(*args)
 
-        monkeypatch.setattr(C, "total_derivative", counted)
+        monkeypatch.setattr(jets, "total_derivative", counted)
         rc, out, err = run_in_process("--output", "machine", "tderiv", "--order", "1000000000000", "x")
         assert (rc, err) == (0, "")
         assert out == "status: ok\nkind: open-sum\ncount: 0\n"
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("style", ["pretty", "machine"])
+    @pytest.mark.parametrize("direction", ["0", "2"])
+    def test_tderiv_checks_the_direction_at_order_zero(self, style, direction):
+        for order in ("0", "1"):
+            rc, out, err = run_in_process(
+                "--output", style, "tderiv", "--direction", direction, "--order", order, "cyc(a*a)"
+            )
+            assert (rc, out) == (2, "")
+            assert err == f"error: direction {direction} outside 1..1\n"
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_subst_check_needs_a_trial(self, trials):

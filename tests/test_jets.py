@@ -148,11 +148,12 @@ class TestInterning:
         section = make_section(ctx, even=[FormalSum.single(False, (a, a), ctx.one())] * fields)
         target = ctx.letter(False, fields, (2,) + (1,) * (directions - 1))
         evolutionary_apply(ctx, section, FormalSum.single(False, (target,), ctx.one()))
-        # one step kept per order on the component, and the section's index
-        # holds the interned letter met
-        assert len(kept_steps(section.even[-1])) == target.order
+        # the section's index holds the interned letter met, with the
+        # component's D^orders; the component keeps nothing beyond its seal
         (key,) = section._index[1]
-        assert key is target and section._index[1][key] is kept_steps(section.even[-1])[target.orders]
+        value = section._index[1][key]
+        assert key is target and value and value == d_power(ctx, section.even[-1], target.orders)
+        assert section.even[-1]._derived == {}
 
     @pytest.mark.parametrize("fields, directions", SHAPES)
     def test_equal_contexts_agree(self, fields, directions):
@@ -220,6 +221,18 @@ class TestTotalDerivative:
         assert d_power(CTX, opn([A]), (2,)) == opn([AXX])
         assert horner(CTX, {(1,): opn([A])}) == opn([AX], -1)
         assert horner(CTX, {(2,): opn([A])}) == opn([AXX])
+
+    @pytest.mark.parametrize("directions, orders", [(1, (-1,)), (1, ()), (1, (0, 1)), (2, (0, -1)), (2, (1,))])
+    def test_d_power_refuses_a_malformed_multi_index(self, directions, orders):
+        """Even on a zero sum, which has no step to take; the total order is
+        not held to the cap, only the steps taken are."""
+        ctx = JetContext(fields=1, directions=directions, max_order=2)
+        a = ctx.letter(False, 1)
+        for f in (FormalSum.single(False, (a,), ctx.one()), FormalSum.single(True, (a, a), ctx.one()), FormalSum(False)):
+            with pytest.raises(PreconditionError, match="bad derivative multi-index"):
+                d_power(ctx, f, orders)
+        x = FormalSum.single(False, (), ctx.x_power(1, 1, 3))
+        assert d_power(ctx, x, (3,) + (0,) * (directions - 1)) == FormalSum(False)
 
     def test_minus_d_series_matches_separate_powers(self):
         ctx = JetContext(fields=1, directions=2)
@@ -364,9 +377,9 @@ def apply_or_none(ctx, section, f):
 
 
 class TestProlongation:
-    """`evolutionary_apply` keeps each D^orders of a section's components on
-    the component, and an index of them by letter on the section, each tied
-    to the context it was computed under."""
+    """`evolutionary_apply` keeps each D^orders of a section's components in
+    an index by letter on the section, tied to the context it was computed
+    under; the components keep none of their own."""
 
     CONTEXTS = [CTX, JetContext(fields=2, directions=2)]
 
@@ -393,16 +406,24 @@ class TestProlongation:
 
     @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
     def test_kept_steps_equal_d_power(self, ctx):
+        """Every D^orders in a section's index, and every one that `apply`
+        keeps on a covector component, equals `d_power`."""
+        rng = random.Random(10)
+        ops = [corpus.operator(rng, ctx) for _ in range(3)] + [from_derivative(ctx, ctx.directions, 2)]
         kept = 0
         for section, f in self.cases(ctx, 10):
             evolutionary_apply(ctx, section, f)
-            for comp in section.even + section.odd:
-                for orders, value in kept_steps(comp).items():
-                    assert value == d_power(ctx, comp, orders)
-                    kept += bool(value)
+            assert not any(map(kept_steps, section.even + section.odd))
             for letter, value in section._index[1].items():
                 comp = (section.odd if letter.odd else section.even)[letter.index - 1]
                 assert value == d_power(ctx, comp, letter.orders)
+                kept += bool(value)
+            for comp in corpus.covector(rng, ctx).components:
+                for op in ops:
+                    op.apply(comp)
+                for orders, value in kept_steps(comp).items():
+                    assert value == d_power(ctx, comp, orders)
+                    kept += bool(value)
         assert kept
 
     @pytest.mark.parametrize("ctx", CONTEXTS, ids=["m1n1", "m2n2"])
@@ -429,7 +450,7 @@ class TestProlongation:
             fresh = self.fresh(section)
             evolutionary_apply(CTX, section, f)
             assert section._index is not None and fresh._index is None
-            assert any(map(kept_steps, section.even + section.odd))
+            assert any(letter.order for letter in section._index[1])
             assert not any(comp._derived for comp in fresh.even + fresh.odd)
             assert section == fresh and fresh == section
             assert repr(section) == repr(fresh)

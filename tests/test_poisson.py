@@ -461,7 +461,7 @@ class TestKeptValues:
         for op in ops:
             for p in covectors:
                 fresh = P.hamiltonian_section(ctx, op, fresh_covector(p))
-                for _ in ("filling the kept steps", "reading them"):
+                for _ in ("filling the kept D^sigma", "reading them"):
                     assert P.hamiltonian_section(ctx, op, p) == fresh
                 for comp in p.components:
                     for orders, (_, value) in (comp._derived or {}).items():
