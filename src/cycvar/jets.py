@@ -256,14 +256,15 @@ def d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
     """The iterated total derivative D^orders of `f`, direction 1 first; D^0
     is `f`.  `orders` needs one nonnegative order per direction; the cap
     bounds only the steps taken, and once a step gives zero no further step
-    is taken, since each would give zero."""
+    is taken, since each would give zero; that zero is a fresh sum, so a sum
+    keeping its D^sigma (`DifferentialOperator.apply`) never keeps itself."""
     orders = tuple(orders)
     if len(orders) != ctx.directions or min(orders) < 0:
         raise PreconditionError(f"bad derivative multi-index {orders}")
     for direction, count in enumerate(orders, start=1):
         for _ in range(count):
             if not f.terms:
-                return f
+                return FormalSum(f.cyclic)
             f = total_derivative(ctx, f, direction)
     return f
 

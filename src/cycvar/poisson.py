@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import corpus
@@ -27,10 +27,9 @@ from .variational import (
 )
 from .schouten import (
     Multivector,
-    bivector_density,
+    _standard_form,
     evaluate,
     multivector_from_operator,
-    normalize_multivector,
     odd_degree,
     odd_letter_sums,
 )
@@ -136,6 +135,20 @@ def jacobi_defect_expanded(
     return total.finish().scale(Fraction(1, 2))
 
 
+def _defect_variations(ctx: JetContext, op: DifferentialOperator) -> tuple[FormalSum, ...]:
+    """The odd variations of sum_j close(dP/da_j * dP/db_j), half the master
+    defect's representative (see `master_defect`).  For a skew operator
+    dP/db_j is op(b_j) exactly, so P's odd variation is the images P is
+    built from, with no Euler pass."""
+    _require_skew(op)
+    images = tuple(op.apply(b) for b in odd_letter_sums(ctx))
+    bivector = coupling(ctx, odd_letter_sums(ctx, Fraction(1, 2)), images)
+    odd_degree(bivector, 2)
+    density = coupling(ctx, variations(ctx, bivector, False), images)
+    odd_degree(density, 3)
+    return variations(ctx, density, True)
+
+
 def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
     """Bracket of the operator's degree-2 density P with itself, in standard
     form; its class vanishes exactly when the operator's bracket satisfies
@@ -149,14 +162,10 @@ def master_defect(ctx: JetContext, op: DifferentialOperator) -> Multivector:
     self-bracket.  The two differ by a total divergence: for degree 2 the
     right variation along b_j is minus the left one, and the even factor
     dP/da_j commutes under `close`, so both halves of the bracket give the
-    same pairing.  The standard form is built from the odd variations alone,
-    which vanish on total divergences exactly, so it is the same value on
-    either route."""
-    _require_skew(op)
-    bivector = bivector_density(ctx, op)
-    odd_degree(bivector, 2)
-    density = coupling(ctx, variations(ctx, bivector, False), variations(ctx, bivector, True))
-    return normalize_multivector(ctx, density, 3, factor=2)
+    same pairing.  The standard form is built from the odd variations alone
+    (see `_defect_variations`), which vanish on total divergences exactly,
+    so it is the same value on either route."""
+    return Multivector(ctx, 3, _standard_form(ctx, _defect_variations(ctx, op), 3, factor=2))
 
 
 def involutivity_witness(
@@ -184,12 +193,27 @@ def involutivity_witness(
 
 @dataclass(frozen=True)
 class HamiltonianCertificate:
-    """Outcome of the decision procedure, with the evidence that was checked."""
+    """Outcome of the decision procedure, with the evidence that was checked.
+
+    `defect_density`, `master_defect`'s density, is built on first read
+    from the odd variations the verdict came from, and kept; the build takes
+    no derivative, so it never exceeds an order cap.  Equality and `repr`
+    read it."""
 
     hamiltonian: bool
-    defect_density: FormalSum
+    defect_density: FormalSum = field(init=False)
+    _ctx: JetContext = field(repr=False, compare=False)
+    _odd_variations: tuple[FormalSum, ...] = field(repr=False, compare=False)
     witness: tuple[Functional, Functional, Functional] | None = None
     witness_defect: FormalSum | None = None
+
+    def __getattr__(self, name):
+        # reached only while `defect_density` is unset
+        if name != "defect_density":
+            raise AttributeError(name)
+        density = _standard_form(self._ctx, self._odd_variations, 3, factor=2)
+        object.__setattr__(self, name, density)
+        return density
 
     def summary(self) -> str:
         if self.hamiltonian:
@@ -226,28 +250,29 @@ def is_hamiltonian(
 ) -> HamiltonianCertificate:
     """Decide whether a skew operator induces a bracket satisfying Jacobi.
 
-    The verdict comes from the triviality of the master defect, read off its
-    standard form: a degree-3 standard form is empty exactly when the
-    density is a total divergence (see `normalize_multivector`).  The master
-    defect is built from the pairing of the raw bivector's variations, the
-    same standard form as that of the self-bracket's flow density (see
-    `master_defect`).  A negative verdict is backed, when possible, by a
-    functional triple whose `jacobi_defect` is nontrivial; triples with a
-    repeated functional are skipped, since their defect is exactly zero,
-    but still count against `witness_budget` (see `_witness_search`).
+    The verdict is the triviality of the master defect, read off the odd
+    variations of its pairing density (see `_defect_variations`): they all
+    vanish exactly when its standard form is empty, that is, when the
+    density is a total divergence (see `normalize_multivector`).  Every
+    derivative is taken here; the certificate closes the variations into
+    `master_defect`'s density only when it is read.  A negative verdict is
+    backed, when possible, by a functional triple whose `jacobi_defect` is
+    nontrivial; triples with a repeated functional are skipped, since their
+    defect is exactly zero, but still count against `witness_budget` (see
+    `_witness_search`).
     """
     if witness_budget < 0:
         raise PreconditionError(
             f"witness budget must be nonnegative, got {witness_budget}"
         )
-    defect = master_defect(ctx, op)
-    if defect.is_zero():
-        return HamiltonianCertificate(True, defect.density)
+    odd_variations = _defect_variations(ctx, op)
+    if not any(odd_variations):
+        return HamiltonianCertificate(True, ctx, odd_variations)
     witness = None
     witness_defect = None
     if find_witness:
         witness, witness_defect = _witness_search(ctx, op, witness_budget)
-    return HamiltonianCertificate(False, defect.density, witness, witness_defect)
+    return HamiltonianCertificate(False, ctx, odd_variations, witness, witness_defect)
 
 
 def _witness_search(ctx: JetContext, op: DifferentialOperator, budget: int):

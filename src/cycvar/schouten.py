@@ -83,10 +83,14 @@ def normalize_multivector(
     degree = odd_degree(density, degree)
     if degree == 0:
         return Multivector(ctx, degree, density if factor == 1 else density.scale(factor))
-
     odd_variations = variations(ctx, density, odd_kind=True)
-    rebuilt = coupling(ctx, odd_letter_sums(ctx, Fraction(factor) / degree), odd_variations)
-    return Multivector(ctx, degree, rebuilt)
+    return Multivector(ctx, degree, _standard_form(ctx, odd_variations, degree, factor))
+
+
+def _standard_form(ctx: JetContext, odd_variations, degree: int, factor) -> FormalSum:
+    """The standard form of `factor` times a density of degree >= 1, from its
+    odd variations alone, each closed with factor/degree times its letter."""
+    return coupling(ctx, odd_letter_sums(ctx, Fraction(factor) / degree), odd_variations)
 
 
 def bivector_operator(ctx: JetContext, mv: Multivector) -> DifferentialOperator:

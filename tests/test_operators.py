@@ -1,5 +1,6 @@
 """One-slot operators: action, composition, adjoints."""
 
+import gc
 import random
 
 import pytest
@@ -68,6 +69,21 @@ class TestAction:
     def test_apply_keeps_side_words_in_place(self):
         op = word_op([A]).compose_right(opn([AX]))
         assert op.apply(opn([B])) == opn([A, B, AX])
+
+    def test_zero_argument_keeps_no_cycle(self):
+        """D applied to the zero sum keeps its D^1 on the argument; that
+        image must not be the argument itself, or the argument holds itself
+        and only the cyclic garbage collector frees it."""
+        gc.collect()
+        gc.disable()
+        try:
+            p = FormalSum(False)
+            assert D.apply(p) == FormalSum(False)
+            assert all(value is not p for _, value in p._derived.values())
+            del p
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_rejects_cyclic_argument(self):
         with pytest.raises(PreconditionError):

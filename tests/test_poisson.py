@@ -16,12 +16,14 @@ from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.selftest import hamiltonian_family
 from cycvar.schouten import (
     Multivector,
+    bivector_density,
     multivector_from_operator,
     normalize_multivector,
+    odd_letter_sums,
     q_field,
     schouten_bracket,
 )
-from cycvar.variational import Covector, Functional, coupling, covector_of, is_trivial
+from cycvar.variational import Covector, Functional, coupling, covector_of, is_trivial, variations
 from cycvar.poisson import (
     IDENTITY_NAMES,
     involutivity_witness,
@@ -239,10 +241,39 @@ def _named_operators():
     return cases
 
 
+class TestSkewImageIsOddVariation:
+    """`is_hamiltonian` takes the odd variation of the raw bivector
+    P = (1/2) * sum_j close(b_j * op(b_j)) to be the images op(b_j) it is
+    built from.  For a skew operator that holds exactly; for a non-skew one
+    it does not."""
+
+    @staticmethod
+    def sides(ctx, op):
+        variation = variations(ctx, bivector_density(ctx, op), True)
+        return variation, tuple(op.apply(b) for b in odd_letter_sums(ctx))
+
+    @pytest.mark.parametrize("fields,directions", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_corpus_skew_parts(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        ops = _corpus_skew_parts(ctx, 850 + 10 * fields + directions, 40)
+        assert len(ops) >= 30
+        for op in ops:
+            variation, images = self.sides(ctx, op)
+            assert variation == images
+
+    def test_differs_on_a_non_skew_operator(self):
+        variation, images = self.sides(CTX, NON_SKEW)
+        assert variation != images
+
+
 class TestMasterDefectVerdict:
-    """`is_hamiltonian` reads its verdict off the master defect's standard
-    form: empty or not.  That must agree with `is_trivial` of the standard
-    form and of the raw bracket density it was built from."""
+    """`is_hamiltonian` reads its verdict off the odd variations of the
+    master defect's pairing density: all zero or not, which is whether the
+    standard form is empty.  That must agree with emptiness and `is_trivial`
+    of `master_defect`'s standard form and with `is_trivial` of the raw
+    bracket density.  The certificate builds the standard form only when
+    its density is first read, and then keeps it: it must equal
+    `master_defect`'s, exactly."""
 
     @staticmethod
     def verdicts(ctx, op):
@@ -260,14 +291,26 @@ class TestMasterDefectVerdict:
             found.append(verdict[0])
         assert set(found) == {True, False}
 
-    @pytest.mark.parametrize("fields,seed", [(1, 801), (2, 802)])
-    def test_corpus_skew_parts(self, fields, seed):
-        ctx = JetContext(fields=fields, directions=1)
+    @pytest.mark.parametrize("fields,directions,seed", [(1, 1, 801), (2, 1, 802), (1, 2, 803), (2, 2, 804)])
+    def test_corpus_skew_parts(self, fields, directions, seed, monkeypatch):
+        ctx = JetContext(fields=fields, directions=directions)
         ops = _corpus_skew_parts(ctx, seed, 40)
         assert len(ops) >= 30
         found = [self.verdicts(ctx, op) for op in ops]
         assert all(len(set(verdict)) == 1 for verdict in found)
         assert {verdict[0] for verdict in found} == {True, False}
+        builds = []
+        standard_form = P._standard_form
+        monkeypatch.setattr(P, "_standard_form", lambda *args, **kw: builds.append(args) or standard_form(*args, **kw))
+        for op, verdict in zip(ops, found):
+            cert = is_hamiltonian(ctx, op, find_witness=False)
+            assert cert.hamiltonian == verdict[0]
+            assert not builds
+            density = cert.defect_density
+            assert len(builds) == 1
+            assert cert.defect_density is density and len(builds) == 1
+            assert density == master_defect(ctx, op).density
+            builds.clear()
 
 
 class TestMasterDefectPairing:
