@@ -1,13 +1,13 @@
-"""Jet-space bookkeeping: contexts, total derivatives and the (-D)-series
-`_horner`, the cuts `_cut_parts` that the Euler operator reads, and the
-action of evolutionary fields on word sums."""
+"""Jet-space bookkeeping: contexts, total derivatives, the (-D)-series
+`_horner` with the cut pieces `_pieces` that the Euler operator feeds it,
+and the action of evolutionary fields on word sums."""
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 
 from .errors import BoundExceeded, PreconditionError
 from .words import (
@@ -63,15 +63,17 @@ class JetContext:
     `normalize` result (canonical rotation and sign), `_images` holds per
     direction the words with one letter shifted (what `total_derivative`
     and the D steps of `_horner` add up), and `_cut_pieces` holds per
-    letter family and side the (orders, open word, sign) pieces of
-    `_cut_parts`.  Words are keys by value, so words of hand-built letters
-    find the same entries.  Each table admits at most `TABLE_LIMIT` entries
-    and then only serves the ones it holds, so the memory a large one-off
-    computation spends on them stays bounded.  The CLI builds one context
-    per invocation.  The context also keeps the witness pool of the
-    Hamiltonian decision, its densities (`poisson._witness_pool`), and its
-    value as `_key`, under which `_kept` files what a sum keeps.  Equality,
-    hash and `repr` ignore all of these."""
+    letter family and side the (orders, open word, sign) pieces (`_pieces`)
+    that the Euler operator feeds `_horner`.  Words are keys by value, so
+    words of hand-built letters find the same entries.  Each table admits at
+    most `TABLE_LIMIT` entries and then only serves the ones it holds, so
+    the memory a large one-off computation spends on them stays bounded.
+    The CLI builds one context per invocation.  The context also keeps the
+    witness pool of the Hamiltonian decision (`poisson._witness_pool`), the
+    odd letter sums b_1..b_m, which keep each D^sigma an operator image asks
+    for (`schouten.odd_letter_sums`), and its value as `_key`, under which
+    `_kept` files what a sum keeps.  Equality, hash and `repr` ignore all
+    of these."""
 
     fields: int = 1
     directions: int = 1
@@ -89,6 +91,7 @@ class JetContext:
         self.__dict__.update(
             _key=(self.fields, self.directions, self.max_order),
             _witness_pool=(),
+            _odd_letters=(),
             _letters=letters,
             # `normalize` is looked up at each miss, so a wrapped one is seen
             _canonical_forms=_Table(lambda letters: normalize(letters)),
@@ -208,8 +211,12 @@ def _images_of(d: int, interned: _Table, cap: int | None, letters: Word) -> tupl
 
 
 def _pieces(odd_kind: bool, index: int, right: bool, letters: Word) -> tuple:
-    """The (orders, open word, sign) pieces that `_cut_parts` reads from one
-    cyclic word, for one letter family and side."""
+    """The (orders, open word, sign) pieces of one cyclic word for one
+    letter family and side, as `_horner` takes them: each occurrence cuts
+    the circle there, reading onward from the cut, with the sign of the odd
+    letters passed on the way, under the multi-index of the removed letter;
+    `right` moves the removed letter to the other end, which adds a sign
+    per word on odd families only."""
     total_odd = odd_count(letters)
     sign = -1 if right and odd_kind and (total_odd - 1) % 2 else 1
     pieces = []
@@ -269,35 +276,63 @@ def d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
     return f
 
 
-def _horner(ctx: JetContext, parts: dict[tuple[int, ...], dict], den: int) -> FormalSum:
-    """The (-D)-series: the sum over multi-indices s of (-D)^s parts[s], for
-    open parts, in Horner form.  A part is an integer store over the one
-    denominator `den`: {monomial: {open word: int}}, whose entries may be
-    zero.  It takes the parts over and writes to them.
+def _horner(ctx: JetContext, terms) -> tuple[dict, int]:
+    """The (-D)-series of (Coefficient, pieces) pairs, each piece a
+    (multi-index s, open word, sign) that puts sign times the coefficient
+    under (-D)^s, folded in Horner form: returns (store, den), one integer
+    store {monomial: {open word: int}} over the one denominator `den`,
+    whose entries may be zero.  `_series_sum` reads the store as a sum.
 
-    Along one direction, P_0 - D(P_1 - D(P_2 - ...)) differentiates each
-    partial sum once instead of each part k times.  Directions are folded
-    from the last one down: after direction d the keys keep only their
-    first d - 1 slots.  Every D step runs on the integer numerators, and
-    each word of the result gets its Coefficient once, at the end, reduced
-    by the gcd with `den`.
+    The parts are built in one pass that skips pairs with no piece, over
+    the lcm of the denominators met (the parts built so far are scaled up
+    when it grows).  With no piece the store is empty and nothing is
+    folded.  Along one direction, P_0 - D(P_1 - D(P_2 - ...))
+    differentiates each partial sum once instead of each part k times.
+    Directions are folded from the last one down: after direction d the
+    keys keep only their first d - 1 slots.  Every D step runs on the
+    integer numerators.
     """
+    parts: dict[tuple[int, ...], dict] = {}
+    den = 1
+    for c, pieces in terms:
+        if not pieces:
+            continue
+        if den % c.den:
+            scale = c.den // gcd(den, c.den)
+            for part in parts.values():
+                for words in part.values():
+                    for w in words:
+                        words[w] *= scale
+            den *= scale
+        k = den // c.den
+        for orders, word, sign in pieces:
+            part = parts.setdefault(orders, {})
+            for m, v in c.nums.items():
+                words = part.setdefault(m, {})
+                words[word] = words.get(word, 0) + sign * k * v
+    if not parts:
+        return parts, den
     for d in range(ctx.directions, 1, -1):
         by_prefix: dict[tuple[int, ...], dict[int, dict]] = {}
         for orders, part in parts.items():
             by_prefix.setdefault(orders[: d - 1], {})[orders[d - 1]] = part
         parts = {prefix: _fold(ctx, by_count, d) for prefix, by_count in by_prefix.items()}
+    return _fold(ctx, {orders[0]: part for orders, part in parts.items()}, 1), den
+
+
+def _series_sum(store: dict, den: int) -> FormalSum:
+    """The open sum of a `_horner` store over `den`: each word with a
+    nonzero entry gets its Coefficient once, reduced by the gcd with `den`."""
     out = FormalSum(cyclic=False)
     terms = out.terms
-    if parts:
-        for mono, words in _fold(ctx, {orders[0]: part for orders, part in parts.items()}, 1).items():
-            for w, v in words.items():
-                if v:
-                    c = terms.get(w)
-                    if c is None:
-                        c = terms[w] = object.__new__(Coefficient)
-                        c.nums = {}
-                    c.nums[mono] = v
+    for mono, words in store.items():
+        for w, v in words.items():
+            if v:
+                c = terms.get(w)
+                if c is None:
+                    c = terms[w] = object.__new__(Coefficient)
+                    c.nums = {}
+                c.nums[mono] = v
     for c in terms.values():
         g = gcd(den, *c.nums.values()) if den != 1 else 1
         if g != 1:
@@ -334,44 +369,6 @@ def _fold(ctx: JetContext, by_count: dict[int, dict], direction: int) -> dict:
                         lower[w] = lower.get(w, 0) - v * e
         acc = new
     return acc
-
-
-def _integer_parts(terms: list) -> tuple[dict[tuple[int, ...], dict], int]:
-    """The integer stores that `_horner` takes, built from (Coefficient,
-    pieces) pairs, each piece a (multi-index, open word, sign) that takes
-    sign times the coefficient, over one denominator, the lcm of theirs:
-    returns (parts, denominator).  The lcm is taken one pair at a time:
-    unpacking every denominator into one `lcm` call builds an argument
-    tuple as long as the terms, which measurably raised peak memory."""
-    den = 1
-    for c, _ in terms:
-        if c.den != 1:
-            den = lcm(den, c.den)
-    parts: dict[tuple[int, ...], dict] = {}
-    for c, pieces in terms:
-        k = den // c.den
-        for orders, word, sign in pieces:
-            part = parts.setdefault(orders, {})
-            for m, v in c.nums.items():
-                words = part.setdefault(m, {})
-                words[word] = words.get(word, 0) + sign * k * v
-    return parts, den
-
-
-def _cut_parts(
-    ctx: JetContext, f: FormalSum, odd_kind: bool, index: int, right: bool
-) -> tuple[dict[tuple[int, ...], dict], int]:
-    """The cut-open words of one letter family in a cyclic sum, grouped by
-    the multi-index of the removed letter, as the integer stores of
-    `_horner` (see `_integer_parts`).  Each occurrence cuts the circle
-    there, reading onward from the cut, with the sign of the odd letters
-    passed on the way; `right` moves the removed letter to the other end,
-    which adds a sign per word on odd families only.  The part at a
-    letter's multi-index is the cyclic partial derivative by that letter.
-    The pieces of each word are computed once per context, family and side
-    and kept in `ctx`'s table."""
-    pieces = ctx._cut_pieces[odd_kind, index, right]
-    return _integer_parts([(c, pieces[w]) for w, c in f.terms.items()])
 
 
 @dataclass(frozen=True)

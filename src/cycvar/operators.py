@@ -23,7 +23,7 @@ from .words import (
     odd_count,
     word_key,
 )
-from .jets import JetContext, _horner, _integer_parts, _kept, d_power
+from .jets import JetContext, _horner, _kept, _series_sum, d_power
 
 # Field index 0 is reserved for the argument-slot letter; real letters are
 # 1-based.
@@ -163,7 +163,7 @@ class DifferentialOperator:
             k_total = k_left + odd_count(right)
             flip = k_left % 2 and (k_total - 1) % 2
             carriers.append((c, ((orders, right + (slot,) + left, -1 if flip else 1),)))
-        return DifferentialOperator(ctx, _horner(ctx, *_integer_parts(carriers)))
+        return DifferentialOperator(ctx, _series_sum(*_horner(ctx, carriers)))
 
     def is_skew(self) -> bool:
         """Whether the adjoint is minus this operator; kept on `words`."""

@@ -4,7 +4,6 @@ and the substitution harness for structural identities."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -13,12 +12,11 @@ from fractions import Fraction
 from . import corpus
 from .errors import BoundExceeded, PreconditionError
 from .words import FormalSum, _Accumulator
-from .jets import JetContext, _act, make_section, total_derivative
+from .jets import JetContext, _Table, _act, make_section, total_derivative
 from .operators import DifferentialOperator, from_derivative
 from .variational import (
     Covector,
     Functional,
-    _covector,
     _pair,
     coupling,
     covector_of,
@@ -27,6 +25,7 @@ from .variational import (
 )
 from .schouten import (
     Multivector,
+    _bivector,
     _standard_form,
     evaluate,
     multivector_from_operator,
@@ -62,28 +61,26 @@ def _jacobi_triples(ctx: JetContext, op: DifferentialOperator, covectors):
     (j, k, i), (k, i, j).
 
     Each covector's operator image, and each inner bracket's covector, is
-    computed once across all triples asked for.  The covector of
-    {h_j, h_i} for i < j is taken as minus that of {h_i, h_j}: for a skew
-    operator the two brackets add up to a total divergence, which every
-    variational derivative maps to exactly zero.  No cached function calls
-    itself, so none holds a reference cycle through the context.
+    computed once across all triples asked for and kept in a memo table
+    (`jets._Table`, a dict that computes a missing key).  An inner covector
+    is the tuple of variations that `_pair` takes, with no `Covector`
+    check: it couples even covectors with images of words of position
+    letters, so it holds no odd letter.  The covector of {h_j, h_i} for
+    i < j is taken as minus that of {h_i, h_j}: for a skew operator the two
+    brackets add up to a total divergence, which every variational
+    derivative maps to exactly zero.  No table's compute function holds its
+    own table, so nothing holds a reference cycle through the context.
     Unchecked."""
-
-    @functools.cache
-    def image(i):
-        return hamiltonian_section(ctx, op, covectors[i])
-
-    @functools.cache
-    def inner(i, j):
-        # the coupling is dropped right after, so nothing is kept on it
-        return _covector(ctx, coupling(ctx, covectors[i], image(j)))
+    images = _Table(lambda i: hamiltonian_section(ctx, op, covectors[i]))
+    # the coupling is dropped right after, so nothing is kept on it
+    inners = _Table(lambda ij: variations(ctx, coupling(ctx, covectors[ij[0]], images[ij[1]]), False))
 
     def defect(triple) -> FormalSum:
         total = _Accumulator(True)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             i, j = triple[a], triple[b]
-            sign = 1 if i <= j else -1
-            _pair(ctx, inner(min(i, j), max(i, j)), image(triple[c]), total, sign)
+            inner = inners[i, j] if i <= j else inners[j, i]
+            _pair(ctx, inner, images[triple[c]], total, 1 if i <= j else -1)
         return total.finish()
 
     return defect
@@ -141,8 +138,7 @@ def _defect_variations(ctx: JetContext, op: DifferentialOperator) -> tuple[Forma
     dP/db_j is op(b_j) exactly, so P's odd variation is the images P is
     built from, with no Euler pass."""
     _require_skew(op)
-    images = tuple(op.apply(b) for b in odd_letter_sums(ctx))
-    bivector = coupling(ctx, odd_letter_sums(ctx, Fraction(1, 2)), images)
+    bivector, images = _bivector(ctx, op)
     odd_degree(bivector, 2)
     density = coupling(ctx, variations(ctx, bivector, False), images)
     odd_degree(density, 3)
@@ -198,8 +194,9 @@ class HamiltonianCertificate:
     `defect_density`, `master_defect`'s density, is built on first read
     from the odd variations the verdict came from, and kept; the build takes
     no derivative, so it never exceeds an order cap.  Equality and `repr`
-    read it."""
+    read it.  A certificate holds word sums, so it is unhashable."""
 
+    __hash__ = None
     hamiltonian: bool
     defect_density: FormalSum = field(init=False)
     _ctx: JetContext = field(repr=False, compare=False)

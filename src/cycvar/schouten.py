@@ -43,11 +43,21 @@ class Multivector:
 def odd_letter_sums(ctx: JetContext, value=1) -> tuple[FormalSum, ...]:
     """The one-letter open sums value * b_1, ..., value * b_m of the odd
     letters; a closing scalar rides on them instead of a pass over the
-    result."""
-    return tuple(
+    result.  The sums of value 1 are the context's own (see `JetContext`),
+    built on the first call and sealed, so each D^sigma an operator image
+    asks for is kept on them (see `DifferentialOperator.apply`) and serves
+    every later image in the context."""
+    if value == 1 and ctx._odd_letters:
+        return ctx._odd_letters
+    sums = tuple(
         FormalSum.single(False, (ctx.letter(True, j),), ctx.const(value))
         for j in range(1, ctx.fields + 1)
     )
+    if value == 1:
+        for b in sums:
+            b._seal()
+        object.__setattr__(ctx, "_odd_letters", sums)
+    return sums
 
 
 def odd_degree(density: FormalSum, expected: int | None = None) -> int:
@@ -110,8 +120,13 @@ def bivector_operator(ctx: JetContext, mv: Multivector) -> DifferentialOperator:
 def bivector_density(ctx: JetContext, op: DifferentialOperator) -> FormalSum:
     """The raw degree-2 density of a one-slot operator acting diagonally,
     (1/2) * sum_j close(b_j * op(b_j)), never put in standard form."""
-    halves = odd_letter_sums(ctx, Fraction(1, 2))
-    return coupling(ctx, halves, (op.apply(b) for b in odd_letter_sums(ctx)))
+    return _bivector(ctx, op)[0]
+
+
+def _bivector(ctx: JetContext, op: DifferentialOperator) -> tuple[FormalSum, tuple[FormalSum, ...]]:
+    """`bivector_density` and the images op(b_j) of the context's b_j."""
+    images = tuple(op.apply(b) for b in odd_letter_sums(ctx))
+    return coupling(ctx, odd_letter_sums(ctx, Fraction(1, 2)), images), images
 
 
 def multivector_from_operator(ctx: JetContext, op: DifferentialOperator) -> Multivector:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .words import FormalSum, _Accumulator
-from .jets import JetContext, _cut_parts, _horner, _kept
+from .jets import JetContext, _horner, _kept, _series_sum
 
 
 def euler_derivative(
@@ -20,9 +20,11 @@ def euler_derivative(
     """Variational derivative of a cyclic sum along one letter family.
 
     For each occurrence of the family, cut the circle there and apply (-D) to
-    the multi-index of the removed letter.  `jets._cut_parts` groups the cut
-    words by that multi-index, so `jets._horner` applies the powers of (-D)
-    in Horner form, straight on the cut parts' integer numerators.
+    the multi-index of the removed letter.  Each word's cut pieces come from
+    the context's table (`jets._pieces`), and `jets._horner` applies the
+    powers of (-D) in Horner form, straight on their integer numerators; the
+    sum is built from its store (`jets._series_sum`).  A sum with no letter
+    of the family gives the empty sum before any fold.
     `side` chooses on which side of the density the variation is collected;
     the two differ, per word, by a sign on odd families only.
     """
@@ -30,7 +32,20 @@ def euler_derivative(
         raise PreconditionError("euler_derivative expects a cyclic sum")
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    return _horner(ctx, *_cut_parts(ctx, f, odd_kind, index, side == "right"))
+    return _series_sum(*_variation_store(ctx, f, odd_kind, index, side == "right"))
+
+
+def _variation_store(ctx: JetContext, f: FormalSum, odd_kind: bool, index: int, right: bool):
+    """`jets._horner` of one family's cut pieces of a cyclic sum; unchecked."""
+    pieces = ctx._cut_pieces[odd_kind, index, right]
+    return _horner(ctx, zip(f.terms.values(), map(pieces.__getitem__, f.terms)))
+
+
+def _vanishes(ctx: JetContext, f: FormalSum, odd_kind: bool, index: int) -> bool:
+    """Whether one family's variation of a cyclic sum is zero, read off its
+    `jets._horner` store: no sum is built and no gcd taken; unchecked."""
+    store, _ = _variation_store(ctx, f, odd_kind, index, False)
+    return not any(any(words.values()) for words in store.values())
 
 
 def variations(
@@ -52,14 +67,15 @@ def is_trivial(ctx: JetContext, f: FormalSum) -> bool:
     exact: D keeps each family's letter count, and closing u_F against E_F f
     gives sum_n n * f_n up to Im D, where f_n holds the words with n letters
     of F; so E_F f = 0 makes each f_n with n >= 1 a total divergence.  On a
-    multivector of degree >= 1 the first odd variation decides.
+    multivector of degree >= 1 the first odd variation decides.  Each
+    variation is only asked whether it vanishes (`_vanishes`).
     """
     if not f.cyclic:
         raise PreconditionError("is_trivial expects a cyclic sum")
     families = f.letters_present()
     while families:
         odd_kind, index = min(families, key=lambda family: (not family[0], family[1]))
-        if euler_derivative(ctx, f, odd_kind, index):
+        if not _vanishes(ctx, f, odd_kind, index):
             return False
         f = _Accumulator(True, {
             w: c for w, c in f.terms.items()
@@ -141,9 +157,4 @@ def covector_of(ctx: JetContext, f) -> Covector:
     """The covector of variational derivatives of a functional (or density)
     along the position families, kept on the density (see `jets._kept`)."""
     density = f.density if isinstance(f, Functional) else f
-    return _kept(density, "covector", ctx, _covector, ctx, density)
-
-
-def _covector(ctx: JetContext, density: FormalSum) -> Covector:
-    """`covector_of`, computed afresh."""
-    return Covector(variations(ctx, density, odd_kind=False))
+    return _kept(density, "covector", ctx, lambda: Covector(variations(ctx, density, odd_kind=False)))

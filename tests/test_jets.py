@@ -44,19 +44,22 @@ def opn(letters, value=1):
 
 
 def horner(ctx, parts):
-    """The (-D)-series of finished open parts, by `jets._horner`, on their
-    integer stores."""
+    """The (-D)-series of finished open parts, by `jets._horner` on their
+    (Coefficient, pieces) pairs, read back as a sum by `jets._series_sum`."""
     terms = [(c, ((s, w, 1),)) for s, p in parts.items() for w, c in p.terms.items()]
-    return jets._horner(ctx, *jets._integer_parts(terms))
+    return jets._series_sum(*jets._horner(ctx, terms))
 
 
 def cut_part(ctx, f, target):
-    """The cyclic partial derivative by one exact letter: the part of
-    `jets._cut_parts` at the letter's family and multi-index, read back as
+    """The cyclic partial derivative by one exact letter: the cut pieces
+    (`jets._pieces`) at the letter's family and multi-index, read back as
     a sum by the order-zero series of `jets._horner`."""
-    parts, den = jets._cut_parts(ctx, f, target.odd, target.index, False)
-    part = parts.get(target.orders)
-    return jets._horner(ctx, {} if part is None else {ctx.zero_orders(): part}, den)
+    pieces = ctx._cut_pieces[target.odd, target.index, False]
+    terms = [
+        (c, tuple((ctx.zero_orders(), w2, sign) for orders, w2, sign in pieces[w] if orders == target.orders))
+        for w, c in f.terms.items()
+    ]
+    return jets._series_sum(*jets._horner(ctx, terms))
 
 
 class TestContext:
@@ -689,6 +692,11 @@ class TestContextLifetime:
         "is_hamiltonian-pool-prolonged": lambda ctx: (
             not is_hamiltonian(ctx, parse_operator("op(a*a*D + D*R(a*a))", ctx)).hamiltonian
             and any(kept_steps(c) for d in ctx._witness_pool for c in d._derived["covector"][1].components)
+        ),
+        # an acceptance leaves D^sigma on the odd letter sums the context keeps
+        "is_hamiltonian-odd-letters-prolonged": lambda ctx: (
+            is_hamiltonian(ctx, parse_operator("op(D^3)", ctx)).hamiltonian
+            and all(kept_steps(b) for b in ctx._odd_letters)
         ),
         "poisson_bracket-kept-covectors": lambda ctx: _bracket_keeps_covectors(ctx),
         "jacobi_defect": lambda ctx: jacobi_defect(

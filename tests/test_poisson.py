@@ -3,9 +3,11 @@ decision procedure, and the substitution harness."""
 
 import copy
 import itertools
+from fractions import Fraction
 
 import pytest
 
+import cycvar.jets as jets
 import cycvar.poisson as P
 from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
@@ -171,6 +173,15 @@ class TestIsHamiltonian:
         assert "hamiltonian" in good.summary()
         assert "not hamiltonian" in bad.summary()
 
+    @pytest.mark.parametrize("op", [D_OP, SHIFT_OP], ids=["accepted", "rejected"])
+    def test_certificate_is_unhashable_and_builds_nothing(self, op):
+        """A certificate holds word sums, so it says at once that it is
+        unhashable, and hashing it builds no deferred standard form."""
+        cert = is_hamiltonian(CTX, op)
+        with pytest.raises(TypeError, match="unhashable type: 'HamiltonianCertificate'"):
+            hash(cert)
+        assert "defect_density" not in cert.__dict__
+
 
 class TestWitnessSearch:
     """The search reuses covectors, images and inner brackets; it must pick
@@ -217,6 +228,71 @@ class TestWitnessSearch:
             assert [h.density for h in cert.witness] == [h.density for h in witness]
             assert cert.witness_defect == defect
             assert list(cert.witness_defect.terms) == list(defect.terms)
+
+
+class TestWitnessSearchOnCorpus:
+    """`_witness_search`, with its image and inner-covector tables, returns
+    the triple and the defect of the plain reference loop, on corpus skew
+    parts in every (fields, directions) in {1, 2}^2."""
+
+    @pytest.mark.parametrize("fields,directions", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_reference_loop(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        pool = witness_pool(ctx)
+        found = 0
+        for op in _corpus_skew_parts(ctx, 860 + 10 * fields + directions, 8)[:4]:
+            for budget in (5, 40):
+                witness, defect = P._witness_search(ctx, op, budget)
+                want_witness, want_defect = reference_witness_search(ctx, op, pool, budget)
+                if want_witness is None:
+                    assert (witness, defect) == (None, None)
+                    continue
+                found += 1
+                assert [h.density for h in witness] == [h.density for h in want_witness]
+                assert defect == want_defect
+        assert found
+
+
+class TestKeptOddLetters:
+    """The context keeps the sums b_1..b_m of its odd letters: one sealed
+    tuple per context, on which every operator image of a decision keeps
+    its D^sigma, each equal to `d_power`, so a decision met again takes no
+    total derivative."""
+
+    @pytest.mark.parametrize("fields,directions", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_one_sealed_tuple_per_context(self, fields, directions):
+        ctx = JetContext(fields=fields, directions=directions)
+        kept = odd_letter_sums(ctx)
+        assert odd_letter_sums(ctx) is kept and ctx._odd_letters is kept
+        assert kept == tuple(
+            FormalSum.single(False, (ctx.letter(True, j),), ctx.one()) for j in range(1, fields + 1)
+        )
+        assert odd_letter_sums(JetContext(fields=fields, directions=directions)) is not kept
+        for b in kept:
+            with pytest.raises(PreconditionError, match="sealed"):
+                b.add_word((ctx.letter(True, 1),), ctx.one())
+        # other values are built afresh and left open
+        halves = odd_letter_sums(ctx, Fraction(1, 2))
+        assert halves != kept and halves is not odd_letter_sums(ctx, Fraction(1, 2))
+        assert all(h._derived is None for h in halves)
+
+    @pytest.mark.parametrize("fields,directions", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_kept_d_powers(self, fields, directions, monkeypatch):
+        ctx = JetContext(fields=fields, directions=directions)
+        ops = _corpus_skew_parts(ctx, 870 + 10 * fields + directions, 12)
+        ops += [from_derivative(ctx, d, 3) for d in range(1, directions + 1)]
+        first = [repr(is_hamiltonian(ctx, op, find_witness=False)) for op in ops]
+        steps = 0
+        for b in odd_letter_sums(ctx):
+            for orders, (key, value) in b._derived.items():
+                assert key == ctx._key
+                assert value == d_power(ctx, b, orders)
+                steps += 1
+        assert steps >= directions
+        calls, total_derivative = [], jets.total_derivative
+        monkeypatch.setattr(jets, "total_derivative", lambda *args: calls.append(args) or total_derivative(*args))
+        assert [repr(is_hamiltonian(ctx, op, find_witness=False)) for op in ops] == first
+        assert calls == []
 
 
 def _corpus_skew_parts(ctx, seed, count):

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from cycvar import corpus
 from cycvar.errors import BoundExceeded, PreconditionError
 from cycvar.words import FormalSum, close, concat
+from cycvar import jets
 from cycvar.jets import JetContext, total_derivative
 from cycvar.operators import DifferentialOperator, from_derivative
 from cycvar.variational import (
     Covector,
     Functional,
+    _vanishes,
     coupling,
     covector_of,
     euler_derivative,
@@ -114,6 +116,15 @@ def _outcome(call):
         return BoundExceeded
 
 
+def _message_outcome(call):
+    """The value of `call()`, or ("BoundExceeded", message) if it raised
+    that, so that two outcomes agree only on the same message."""
+    try:
+        return call()
+    except BoundExceeded as exc:
+        return "BoundExceeded", str(exc)
+
+
 class TestIntegerStore:
     """The (-D)-series runs on integer numerators over one denominator.
     Drawn over (fields, directions) in {1, 2}^2, coefficients with
@@ -172,6 +183,85 @@ class TestIntegerStore:
         want = _outcome(lambda: reference_horner(capped.ctx, reference_carriers(op)))
         assert _outcome(lambda: capped.adjoint().words) == want
         assert want is BoundExceeded or want == got.words
+
+
+SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def _pairs(parts):
+    """The (Coefficient, pieces) pairs of open parts by multi-index, one
+    piece per word."""
+    return [(c, ((s, w, 1),)) for s, p in parts.items() for w, c in p.terms.items()]
+
+
+class TestFoldAndBuild:
+    """`jets._horner` folds (Coefficient, pieces) pairs into one integer
+    store and `jets._series_sum` builds the sum from it.  On the cut pieces
+    of corpus densities and the carriers of corpus operators they equal the
+    references, uncapped and under caps 0-4, with the same BoundExceeded
+    message; so do `euler_derivative` and `adjoint`, which run on them.
+    The inputs hold letters within the cap, as every letter of a capped
+    context does; where a letter is over it, which word raises first, and
+    so the order the message names, follows the iteration order, and
+    `TestIntegerStore` compares the outcome alone."""
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_matches_references(self, fields, directions, cap):
+        free = JetContext(fields=fields, directions=directions)
+        ctx = JetContext(fields=fields, directions=directions, max_order=cap)
+        top = 2 if cap is None else min(2, cap)
+        rng = random.Random(1000 + 100 * (9 if cap is None else cap) + 10 * fields + directions)
+        series = lambda pairs: jets._series_sum(*jets._horner(ctx, pairs))
+        raised = 0
+        for k in range(6):
+            f = corpus.cyclic_density(rng, ctx, k % 3, words=3, max_order=top)
+            if k % 2 and top:
+                # E(D h) = 0, so the partial sums of the series cancel
+                h = corpus.cyclic_density(rng, ctx, k % 3, words=2, max_order=top - 1)
+                f = f + total_derivative(ctx, h, rng.randint(1, directions))
+            for odd_kind in (False, True):
+                for index in range(1, fields + 1):
+                    for side in ("left", "right"):
+                        parts = reference_cut_parts(f, odd_kind, index, side)
+                        want = _message_outcome(lambda: reference_horner(ctx, parts))
+                        pieces = ctx._cut_pieces[odd_kind, index, side == "right"]
+                        pairs = [(c, pieces[w]) for w, c in f.terms.items()]
+                        assert _message_outcome(lambda: series(pairs)) == want
+                        assert _message_outcome(lambda: series(_pairs(parts))) == want
+                        assert _message_outcome(lambda: euler_derivative(ctx, f, odd_kind, index, side)) == want
+                        raised += isinstance(want, tuple)
+            # the slot orders are drawn in the free context: only the side
+            # words' letters are within the cap
+            op = corpus.operator(rng, free, terms=3, max_order=min(1, top))
+            carriers = reference_carriers(op)
+            want = _message_outcome(lambda: reference_horner(ctx, carriers))
+            assert _message_outcome(lambda: series(_pairs(carriers))) == want
+            assert _message_outcome(lambda: DifferentialOperator(ctx, op.words).adjoint().words) == want
+            raised += isinstance(want, tuple)
+        if cap is None:
+            assert not raised
+        elif cap == 0:
+            assert raised
+
+    @pytest.mark.parametrize("fields,directions", SHAPES)
+    def test_zero_only_read(self, fields, directions):
+        """`_vanishes` reads the store alone; it agrees with the truth of the
+        built variation, on sums with no letter of the family too."""
+        ctx = JetContext(fields=fields, directions=directions)
+        rng = random.Random(1100 + 10 * fields + directions)
+        seen = set()
+        for k in range(15):
+            f = corpus.cyclic_density(rng, ctx, k % 3, words=rng.randint(1, 3), max_order=2)
+            if k % 3 == 1:
+                f = total_derivative(ctx, f, rng.randint(1, directions))
+            for odd_kind in (False, True):
+                for index in range(1, fields + 1):
+                    vanishes = _vanishes(ctx, f, odd_kind, index)
+                    assert vanishes == (not euler_derivative(ctx, f, odd_kind, index))
+                    seen.add((vanishes, (odd_kind, index) in f.letters_present()))
+        assert seen == {(True, False), (True, True), (False, True)}
+        assert _vanishes(ctx, FormalSum(cyclic=True), False, 1)
 
 
 class TestTriviality:

@@ -63,10 +63,10 @@ def single(letters, value=1, cyclic=True):
 
 
 def horner(ctx, parts):
-    """The (-D)-series of finished open parts, by `jets._horner`, on their
-    integer stores."""
+    """The (-D)-series of finished open parts, by `jets._horner` on their
+    (Coefficient, pieces) pairs, read back as a sum by `jets._series_sum`."""
     terms = [(c, ((s, w, 1),)) for s, p in parts.items() for w, c in p.terms.items()]
-    return jets._horner(ctx, *jets._integer_parts(terms))
+    return jets._series_sum(*jets._horner(ctx, terms))
 
 
 class TestCoefficient:
@@ -813,10 +813,11 @@ class TestNoAliasing:
             # a density whose cuts meet the same open words more than once
             operands = (parse_cyclic("cyc(a*a*a_x) + 2*cyc(a*a_x*a_x) - cyc(a*a_x*a*a_x)/3", ctx),)
             if loop == "cuts":
-                # the order-zero part, read back as a sum by the series
+                # the order-zero cut pieces, read back as a sum by the series
                 def call():
-                    parts, den = jets._cut_parts(ctx, *operands, False, 1, False)
-                    return jets._horner(ctx, {(0,): parts[(0,)]}, den)
+                    pieces = ctx._cut_pieces[False, 1, False]
+                    terms = [(c, tuple(p for p in pieces[w] if p[0] == (0,))) for w, c in operands[0].terms.items()]
+                    return jets._series_sum(*jets._horner(ctx, terms))
             else:
                 # the cut parts go straight into the (-D)-series
                 call = lambda: euler_derivative(ctx, *operands, False, 1)
