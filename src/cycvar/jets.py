@@ -1,6 +1,6 @@
-"""Jet-space bookkeeping: contexts, total derivatives, the (-D)-series
-`_horner` with the cut pieces `_pieces` that the Euler operator feeds it,
-and the action of evolutionary fields on word sums."""
+"""Jet-space bookkeeping: contexts, the (-D)-series `_horner` with its one
+D step `_fold`, which total derivatives take too, the cut pieces `_pieces`
+that the Euler operator feeds it, and the action of evolutionary fields."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .words import (
     Letter,
     Word,
     _Accumulator,
-    _Open,
     normalize,
     odd_count,
     pass_sign,
@@ -61,13 +60,13 @@ class JetContext:
     path: letters of another context, equal or not, and letters built by
     hand mix freely with these.  `_canonical_forms` holds a word's
     `normalize` result (canonical rotation and sign), `_images` holds per
-    direction the words with one letter shifted (what `total_derivative`
-    and the D steps of `_horner` add up), and `_cut_pieces` holds per
-    letter family and side the (orders, open word, sign) pieces (`_pieces`)
-    that the Euler operator feeds `_horner`.  Words are keys by value, so
-    words of hand-built letters find the same entries.  Each table admits at
-    most `TABLE_LIMIT` entries and then only serves the ones it holds, so
-    the memory a large one-off computation spends on them stays bounded.
+    direction the words with one letter shifted (what each D step, `_fold`,
+    adds up), and `_cut_pieces` holds per letter family and side the
+    (orders, open word, sign) pieces (`_pieces`) that the Euler operator
+    feeds `_horner`.  Words are keys by value, so words of hand-built
+    letters find the same entries.  Each table admits at most `TABLE_LIMIT`
+    entries and then only serves the ones it holds, so the memory a large
+    one-off computation spends on them stays bounded.
     The CLI builds one context per invocation.  The context also keeps the
     witness pool of the Hamiltonian decision (`poisson._witness_pool`), the
     odd letter sums b_1..b_m, which keep each D^sigma an operator image asks
@@ -228,52 +227,44 @@ def _pieces(odd_kind: bool, index: int, right: bool, letters: Word) -> tuple:
 
 
 def total_derivative(ctx: JetContext, f: FormalSum, direction: int = 1) -> FormalSum:
-    """Total derivative along a base direction: acts on the coefficient and on
-    each letter by the product rule (no signs; the derivation is even).  The
-    shifted words of each word and, in a cyclic sum, their canonical forms
-    come from the context's tables; the images share the word's Coefficient."""
+    """Total derivative along a base direction: `d_power` to the unit
+    multi-index of the direction, which is checked first."""
     ctx.check_direction(direction)
-    d = direction - 1
-    out = _Accumulator(f.cyclic)
-    add, images, canonical = out.add, ctx._images[d], ctx._canonical_forms
-    for w, c in f.terms.items():
-        nums = c.nums
-        for mono in nums:
-            if mono[d]:
-                # the coefficient's derivative, over c's denominator; a key
-                # of the input is already in the output's form
-                diff = object.__new__(Coefficient if c.den == 1 else _Open)
-                diff.nums = {
-                    m[:d] + (m[d] - 1,) + m[d + 1:]: v * m[d] for m, v in nums.items() if m[d]
-                }
-                diff.den = c.den
-                add(w, 1, diff)
-                break
-        if f.cyclic:
-            for new in images[w]:
-                key, sign = canonical[new]
-                add(key, sign, c)
-        else:
-            for new in images[w]:
-                add(new, 1, c)
-    return out.finish()
+    return d_power(ctx, f, [int(d == direction) for d in range(1, ctx.directions + 1)])
 
 
 def d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
     """The iterated total derivative D^orders of `f`, direction 1 first; D^0
     is `f`.  `orders` needs one nonnegative order per direction; the cap
-    bounds only the steps taken, and once a step gives zero no further step
-    is taken, since each would give zero; that zero is a fresh sum, so a sum
-    keeping its D^sigma (`DifferentialOperator.apply`) never keeps itself."""
+    bounds only the steps taken.  D^orders = (-1)^|orders| (-D)^orders: `f`
+    becomes one integer store (`_horner`, that sign on each word), each step
+    is a D step of the (-D)-series (`_fold`), in a cyclic sum followed by a
+    merge into canonical forms, and `_series_sum` builds the sum at the end.
+    Once a store holds no nonzero entry no further step is taken, since each
+    would give zero; that zero is a fresh sum, so a sum keeping its D^sigma
+    (`DifferentialOperator.apply`) never keeps itself."""
     orders = tuple(orders)
     if len(orders) != ctx.directions or min(orders) < 0:
         raise PreconditionError(f"bad derivative multi-index {orders}")
+    if not any(orders):
+        return f
+    zero, sign = ctx.zero_orders(), -1 if sum(orders) % 2 else 1
+    store, den = _horner(ctx, [(c, ((zero, w, sign),)) for w, c in f.terms.items()])
+    canonical = ctx._canonical_forms
     for direction, count in enumerate(orders, start=1):
         for _ in range(count):
-            if not f.terms:
+            if not any(any(words.values()) for words in store.values()):
                 return FormalSum(f.cyclic)
-            f = total_derivative(ctx, f, direction)
-    return f
+            store = _fold(ctx, {1: store}, direction)
+            if f.cyclic:
+                for mono, words in store.items():
+                    merged = store[mono] = {}
+                    for w, v in words.items():
+                        if v:
+                            key, s = canonical[w]
+                            if s:
+                                merged[key] = merged.get(key, 0) + s * v
+    return _series_sum(store, den, f.cyclic)
 
 
 def _horner(ctx: JetContext, terms) -> tuple[dict, int]:
@@ -289,8 +280,7 @@ def _horner(ctx: JetContext, terms) -> tuple[dict, int]:
     folded.  Along one direction, P_0 - D(P_1 - D(P_2 - ...))
     differentiates each partial sum once instead of each part k times.
     Directions are folded from the last one down: after direction d the
-    keys keep only their first d - 1 slots.  Every D step runs on the
-    integer numerators.
+    keys keep only their first d - 1 slots.
     """
     parts: dict[tuple[int, ...], dict] = {}
     den = 1
@@ -320,10 +310,11 @@ def _horner(ctx: JetContext, terms) -> tuple[dict, int]:
     return _fold(ctx, {orders[0]: part for orders, part in parts.items()}, 1), den
 
 
-def _series_sum(store: dict, den: int) -> FormalSum:
-    """The open sum of a `_horner` store over `den`: each word with a
-    nonzero entry gets its Coefficient once, reduced by the gcd with `den`."""
-    out = FormalSum(cyclic=False)
+def _series_sum(store: dict, den: int, cyclic: bool = False) -> FormalSum:
+    """The sum of an integer store over `den`, open unless `cyclic` (then
+    its words are canonical): each word with a nonzero entry gets its
+    Coefficient once, reduced by the gcd with `den`."""
+    out = FormalSum(cyclic)
     terms = out.terms
     for mono, words in store.items():
         for w, v in words.items():
@@ -344,9 +335,11 @@ def _series_sum(store: dict, den: int) -> FormalSum:
 def _fold(ctx: JetContext, by_count: dict[int, dict], direction: int) -> dict:
     """The sum over k of (-D)^k by_count[k] along one direction, in Horner
     form, as one integer store: each step subtracts D of the running sum
-    from the next part.  A zero entry is skipped, so a word that cancelled
-    is never differentiated and an order cap raises only on the words that
-    are left."""
+    from the next part.  It is the library's one D (`_horner`, `d_power`):
+    the product rule on integer numerators, lowering a monomial for the
+    coefficient's derivative.  A zero entry is skipped, so a word that
+    cancelled is never differentiated and an order cap raises only on the
+    words that are left."""
     d = direction - 1
     images = ctx._images[d]
     top = max(by_count)
@@ -371,7 +364,7 @@ def _fold(ctx: JetContext, by_count: dict[int, dict], direction: int) -> dict:
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratingSection:
     """Componentwise data of an evolutionary field: what it inserts at even
     slots and at odd slots, plus the parity of the field itself.
@@ -384,9 +377,12 @@ class GeneratingSection:
     The components are sealed when the section is built (see `FormalSum`),
     as the section keeps `_index`: each letter's D^orders of its component,
     which `evolutionary_apply` reads (see `_letter_index`) and equality and
-    `repr` ignore.  The components keep no D^orders of their own.
+    `repr` ignore.  The components keep no D^orders of their own.  A section
+    holds word sums, so it is unhashable (with its own `__eq__`, only
+    `eq=False` keeps the dataclass from adding a hash).
     """
 
+    __hash__ = None
     even: tuple[FormalSum, ...]
     odd: tuple[FormalSum, ...]
     parity: int

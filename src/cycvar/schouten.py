@@ -29,9 +29,10 @@ class Multivector:
 
     It stores the density alone: `bivector_operator` extracts the one-slot
     operator of a degree-2 multivector on request, and `q_field` keeps the
-    field on the density.
+    field on the density.  It holds a word sum, so it is unhashable.
     """
 
+    __hash__ = None
     ctx: JetContext
     degree: int
     density: FormalSum
@@ -75,14 +76,10 @@ def odd_degree(density: FormalSum, expected: int | None = None) -> int:
     return found
 
 
-def normalize_multivector(
-    ctx: JetContext, density: FormalSum, degree: int | None = None, factor: int | Fraction = 1
-) -> Multivector:
+def normalize_multivector(ctx: JetContext, density: FormalSum, degree: int | None = None) -> Multivector:
     """Re-present a homogeneous density in the standard form with one bare
     odd letter out front, scaling by the degree.  A zero density and a
     nonzero total divergence get the same standard form: an empty density.
-    The result is that of `factor` times the density; for degree >= 1 the
-    factor rides on the closing letters, with no pass over the density.
 
     For degree >= 1 the standard form is empty exactly when the density is
     a total divergence: it is built from the odd variations alone, and it
@@ -92,9 +89,9 @@ def normalize_multivector(
         raise PreconditionError("a multivector density must be cyclic")
     degree = odd_degree(density, degree)
     if degree == 0:
-        return Multivector(ctx, degree, density if factor == 1 else density.scale(factor))
+        return Multivector(ctx, degree, density)
     odd_variations = variations(ctx, density, odd_kind=True)
-    return Multivector(ctx, degree, _standard_form(ctx, odd_variations, degree, factor))
+    return Multivector(ctx, degree, _standard_form(ctx, odd_variations, degree, 1))
 
 
 def _standard_form(ctx: JetContext, odd_variations, degree: int, factor) -> FormalSum:

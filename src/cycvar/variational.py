@@ -93,8 +93,10 @@ class Covector:
 
     An operator applied to a component keeps each D^sigma it asked for on
     the component (see `DifferentialOperator.apply`), so the images of a
-    covector met again reuse them."""
+    covector met again reuse them.  A covector holds word sums, so it is
+    unhashable."""
 
+    __hash__ = None
     components: tuple[FormalSum, ...]
 
     def __post_init__(self):
@@ -137,8 +139,10 @@ def _pair(ctx: JetContext, p, values, out: _Accumulator, sign: int = 1) -> None:
 class Functional:
     """A cyclic density considered up to total divergences, checked and
     sealed when the functional is built (see `FormalSum`).  Its covector is
-    kept on the density (see `covector_of`)."""
+    kept on the density (see `covector_of`).  A functional holds a word sum,
+    so it is unhashable."""
 
+    __hash__ = None
     ctx: JetContext
     density: FormalSum
 

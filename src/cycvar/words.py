@@ -424,15 +424,16 @@ class _Accumulator:
     monomial over one running denominator, added in place.
 
     A word touched once keeps the Coefficient it came with, or gets its
-    product or derivative built straight as one.  On a second touch the
-    word gets an `_Open` coefficient of its own, a copy, never an operand's
-    `nums` dict, and every later term, product or collision is added into
-    it as ints, with no gcd and no new object.  `finish` settles each
-    `_Open` once, in lowest terms, and drops the words that cancelled; when
-    no word was touched twice and every denominator was 1 it has nothing to
-    do.  An `_Open` passed in (by `total_derivative`) is taken over as it is.
-    `terms` may start as a dict the caller hands over, whose values are
-    Coefficients.  An accumulator never takes its own values as operands."""
+    product built straight as one.  On a second touch the word gets an
+    `_Open` coefficient of its own, a copy, never an operand's `nums` dict,
+    and every later term, product or collision is added into it as ints,
+    with no gcd and no new object.  `finish` settles each `_Open` once, in
+    lowest terms, and drops the words that cancelled; when no word was
+    touched twice and every denominator was 1 it has nothing to do.  `terms`
+    may start as a dict the caller hands over, whose values are
+    Coefficients.  An accumulator never takes its own values as operands,
+    and no operand is an `_Open`: derivatives are taken on integer stores
+    (`jets._fold`), not here."""
 
     __slots__ = ("cyclic", "terms", "loose")
 
@@ -451,15 +452,7 @@ class _Accumulator:
         terms = self.terms
         acc = terms.get(key)
         if acc is None:
-            if type(c) is _Open:
-                if not c.nums:
-                    return
-                if sign < 0:
-                    c = _negated(c)
-                self.loose.append(c)
-            elif sign < 0:
-                c = _negated(c)
-            terms[key] = c
+            terms[key] = _negated(c) if sign < 0 else c
             return
         if type(acc) is not _Open:
             acc = self._own(key, acc)

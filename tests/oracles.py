@@ -7,7 +7,9 @@ on words rather than through operator terms, and bivector evaluation goes
 through the pairing formula rather than through contraction of the density.
 The Euler derivative and the adjoint are expanded one letter occurrence (one
 operator term) at a time, each with its own power of (-D), rather than
-grouped in Horner form, and the cyclic partial derivative rotates each word
+grouped in Horner form; every power of D iterates a total derivative that
+adds each term through `add_word`, one shifted letter at a time, with no
+integer store.  The cyclic partial derivative rotates each word
 to every occurrence of its letter with a `block_rotations` sign.  The Jacobi defect is computed one triple at a
 time, every inner bracket's covector on its own, {h_k, h_i} as well as
 {h_i, h_k}, and the witness search is the plain loop over it, with nothing
@@ -32,7 +34,7 @@ from cycvar.words import (
     odd_count,
     pass_sign,
 )
-from cycvar.jets import GeneratingSection, JetContext, d_power, evolutionary_apply, total_derivative
+from cycvar.jets import GeneratingSection, JetContext, evolutionary_apply
 from cycvar.lang import letter_text
 from cycvar.variational import Covector, coupling, covector_of, is_trivial
 from cycvar.operators import SLOT_INDEX, DifferentialOperator
@@ -181,9 +183,31 @@ def fraction_diff(c: Coefficient, direction: int) -> dict:
     )
 
 
+def reference_total_derivative(ctx: JetContext, f: FormalSum, direction: int) -> FormalSum:
+    """D along a 1-based direction, term by term through `add_word`: for
+    each word, the coefficient's derivative, then each letter shifted in
+    position order."""
+    out = FormalSum(f.cyclic)
+    for w, c in f.terms.items():
+        if any(mono[direction - 1] for mono in c.nums):
+            out.add_word(w, Coefficient(fraction_diff(c, direction)))
+        for i, letter in enumerate(w):
+            out.add_word(w[:i] + (ctx.shift(letter, direction),) + w[i + 1:], c)
+    return out
+
+
+def reference_d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
+    """D^orders as `reference_total_derivative` taken once per order,
+    direction 1 first."""
+    for direction, count in enumerate(orders, start=1):
+        for _ in range(count):
+            f = reference_total_derivative(ctx, f, direction)
+    return f
+
+
 def minus_d_power(ctx: JetContext, f: FormalSum, orders) -> FormalSum:
     """(-D)^orders applied to one sum."""
-    f = d_power(ctx, f, orders)
+    f = reference_d_power(ctx, f, orders)
     return -f if sum(orders) % 2 else f
 
 
@@ -237,9 +261,9 @@ def reference_carriers(op: DifferentialOperator) -> dict:
 def reference_horner(ctx: JetContext, parts: dict) -> FormalSum:
     """The (-D)-series of open sums by multi-index, P_0 - D(P_1 - D(...))
     along each direction, the last direction folded first, with the sums'
-    own arithmetic and `total_derivative`.  Every partial sum is a finished
-    sum, so a word that cancelled is never differentiated, and under an
-    order cap it raises on exactly the words that are left."""
+    own arithmetic and `reference_total_derivative`.  Every partial sum is
+    a finished sum, so a word that cancelled is never differentiated, and
+    under an order cap it raises on exactly the words that are left."""
     for d in range(ctx.directions, 0, -1):
         grouped: dict[tuple[int, ...], dict[int, FormalSum]] = {}
         for orders, part in parts.items():
@@ -249,7 +273,7 @@ def reference_horner(ctx: JetContext, parts: dict) -> FormalSum:
             top = max(by_count)
             acc = by_count[top]
             for k in range(top - 1, -1, -1):
-                acc = by_count.get(k, FormalSum(cyclic=False)) - total_derivative(ctx, acc, d)
+                acc = by_count.get(k, FormalSum(cyclic=False)) - reference_total_derivative(ctx, acc, d)
             parts[prefix] = acc
     return parts.get((), FormalSum(cyclic=False))
 

@@ -192,19 +192,20 @@ class TestRejectedInputs:
         assert rc == 0 and out.strip() == "cyc(a*a)"
 
     def test_tderiv_stops_at_the_zero_sum(self, monkeypatch):
-        # D(x) = 1 and D(1) = 0: a huge order needs only two steps
-        derivative, calls = jets.total_derivative, []
+        # D(x) = 1 and D(1) = 0: a huge order needs only two steps; a fold
+        # over parts up to (-D)^k takes k D steps
+        fold, steps = jets._fold, []
 
-        def counted(*args):
-            calls.append(args)
-            assert len(calls) <= 10, "tderiv kept differentiating the zero sum"
-            return derivative(*args)
+        def counted(ctx, by_count, direction):
+            steps.extend([direction] * max(by_count))
+            assert len(steps) <= 10, "tderiv kept differentiating the zero sum"
+            return fold(ctx, by_count, direction)
 
-        monkeypatch.setattr(jets, "total_derivative", counted)
+        monkeypatch.setattr(jets, "_fold", counted)
         rc, out, err = run_in_process("--output", "machine", "tderiv", "--order", "1000000000000", "x")
         assert (rc, err) == (0, "")
         assert out == "status: ok\nkind: open-sum\ncount: 0\n"
-        assert len(calls) == 2
+        assert steps == [1, 1]
 
     @pytest.mark.parametrize("style", ["pretty", "machine"])
     @pytest.mark.parametrize("direction", ["0", "2"])
